@@ -5,13 +5,14 @@ configuration, 3 collision during integration (the step index is
 reported), 4 numeric or domain failure.
 
 Default check tolerances can be loosened or tightened for exploratory runs
-through the environment variable CPVORTEX_TOL_SCALE (a positive float
-multiplier; non-normative, the shipped defaults are the contract).
+through the environment variable CPVORTEX_TOL_SCALE (a finite positive
+float multiplier; non-normative, the shipped defaults are the contract).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -96,13 +97,22 @@ def load_config(path: str):
 
         integ = doc["integrator"]
         method = integ.get("method", "rk4")
+        if method not in dynamics.METHODS:
+            raise ConfigurationError(f"integrator.method must be one of {list(dynamics.METHODS)}, got {method!r}")
         dt = float(integ["dt"])
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ConfigurationError(f"integrator.dt must be finite and positive, got {dt!r}")
         if "steps" in integ:
             steps = int(integ["steps"])
         elif "t_end" in integ:
-            steps = int(round(float(integ["t_end"]) / dt))
+            t_end = float(integ["t_end"])
+            steps = round(t_end / dt)
+            if not abs(t_end - steps * dt) <= 1e-9 * abs(t_end):
+                raise ConfigurationError(f"integrator.t_end {t_end!r} is not an integer multiple of dt {dt!r}")
         else:
             raise ConfigurationError("integrator needs 'steps' or 't_end'")
+        if steps < 0:
+            raise ConfigurationError(f"integrator needs a nonnegative number of steps, got {steps}")
         outputs = doc.get("outputs", {})
         return {
             "system": system,
@@ -113,7 +123,7 @@ def load_config(path: str):
             "monitor_path": outputs.get("monitor_path"),
             "seed": int(doc.get("seed", 0)),
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"config field error: {exc!r}") from exc
 
 
@@ -128,25 +138,34 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    t0 = time.perf_counter()
-    try:
-        traj = dynamics.integrate(cfg["system"], cfg["dt"], cfg["steps"], method=cfg["method"])
-    except CollisionError as exc:
-        print(f"error: collision at step {exc.step_index}: {exc}", file=sys.stderr)
-        return EXIT_COLLISION
-    except (NumericError, DomainError, OracleError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    wall = time.perf_counter() - t0
+    with contextlib.ExitStack() as outputs:
+        # open the outputs first, so that a bad path fails before the run
+        try:
+            traj_fh, mon_fh = (
+                outputs.enter_context(open(cfg[key], "w", encoding="utf-8")) if cfg[key] else None
+                for key in ("trajectory_path", "monitor_path")
+            )
+        except OSError as exc:
+            print(f"error: cannot open output file: {exc}", file=sys.stderr)
+            return EXIT_PARSE
 
-    if cfg["trajectory_path"]:
-        with open(cfg["trajectory_path"], "w", encoding="utf-8") as fh:
-            dynamics.write_trajectory_csv(traj, fh)
-    if cfg["monitor_path"]:
-        with open(cfg["monitor_path"], "w", encoding="utf-8") as fh:
-            fh.write("t,H,momentum_norm,min_dist\n")
+        t0 = time.perf_counter()
+        try:
+            traj = dynamics.integrate(cfg["system"], cfg["dt"], cfg["steps"], method=cfg["method"])
+        except CollisionError as exc:
+            print(f"error: collision at step {exc.step_index}: {exc}", file=sys.stderr)
+            return EXIT_COLLISION
+        except (NumericError, DomainError, OracleError, ConfigurationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        wall = time.perf_counter() - t0
+
+        if traj_fh:
+            dynamics.write_trajectory_csv(traj, traj_fh)
+        if mon_fh:
+            mon_fh.write("t,H,momentum_norm,min_dist\n")
             for t, row in zip(traj.times, traj.monitors):
-                fh.write(",".join([_fmt(t)] + [_fmt(v) for v in row]) + "\n")
+                mon_fh.write(",".join([_fmt(t)] + [_fmt(v) for v in row]) + "\n")
 
     h = traj.monitors[:, 0]
     mom = traj.monitors[:, 1]
@@ -165,24 +184,23 @@ def cmd_simulate(args) -> int:
 
 def _estimated_pair_period(traj) -> float | None:
     """Rotation period of a planar two-vortex run from the swept pair angle."""
-    if traj.states[0].manifold != "plane" or traj.states[0].size != 2 or traj.times.size < 3:
+    if traj.system.manifold != "plane" or traj.system.size != 2 or traj.times.size < 3:
         return None
-    angle = 0.0
-    prev = traj.states[0].positions[0] - traj.states[0].positions[1]
-    for s in traj.states[1:]:
-        cur = s.positions[0] - s.positions[1]
-        step = cur / prev
-        angle += math.atan2(step.imag, step.real)
-        prev = cur
+    rel = traj.positions[:, 0] - traj.positions[:, 1]
+    angle = float(np.sum(np.angle(rel[1:] / rel[:-1])))
     if abs(angle) < 1e-12:
         return None
     return float(traj.times[-1] * (2.0 * math.pi / abs(angle)))
 
 
 def cmd_verify(args) -> int:
-    tol_scale = float(os.environ.get("CPVORTEX_TOL_SCALE", "1.0"))
-    if tol_scale <= 0.0:
-        print("error: CPVORTEX_TOL_SCALE must be positive", file=sys.stderr)
+    raw = os.environ.get("CPVORTEX_TOL_SCALE", "1.0")
+    try:
+        tol_scale = float(raw)
+    except ValueError:
+        tol_scale = math.nan
+    if not (math.isfinite(tol_scale) and tol_scale > 0.0):
+        print(f"error: CPVORTEX_TOL_SCALE must be a finite positive number, got {raw!r}", file=sys.stderr)
         return EXIT_PARSE
     try:
         results = verify.run_suite(args.suite, seed=args.seed, tol_scale=tol_scale)

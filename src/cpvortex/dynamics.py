@@ -14,15 +14,25 @@ profile over vortex pairs,
             ( log sin(r_ab) - sum_{j=1}^{n-1} 1/(2j sin^{2j} r_ab) ),
 
 the (constant) self-interaction term being dropped on the homogeneous
-space.  The Hamiltonian vector field is computed per vortex in an affine
-chart by solving omega X = dH with the Fubini-Study symplectic matrix of
-that chart; the sign convention is the one that makes
-Omega(X, Y) = dH(Y) hold with positive sign (checked by a self-test).
+space.  The integrator evolves the unit lifts v_a, the rows of V: with the
+Gram matrix G = V V*, rho_ab = |G_ab|^2 and
+c_ab = prefactor Gamma_a Gamma_b df/drho(rho_ab),
+
+    dv_a/dt = -(2i/Gamma_a) (I - v_a v_a*) sum_{b != a} c_ab G_ab v_b,
+
+the horizontal lift of the Hamiltonian vector field.  The chart-side field
+(hamiltonian_vector_field: omega X = dH solved per vortex with the
+Fubini-Study symplectic matrix of its affine chart) is kept as the
+independent oracle of that formula; its sign convention is the one that
+makes Omega(X, Y) = dH(Y) hold with positive sign (checked by a self-test).
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +41,18 @@ from .errors import CollisionError, ConfigurationError, NumericError
 from .geom import (
     AffineChart,
     ProjectivePoint,
+    _lift_distance,
     best_chart_index,
     fubini_study_metric,
     pivot_threshold,
     to_chart,
 )
 from .greens import cpn_volume, greens_radial_part
-from .momentum import weighted_momentum
+from .momentum import _momentum_sum
 
 __all__ = [
     "COLLISION_THRESHOLD",
+    "METHODS",
     "Trajectory",
     "VortexSystem",
     "grad_hamiltonian",
@@ -58,6 +70,13 @@ __all__ = [
 # Geodesic separations below this are numerically meaningless against the
 # logarithmic singularity of G at double precision.
 COLLISION_THRESHOLD = 1e-4
+
+METHODS = ("rk4", "rk45_adaptive")
+
+# integrate computes monitors for a batch of states at once, the batch
+# holding about this many vortex pairs: it amortizes the per-call cost of
+# the pair sweep for small N, and a collision stops the run within a batch
+_MONITOR_PAIRS = 256
 
 
 def hamiltonian_prefactor(n: int) -> float:
@@ -101,11 +120,11 @@ class VortexSystem:
         strengths = tuple(float(g) for g in self.strengths)
         if len(positions) < 1 or len(positions) != len(strengths):
             raise ConfigurationError("need N >= 1 positions with matching strengths")
-        if any(g == 0.0 or not np.isfinite(g) for g in strengths):
+        if any(g == 0.0 or not math.isfinite(g) for g in strengths):
             raise ConfigurationError("all strengths must be finite and nonzero")
         if self.manifold == "plane":
             positions = tuple(complex(p) for p in positions)
-            if any(not np.isfinite(p.real) or not np.isfinite(p.imag) for p in positions):
+            if not all(cmath.isfinite(p) for p in positions):
                 raise ConfigurationError("planar positions must be finite")
             if self.n != 0:
                 raise ConfigurationError("planar systems have no projective dimension")
@@ -137,22 +156,101 @@ class VortexSystem:
         return len(self.positions)
 
 
+# ---------------------------------------------------------------------------
+# array kernels.  A state is the complex array of planar positions (N,) or
+# of unit lifts (N, n+1), n = 0 marking the plane; the monitor kernels also
+# take a stack of states along leading axes.
+
+
+def _arrays(system: VortexSystem):
+    """(x, strengths) of a system as arrays."""
+    g = np.asarray(system.strengths)
+    if system.manifold == "plane":
+        return np.asarray(system.positions, dtype=complex), g
+    return np.array([p.coords for p in system.positions]), g
+
+
+def _pairs(N: int):
+    """Index arrays (i, j) of the N (N - 1) / 2 vortex pairs i < j."""
+    k = np.arange(N)
+    return np.nonzero(k[:, None] < k)
+
+
+def _separations(x: np.ndarray, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Separations of the pairs (i[p], j[p]): Euclidean on the plane, geodesic on CP^n."""
+    if n == 0:
+        return np.abs(x[..., i] - x[..., j])
+    return _lift_distance(x[..., i, :], x[..., j, :])
+
+
+def _planar_impulses(z: np.ndarray, g: np.ndarray):
+    return z.real @ g, z.imag @ g, 0.5 * ((z.real**2 + z.imag**2) @ g)
+
+
+def _pair_energy(n: int, g: np.ndarray, i, j, r: np.ndarray):
+    """H from the pair separations r (each unordered pair once)."""
+    weights = g[i] * g[j]
+    if n == 0:
+        return (np.log(r) @ weights) * (-1.0 / (2.0 * math.pi))
+    return hamiltonian_prefactor(n) * (greens_radial_part(n, r) @ weights)
+
+
+def _monitors(x: np.ndarray, g: np.ndarray, n: int, i, j):
+    """H, momentum norm and pair separations, from one sweep over the pairs."""
+    r = _separations(x, n, i, j)
+    if n == 0:
+        mom = np.sqrt(sum(p**2 for p in _planar_impulses(x, g)))
+    else:
+        mom = np.sqrt((np.abs(_momentum_sum(x, g)) ** 2).sum(axis=(-2, -1)))
+    return _pair_energy(n, g, i, j, r), mom, r
+
+
+def _planar_rhs(z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """dz_j/dt = conj( sum_{k != j} Gamma_k / (z_j - z_k) / (2 pi i) )."""
+    diff = z[:, None] - z[None, :]
+    diff.ravel()[:: len(z) + 1] = 1.0
+    inv = 1.0 / diff
+    inv.ravel()[:: len(z) + 1] = 0.0
+    return (inv @ g).conj() * (1.0j / (2.0 * math.pi))
+
+
+def _pair_coupling(n: int, rho):
+    """d(radial profile)/d(rho), elementwise; regular at rho = 0, where it is -n/2.
+
+    With s = sin^2 r = 1 - rho the profile f satisfies
+    df/drho = -(1 - s^n) / (2 rho s^n) = -(1/s + 1/s^2 + ... + 1/s^n) / 2,
+    the geometric sum taking out the factor rho = 1 - s without cancellation.
+    """
+    u = 1.0 / (1.0 - rho)
+    total = u
+    for _ in range(n - 1):
+        total = u * (total + 1.0)
+    return -0.5 * total
+
+
+def _cpn_rhs(v: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """dv_a/dt = -(2i/Gamma_a) (I - v_a v_a*) sum_{b != a} c_ab G_ab v_b for unit lifts v."""
+    gram = v @ v.conj().T
+    rho = np.abs(gram) ** 2
+    rho.ravel()[:: len(v) + 1] = 0.0  # keeps the coupling finite; the diagonal of m is set below
+    c = g * _pair_coupling(n, rho)  # c_ab / (prefactor Gamma_a)
+    m = c * gram
+    # v_a* sum_b c_ab G_ab v_b = sum_b c_ab rho_ab: the projection only shifts the diagonal
+    m.ravel()[:: len(v) + 1] = -np.add.reduce(c * rho, axis=1)
+    return (-2.0j * hamiltonian_prefactor(n)) * (m @ v)
+
+
+def _energy(system: VortexSystem) -> float:
+    x, g = _arrays(system)
+    i, j = _pairs(system.size)
+    return float(_pair_energy(system.n, g, i, j, _separations(x, system.n, i, j)))
+
+
 def min_pairwise_distance(system: VortexSystem) -> float:
     """Smallest pairwise separation (Euclidean or geodesic); inf for N = 1."""
-    N = len(system.positions)
-    if N == 1:
-        return math.inf
-    best = math.inf
-    if system.manifold == "plane":
-        for j in range(N):
-            for k in range(j + 1, N):
-                best = min(best, abs(system.positions[j] - system.positions[k]))
-    else:
-        lifts = [p.coords for p in system.positions]
-        for j in range(N):
-            for k in range(j + 1, N):
-                best = min(best, _distance_from_lifts(lifts[j], lifts[k]))
-    return best
+    x, _ = _arrays(system)
+    r = _separations(x, system.n, *_pairs(system.size))
+    return float(r.min()) if r.size else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -163,89 +261,31 @@ def planar_rhs(system: VortexSystem) -> np.ndarray:
     """Velocities dz_j/dt of the planar model (conjugated pair sum)."""
     if system.manifold != "plane":
         raise ConfigurationError("planar_rhs needs a planar system")
-    z = np.asarray(system.positions, dtype=complex)
-    g = np.asarray(system.strengths)
-    vel = np.zeros_like(z)
-    for j in range(z.size):
-        acc = 0.0 + 0.0j
-        for k in range(z.size):
-            if k == j:
-                continue
-            dz = z[j] - z[k]
-            if dz == 0.0:
-                raise CollisionError(f"vortices {j} and {k} coincide")
-            acc += g[k] / dz
-        vel[j] = np.conj(acc / (2.0j * math.pi))
-    return vel
+    return _planar_rhs(*_arrays(system))
 
 
 def planar_conserved(system: VortexSystem):
     """The three planar invariants (p_x, p_y, m)."""
-    z = np.asarray(system.positions, dtype=complex)
-    g = np.asarray(system.strengths)
-    return (
-        float(np.sum(g * z.real)),
-        float(np.sum(g * z.imag)),
-        float(0.5 * np.sum(g * np.abs(z) ** 2)),
-    )
+    return tuple(float(p) for p in _planar_impulses(*_arrays(system)))
 
 
 def planar_hamiltonian(system: VortexSystem) -> float:
     """Planar vortex energy -1/(4 pi) sum_{k != j} G_j G_k log r_jk."""
     if system.manifold != "plane":
         raise ConfigurationError("planar_hamiltonian needs a planar system")
-    z = np.asarray(system.positions, dtype=complex)
-    g = np.asarray(system.strengths)
-    out = 0.0
-    for j in range(z.size):
-        for k in range(j + 1, z.size):
-            r = abs(z[j] - z[k])
-            if r == 0.0:
-                raise CollisionError(f"vortices {j} and {k} coincide")
-            out += g[j] * g[k] * math.log(r)
-    return -out / (2.0 * math.pi)  # unordered-pair sum counts each {j,k} once
+    return _energy(system)
 
 
 # ---------------------------------------------------------------------------
-# CP^n model: distances, Hamiltonian, gradient, vector field
-
-def _distance_from_lifts(a: np.ndarray, b: np.ndarray) -> float:
-    """Geodesic distance from (possibly unnormalized) homogeneous lifts."""
-    u = a / np.linalg.norm(a)
-    v = b / np.linalg.norm(b)
-    overlap = np.dot(v, u.conj())
-    return float(math.atan2(np.linalg.norm(v - overlap * u), abs(overlap)))
+# CP^n model: Hamiltonian, and the chart-side gradient and vector field that
+# serve as the independent oracle of _cpn_rhs
 
 
 def hamiltonian_cpn(system: VortexSystem) -> float:
     """Vortex Hamiltonian on CP^n (pair sum over the radial Green profile)."""
     if system.manifold != "cpn":
         raise ConfigurationError("hamiltonian_cpn needs a cpn system")
-    n = system.n
-    g = system.strengths
-    lifts = [p.coords for p in system.positions]
-    pref = hamiltonian_prefactor(n)
-    out = 0.0
-    for j in range(len(lifts)):
-        for k in range(j + 1, len(lifts)):
-            r = _distance_from_lifts(lifts[j], lifts[k])
-            if r < COLLISION_THRESHOLD:
-                raise CollisionError(f"vortices {j} and {k} at separation {r:.3e}")
-            out += g[j] * g[k] * greens_radial_part(n, r)
-    return pref * out
-
-
-def _pair_coupling(n: int, rho: float) -> float:
-    """d(radial profile)/d(rho) evaluated stably; regular at rho -> 0.
-
-    With s = sin^2 r = 1 - rho the profile f satisfies
-    df/drho = -(1 - s^n) / (2 rho s^n), which tends to -n/2 at rho = 0.
-    """
-    if rho < 1e-14:
-        return -0.5 * n
-    s_n = (1.0 - rho) ** n
-    one_minus = -math.expm1(n * math.log1p(-rho))  # 1 - (1-rho)^n without cancellation
-    return -one_minus / (2.0 * rho * s_n)
+    return _energy(system)
 
 
 def _default_charts(system: VortexSystem):
@@ -307,20 +347,16 @@ def grad_hamiltonian(system: VortexSystem, charts=None):
     return list(zip(charts, grads))
 
 
-def _chart_symplectic_matrix(chart_index: int, w: np.ndarray) -> np.ndarray:
-    h = fubini_study_metric(AffineChart(chart_index, w))
-    re, im = h.real, h.imag
-    return np.block([[im, -re], [re, im]])
-
-
-def _velocities_from_lifts(n, charts, ws, strengths):
-    """Per-vortex chart velocities (1/Gamma) * sharp(dH) as real 2n-vectors."""
-    grads = _grad_from_lifts(n, charts, ws, strengths)
-    vels = []
-    for c, w, g, gamma in zip(charts, ws, grads, strengths):
-        W = _chart_symplectic_matrix(c, w)
-        vels.append(np.linalg.solve(W, g) / gamma)
-    return vels
+def _sharp(system: VortexSystem, charts):
+    """Per vortex (symplectic matrix W, gradient, velocity) with Gamma W velocity = gradient."""
+    ws = _chart_values(system, charts)
+    grads = _grad_from_lifts(system.n, charts, ws, system.strengths)
+    out = []
+    for c, w, grad, gamma in zip(charts, ws, grads, system.strengths):
+        h = fubini_study_metric(AffineChart(c, w))
+        W = np.block([[h.imag, -h.real], [h.real, h.imag]])
+        out.append((W, grad, np.linalg.solve(W, grad) / gamma))
+    return out
 
 
 def hamiltonian_vector_field(system: VortexSystem, charts=None):
@@ -334,9 +370,7 @@ def hamiltonian_vector_field(system: VortexSystem, charts=None):
         raise ConfigurationError("hamiltonian_vector_field needs a cpn system")
     if charts is None:
         charts = _default_charts(system)
-    ws = _chart_values(system, charts)
-    vels = _velocities_from_lifts(system.n, charts, ws, system.strengths)
-    return list(zip(charts, vels))
+    return [(c, vel) for c, (_, _, vel) in zip(charts, _sharp(system, charts))]
 
 
 def omega_identity_defect(system: VortexSystem, rng=None, samples: int = 10) -> float:
@@ -347,17 +381,12 @@ def omega_identity_defect(system: VortexSystem, rng=None, samples: int = 10) -> 
     with the wrong sign or scaling.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    charts = _default_charts(system)
-    ws = _chart_values(system, charts)
-    grads = _grad_from_lifts(system.n, charts, ws, system.strengths)
-    vels = _velocities_from_lifts(system.n, charts, ws, system.strengths)
     worst = 0.0
-    for c, w, g, v, gamma in zip(charts, ws, grads, vels, system.strengths):
-        W = _chart_symplectic_matrix(c, w)
+    for (W, grad, vel), gamma in zip(_sharp(system, _default_charts(system)), system.strengths):
         for _ in range(samples):
             y = rng.standard_normal(2 * system.n)
             y /= np.linalg.norm(y)
-            worst = max(worst, abs(gamma * np.dot(W @ v, y) - np.dot(g, y)))
+            worst = max(worst, abs(gamma * np.dot(W @ vel, y) - np.dot(grad, y)))
     return worst
 
 
@@ -365,64 +394,47 @@ def omega_identity_defect(system: VortexSystem, rng=None, samples: int = 10) -> 
 # time integration
 
 
+class _States(Sequence):
+    """Read-only view of a trajectory's states; builds a VortexSystem only when indexed."""
+
+    def __init__(self, traj: "Trajectory"):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return self._traj.times.size
+
+    def __getitem__(self, index):
+        k = range(len(self))[index]  # IndexError, TypeError and negative indices as for lists
+        if isinstance(k, range):
+            return [self[i] for i in k]
+        system = self._traj.system
+        if k == 0:
+            return system
+        row = self._traj.positions[k]
+        if system.manifold == "plane":
+            return VortexSystem.plane(row, system.strengths)
+        return VortexSystem.cpn([ProjectivePoint(v) for v in row], system.strengths)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states, active charts, and per-step monitors of one run."""
+    """One run as arrays: recorded times, positions, monitors and charts.
 
+    ``positions`` holds the planar positions (T, N) or the unit lifts
+    (T, N, n+1) of every recorded step; row 0 is ``system``.  ``charts``
+    is the active affine chart per step and vortex, picked at record time
+    (zeros on the plane).  ``states`` views the rows as VortexSystems.
+    """
+
+    system: VortexSystem
     times: np.ndarray
-    states: list
+    positions: np.ndarray
     monitors: np.ndarray  # columns: H, momentum norm, min pairwise distance
-    charts: np.ndarray  # per-step active chart index per vortex (zeros on the plane)
+    charts: np.ndarray
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(self.states) != t.size or np.any(np.diff(t) <= 0.0):
-            raise ConfigurationError("times must be strictly increasing and match states")
-        gammas = {s.strengths for s in self.states}
-        manifolds = {s.manifold for s in self.states}
-        if len(gammas) > 1 or len(manifolds) > 1:
-            raise ConfigurationError("all states must share manifold and strengths")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "charts", np.asarray(self.charts, dtype=int))
-
-
-def _monitor_row(system: VortexSystem):
-    if system.manifold == "plane":
-        h = planar_hamiltonian(system)
-        mom = float(np.linalg.norm(planar_conserved(system)))
-    else:
-        h = hamiltonian_cpn(system)
-        mom = weighted_momentum(system).frobenius_norm()
-    return (h, mom, min_pairwise_distance(system))
-
-
-def _planar_step_rhs(z: np.ndarray, strengths) -> np.ndarray:
-    g = np.asarray(strengths)
-    vel = np.zeros_like(z)
-    for j in range(z.size):
-        acc = 0.0 + 0.0j
-        for k in range(z.size):
-            if k != j:
-                acc += g[k] / (z[j] - z[k])
-        vel[j] = np.conj(acc / (2.0j * math.pi))
-    return vel
-
-
-def _make_rhs(system: VortexSystem, charts):
-    """State is a complex (N, d) array: planar positions or chart values."""
-    strengths = system.strengths
-    if system.manifold == "plane":
-        def rhs(y):
-            return _planar_step_rhs(y[:, 0], strengths).reshape(-1, 1)
-        return rhs
-    n = system.n
-
-    def rhs(y):
-        ws = [y[i] for i in range(y.shape[0])]
-        vels = _velocities_from_lifts(n, charts, ws, strengths)
-        return np.array([v[:n] + 1j * v[n:] for v in vels])
-
-    return rhs
+    @property
+    def states(self) -> _States:
+        return _States(self)
 
 
 def _rk4_step(rhs, y, dt):
@@ -456,110 +468,97 @@ def _dp_step(rhs, y, dt):
     return y5, y5 - y4
 
 
-def _rebuild_state(system: VortexSystem, charts, y) -> VortexSystem:
-    """Back to unit homogeneous coordinates (the projection retraction)."""
-    if system.manifold == "plane":
-        return VortexSystem.plane([complex(v) for v in y[:, 0]], system.strengths)
-    points = []
-    for c, w in zip(charts, y):
-        points.append(ProjectivePoint(_lift(c, w)))
-    return VortexSystem.cpn(points, system.strengths)
-
-
-def _refresh_charts(state: VortexSystem, charts):
-    """Switch a vortex's chart when its pivot magnitude gets weak."""
-    new_charts = list(charts)
-    thr = pivot_threshold(state.n)
-    for i, p in enumerate(state.positions):
-        if abs(p.coords[charts[i]]) <= thr:
-            new_charts[i] = best_chart_index(p)
-    return new_charts
-
-
 def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") -> Trajectory:
     """Advance the system for ``steps`` steps of nominal size ``dt``.
 
     "rk4" takes fixed steps; "rk45_adaptive" integrates to t_end = dt*steps
     with an embedded Dormand-Prince pair (atol 1e-10, rtol 1e-9, safety
-    0.9), recording every accepted step.  Positions are renormalized after
-    each step, charts are switched when a pivot weakens, and the run stops
-    with CollisionError (carrying the step index) when two vortices get
-    within COLLISION_THRESHOLD.
+    0.9), recording every accepted step.  On CP^n the state is the array of
+    unit lifts, renormalized after each step; each recorded step gets its
+    charts (switched when a pivot weakens) and its monitors from one sweep
+    over the pairs.  The run stops with CollisionError, carrying the index
+    of the first step that brought two vortices within COLLISION_THRESHOLD.
     """
     if dt <= 0.0 or steps < 0 or not np.isfinite(dt * steps):
         raise ConfigurationError(f"need dt > 0 and steps >= 0 with finite horizon, got {dt}, {steps}")
-    if method not in ("rk4", "rk45_adaptive"):
+    if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}")
 
-    N = system.size
-    charts = _default_charts(system) if system.manifold == "cpn" else [0] * N
-    if system.manifold == "plane":
-        y = np.asarray(system.positions, dtype=complex).reshape(-1, 1)
+    y, g = _arrays(system)
+    n = system.n
+    pairs = _pairs(system.size)
+    batch = max(1, _MONITOR_PAIRS // max(1, len(pairs[0])))
+    if n == 0:
+        rhs = functools.partial(_planar_rhs, g=g)
+        charts = np.zeros(system.size, dtype=int)
     else:
-        y = np.array(_chart_values(system, charts))
+        rhs = functools.partial(_cpn_rhs, g=g, n=n)
+        rows = np.arange(system.size)
+        charts = np.argmax(np.abs(y), axis=1)
+        thr = pivot_threshold(n)
 
-    times = [0.0]
-    states = [system]
-    monitors = [_monitor_row(system)]
-    chart_rows = [tuple(charts)]
+    times, positions, chart_rows, monitors = [0.0], [y], [charts], []
+    checked = 0  # recorded states whose monitors are computed
 
-    state = system
+    def flush():
+        """Monitors of the states recorded since the last flush; raises at the first collided one."""
+        nonlocal checked
+        h, mom, r = _monitors(np.array(positions[checked:]), g, n, *pairs)
+        dmin = r.min(axis=1) if r.shape[1] else np.full(len(h), math.inf)
+        hit = np.flatnonzero(dmin < COLLISION_THRESHOLD)
+        if hit.size:
+            k = int(hit[0])
+            p = int(np.argmin(r[k]))
+            raise CollisionError(
+                f"vortices {pairs[0][p]} and {pairs[1][p]} at separation {dmin[k]:.3e}", step_index=checked + k
+            )
+        monitors.append(np.column_stack([h, mom, dmin]))
+        checked = len(positions)
 
-    def advance(t, new_y):
-        """Renormalize, refresh charts, record; returns the refreshed (y, rhs)."""
-        nonlocal state, charts
-        new_state = _rebuild_state(state, charts, new_y)
-        if new_state.manifold == "cpn":
-            new_charts = _refresh_charts(new_state, charts)
-        else:
-            new_charts = charts
+    def fail(message):
+        flush()  # a collision among the queued states is the better diagnosis
+        raise NumericError(message)
+
+    def record(t, x):
+        """Retract the new state, pick its charts and queue it for the monitors; returns it."""
+        nonlocal charts
+        if not np.isfinite(x).all():
+            fail(f"non-finite state at step {len(times)} (t = {t})")
+        if n:
+            mag = np.abs(x)
+            norms = np.sqrt((mag**2).sum(axis=1))
+            x = x / norms[:, None]
+            charts = np.where(mag[rows, charts] <= thr * norms, mag.argmax(axis=1), charts)
         times.append(t)
-        states.append(new_state)
-        monitors.append(_monitor_row(new_state))
-        chart_rows.append(tuple(new_charts))
-        state = new_state
-        if new_charts != charts:
-            charts = new_charts
-            return np.array(_chart_values(state, charts)), _make_rhs(state, charts)
-        return new_y, None
+        positions.append(x)
+        chart_rows.append(charts)
+        if len(positions) - checked >= batch:
+            flush()
+        return x
 
-    try:
-        if method == "rk4":
-            rhs = _make_rhs(state, charts)
-            t = 0.0
-            for i in range(steps):
-                y = _rk4_step(rhs, y, dt)
-                if not np.all(np.isfinite(y)):
-                    raise NumericError(f"non-finite state at step {i + 1}")
-                t += dt
-                y, new_rhs = advance(t, y)
-                if new_rhs is not None:
-                    rhs = new_rhs
-        else:
-            t_end = dt * steps
-            t = 0.0
-            h = dt
-            rhs = _make_rhs(state, charts)
-            while t < t_end - 1e-15 * max(1.0, t_end):
-                h = min(h, t_end - t)
-                if h < 1e-14 * max(1.0, abs(t)):
-                    raise NumericError(f"adaptive step size underflow at t = {t}")
-                y5, err_vec = _dp_step(rhs, y, h)
-                scale = 1e-10 + 1e-9 * np.maximum(np.abs(y), np.abs(y5))
-                err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
-                if err <= 1.0:
-                    if not np.all(np.isfinite(y5)):
-                        raise NumericError(f"non-finite state at t = {t + h}")
-                    t += h
-                    y, new_rhs = advance(t, y5)
-                    if new_rhs is not None:
-                        rhs = new_rhs
-                factor = 0.9 * (err if err > 0.0 else 1e-10) ** (-0.2)
-                h *= min(5.0, max(0.2, factor))
-    except CollisionError as exc:
-        raise CollisionError(str(exc), step_index=len(times) - 1) from exc
+    if method == "rk4":
+        for k in range(steps):
+            y = record((k + 1) * dt, _rk4_step(rhs, y, dt))
+    else:
+        t_end = dt * steps
+        t = 0.0
+        h = dt
+        while t < t_end - 1e-15 * max(1.0, t_end):
+            h = min(h, t_end - t)
+            if h < 1e-14 * max(1.0, abs(t)):
+                fail(f"adaptive step size underflow at t = {t}")
+            y5, err_vec = _dp_step(rhs, y, h)
+            scale = 1e-10 + 1e-9 * np.maximum(np.abs(y), np.abs(y5))
+            err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
+            if err <= 1.0:
+                t += h
+                y = record(t, y5)
+            factor = 0.9 * (err if err > 0.0 else 1e-10) ** (-0.2)
+            h *= min(5.0, max(0.2, factor))
+    if checked < len(positions):
+        flush()
 
-    return Trajectory(np.asarray(times), states, np.asarray(monitors), np.asarray(chart_rows))
+    return Trajectory(system, np.asarray(times), np.array(positions), np.concatenate(monitors), np.array(chart_rows))
 
 
 def write_trajectory_csv(traj: Trajectory, fh) -> None:
@@ -567,33 +566,26 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
     then the three monitors.  Floats use 17 significant digits so runs
     round-trip and diff bit-stably.
     """
-    first = traj.states[0]
-    N = first.size
-    if first.manifold == "plane":
-        dims = 1
-        coord_names = [f"chart{k},x{k},y{k}" for k in range(N)]
+    x, charts = traj.positions, traj.charts
+    T, N = charts.shape
+    if x.ndim == 2:
+        dims, suffixes = 1, [""]
+        values = x[:, :, None]
     else:
-        dims = first.n
-        coord_names = [
-            "chart%d,%s" % (k, ",".join(f"x{k}_{j},y{k}_{j}" for j in range(dims)))
-            for k in range(N)
-        ]
+        dims = x.shape[2] - 1
+        suffixes = [f"_{j}" for j in range(dims)]
+        # chart values: the lift without its pivot coordinate, divided by the pivot
+        rest = np.array([[i for i in range(dims + 1) if i != c] for c in range(dims + 1)])
+        pivots = np.take_along_axis(x, charts[:, :, None], axis=2)
+        values = np.take_along_axis(x, rest[charts], axis=2) / pivots
+    coord_names = [f"chart{k}," + ",".join(f"x{k}{s},y{k}{s}" for s in suffixes) for k in range(N)]
     fh.write("t," + ",".join(coord_names) + ",H,momentum_norm,min_dist\n")
 
-    def fmt(v: float) -> str:
-        return format(float(v), ".17g")
-
-    for row, (t, state) in enumerate(zip(traj.times, traj.states)):
-        cells = [fmt(t)]
-        for k in range(N):
-            c = int(traj.charts[row, k])
-            if state.manifold == "plane":
-                z = state.positions[k]
-                cells += [str(c), fmt(z.real), fmt(z.imag)]
-            else:
-                w = to_chart(state.positions[k], c).values
-                cells.append(str(c))
-                for j in range(dims):
-                    cells += [fmt(w[j].real), fmt(w[j].imag)]
-        cells += [fmt(v) for v in traj.monitors[row]]
-        fh.write(",".join(cells) + "\n")
+    cells = np.empty((T, N, 1 + 2 * dims))
+    cells[:, :, 0] = charts
+    cells[:, :, 1::2] = values.real
+    cells[:, :, 2::2] = values.imag
+    table = np.column_stack([traj.times, cells.reshape(T, -1), traj.monitors])
+    row_format = ",".join(["%.17g"] + ["%d" + ",%.17g" * (2 * dims)] * N + ["%.17g"] * 3) + "\n"
+    for row in table.tolist():
+        fh.write(row_format % tuple(row))

@@ -157,10 +157,14 @@ def geodesic_distance_cpn(xi: ProjectivePoint, eta: ProjectivePoint) -> float:
     """
     if xi.n != eta.n:
         raise DimensionMismatchError("points live in different CP^n")
-    u, v = xi.coords, eta.coords
-    overlap = np.dot(v, u.conj())
-    residual = np.linalg.norm(v - overlap * u)
-    return float(np.arctan2(residual, abs(overlap)))
+    return float(_lift_distance(xi.coords, eta.coords))
+
+
+def _lift_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """geodesic_distance_cpn of unit lifts along the last axis, broadcast over leading axes."""
+    overlap = (v * u.conj()).sum(axis=-1)
+    residual = v - overlap[..., None] * u
+    return np.arctan2(np.sqrt((np.abs(residual) ** 2).sum(axis=-1)), np.abs(overlap))
 
 
 def fubini_study_potential(values: np.ndarray) -> float:

@@ -77,10 +77,10 @@ def volume_density_cpn(n: int, r: float) -> float:
     return 2.0 ** (2 * n - 1) * math.sin(r) ** (2 * n - 1) * math.cos(r) / r ** (n - 1)
 
 
-def greens_radial_part(n: int, r: float) -> float:
-    """Radial profile log(sin r) - sum_{j=1}^{n-1} 1/(2j sin^{2j} r)."""
-    s2 = math.sin(r) ** 2
-    out = 0.5 * math.log(s2)
+def greens_radial_part(n: int, r):
+    """Radial profile log(sin r) - sum_{j=1}^{n-1} 1/(2j sin^{2j} r), elementwise in r."""
+    s2 = np.sin(r) ** 2
+    out = 0.5 * np.log(s2)
     for j in range(1, n):
         out -= 1.0 / (2 * j * s2**j)
     return out

@@ -223,13 +223,20 @@ def defining_equation_defect(k: int, z: FlagCoords, h: float = 1e-5) -> float:
     return float(np.linalg.norm(grad - contraction))
 
 
+def _momentum_sum(lifts: np.ndarray, strengths: np.ndarray) -> np.ndarray:
+    """sum_a Gamma_a (v_a v_a* - I/(n+1)) of unit lifts (N, n+1), or of a stack of them."""
+    size = lifts.shape[-1]
+    total = (lifts.swapaxes(-1, -2) * strengths) @ lifts.conj()
+    diag = np.arange(size)
+    total[..., diag, diag] -= strengths.sum() / size
+    return total
+
+
 def weighted_momentum(system) -> MomentumValue:
     """Strength-weighted total momentum sum_k Gamma_k mu(p_k) of a vortex system."""
     if system.manifold != "cpn":
         raise ConfigurationError(
             f"weighted momentum needs a projective-space system, got manifold {system.manifold!r}"
         )
-    total = np.zeros((system.n + 1, system.n + 1), dtype=complex)
-    for p, gamma in zip(system.positions, system.strengths):
-        total += gamma * momentum_cpn(p).matrix
-    return MomentumValue(total, "hermitian_cp2")
+    lifts = np.array([p.coords for p in system.positions])
+    return MomentumValue(_momentum_sum(lifts, np.asarray(system.strengths)), "hermitian_cp2")

@@ -468,12 +468,8 @@ def _planar_period_error(rng=None):
     steps = 10_000
     sys0 = dynamics.VortexSystem.plane([0.5 * d, -0.5 * d], [gamma, gamma])
     traj = dynamics.integrate(sys0, period / steps, steps, method="rk4")
-    angle = 0.0
-    prev = traj.states[0].positions[0]
-    for s in traj.states[1:]:
-        cur = s.positions[0]
-        angle += math.atan2((cur / prev).imag, (cur / prev).real)
-        prev = cur
+    z = traj.positions[:, 0]
+    angle = float(np.sum(np.angle(z[1:] / z[:-1])))
     measured = traj.times[-1] * (2.0 * math.pi / angle)
     return abs(measured - period) / period
 

@@ -82,6 +82,14 @@ class TestSimulate:
         assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 3
         assert "collision at step" in capsys.readouterr().err
 
+    def test_unwritable_output_path_fails_before_run(self, tmp_path, capsys):
+        doc = dict(CP1_PAIR)
+        doc["outputs"] = {"trajectory_path": str(tmp_path / "missing" / "traj.csv")}
+        assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no summary: the run never started
+        assert [ln.split(":")[0] for ln in captured.err.splitlines()] == ["error"]
+
     def test_deterministic_output(self, tmp_path):
         blobs = []
         for tag in ("a", "b"):
@@ -113,6 +121,34 @@ class TestSimulate:
         line = [ln for ln in out.splitlines() if "estimated_period" in ln][0]
         measured = float(line.split(":")[1])
         assert abs(measured - period) / period < 1e-3
+
+
+class TestConfigValidation:
+    def run(self, tmp_path, integrator):
+        doc = dict(CP1_PAIR)
+        doc["integrator"] = integrator
+        return cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)])
+
+    def test_unknown_method(self, tmp_path, capsys):
+        assert self.run(tmp_path, {"method": "euler", "dt": 0.001, "steps": 10}) == 2
+        assert "method" in capsys.readouterr().err
+
+    def test_zero_dt(self, tmp_path, capsys):
+        assert self.run(tmp_path, {"method": "rk4", "dt": 0.0, "steps": 10}) == 2
+
+    def test_negative_dt(self, tmp_path, capsys):
+        assert self.run(tmp_path, {"method": "rk4", "dt": -0.001, "steps": 10}) == 2
+
+    def test_non_finite_dt(self, tmp_path, capsys):
+        assert self.run(tmp_path, {"method": "rk4", "dt": math.inf, "steps": 10}) == 2
+
+    def test_zero_dt_with_t_end(self, tmp_path, capsys):
+        assert self.run(tmp_path, {"method": "rk4", "dt": 0, "t_end": 0.05}) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_t_end_not_a_multiple_of_dt(self, tmp_path, capsys):
+        assert self.run(tmp_path, {"method": "rk4", "dt": 0.001, "t_end": 0.0505}) == 2
+        assert "multiple" in capsys.readouterr().err
 
 
 class TestTabulate:
@@ -175,6 +211,13 @@ class TestVerify:
     def test_bad_tolerance_scale(self, capsys, monkeypatch):
         monkeypatch.setenv("CPVORTEX_TOL_SCALE", "-1")
         assert cli.main(["verify", "greens"]) == 2
+
+    @pytest.mark.parametrize("value", ["abc", "inf", "nan", "0"])
+    def test_tolerance_scale_must_be_finite_positive(self, capsys, monkeypatch, value):
+        # -1 is covered by test_bad_tolerance_scale
+        monkeypatch.setenv("CPVORTEX_TOL_SCALE", value)
+        assert cli.main(["verify", "greens"]) == 2
+        assert "CPVORTEX_TOL_SCALE" in capsys.readouterr().err
 
     def test_failure_exit_code_and_diagnostics(self, capsys, monkeypatch):
         # tightening tolerances below machine precision forces a failure,

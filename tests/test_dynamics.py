@@ -6,6 +6,7 @@ import pytest
 
 from cpvortex.dynamics import (
     COLLISION_THRESHOLD,
+    _cpn_rhs,
     VortexSystem,
     grad_hamiltonian,
     hamiltonian_cpn,
@@ -20,7 +21,7 @@ from cpvortex.dynamics import (
     write_trajectory_csv,
 )
 from cpvortex.errors import CollisionError, ConfigurationError
-from cpvortex.geom import ProjectivePoint, from_chart, AffineChart, random_point, random_unitary
+from cpvortex.geom import ProjectivePoint, from_chart, AffineChart, random_point, random_unitary, to_chart
 from cpvortex.verify import _random_cpn_system, _relative_gradient_error
 
 
@@ -207,6 +208,27 @@ class TestVectorField:
             assert omega_identity_defect(sys, rng) < 1e-6
 
 
+class TestHomogeneousField:
+    """The integrator's field on unit lifts against the chart-side oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 5])
+    def test_matches_chart_vector_field(self, n, N):
+        rng = np.random.default_rng(100 * n + N)
+        sys = _random_cpn_system(rng, n, N)
+        lifts = np.array([p.coords for p in sys.positions])
+        dlifts = _cpn_rhs(lifts, np.asarray(sys.strengths), n)
+        errors, scale = [], 0.0
+        for v, dv, (c, vel) in zip(lifts, dlifts, hamiltonian_vector_field(sys)):
+            # push dv through the chart map w = v_rest / v_c
+            rest, drest = np.delete(v, c), np.delete(dv, c)
+            dw = (drest * v[c] - rest * dv[c]) / v[c] ** 2
+            expected = vel[:n] + 1j * vel[n:]
+            errors.append(np.linalg.norm(dw - expected))
+            scale = max(scale, np.linalg.norm(expected))
+        assert max(errors) <= 1e-12 * scale
+
+
 class TestIntegrate:
     def test_zero_steps(self):
         sys = cp1_pair(0.8)
@@ -259,6 +281,10 @@ class TestIntegrate:
             integrate(sys, 2e-8, 600)
         assert err.value.step_index is not None
         assert err.value.step_index > 0
+        # the reported step is the first failing one
+        integrate(sys, 2e-8, err.value.step_index - 1)
+        with pytest.raises(CollisionError):
+            integrate(sys, 2e-8, err.value.step_index)
 
     def test_chart_switch_preserves_invariants(self):
         # this pair's rigid rotation carries the first vortex across the
@@ -285,6 +311,36 @@ class TestIntegrate:
     def test_times_strictly_increasing(self):
         traj = integrate(cp1_pair(0.5), 1e-3, 50)
         assert np.all(np.diff(traj.times) > 0)
+
+
+class TestTrajectoryStates:
+    def test_lazy_view(self):
+        sys = cp1_pair(0.5)
+        traj = integrate(sys, 1e-3, 5)
+        states = traj.states
+        assert len(states) == 6
+        assert states[0] is sys
+        assert states[-6] is sys
+        assert np.array_equal(states[-1].positions[1].coords, states[5].positions[1].coords)
+        assert [s.size for s in states[1:3]] == [2, 2]
+        assert states[::-1][-1] is sys
+        with pytest.raises(IndexError):
+            states[6]
+        with pytest.raises(TypeError):
+            states[0] = sys
+
+    def test_states_round_trip_csv_rows(self):
+        traj = integrate(cp1_pair(0.8), 1e-2, 30)
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        for k, row in enumerate(rows):
+            state = traj.states[k]
+            assert float(row[0]) == traj.times[k]
+            for a, p in enumerate(state.positions):
+                chart = int(row[1 + 3 * a])
+                w = complex(float(row[2 + 3 * a]), float(row[3 + 3 * a]))
+                np.testing.assert_allclose(to_chart(p, chart).values, [w], rtol=1e-14)
 
 
 class TestTrajectoryCsv:
