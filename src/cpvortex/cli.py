@@ -49,6 +49,13 @@ def _fmt(v: float) -> str:
 # configuration parsing
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer field; floats, bools and strings are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_position(manifold: str, n: int, raw, index: int):
     if manifold == "plane":
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
@@ -80,7 +87,7 @@ def load_config(path: str):
         manifold = doc["manifold"]
         if manifold not in ("plane", "cpn"):
             raise ConfigurationError(f"manifold must be 'plane' or 'cpn', got {manifold!r}")
-        n = int(doc.get("n", 0))
+        n = _integer(doc.get("n", 0), "n")
         if manifold == "cpn" and n < 1:
             raise ConfigurationError("cpn runs need a field 'n' >= 1")
         vortices = doc["vortices"]
@@ -103,7 +110,7 @@ def load_config(path: str):
         if not (math.isfinite(dt) and dt > 0.0):
             raise ConfigurationError(f"integrator.dt must be finite and positive, got {dt!r}")
         if "steps" in integ:
-            steps = int(integ["steps"])
+            steps = _integer(integ["steps"], "integrator.steps")
         elif "t_end" in integ:
             t_end = float(integ["t_end"])
             steps = round(t_end / dt)
@@ -121,7 +128,7 @@ def load_config(path: str):
             "steps": steps,
             "trajectory_path": outputs.get("trajectory_path"),
             "monitor_path": outputs.get("monitor_path"),
-            "seed": int(doc.get("seed", 0)),
+            "seed": _integer(doc.get("seed", 0), "seed"),
         }
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"config field error: {exc!r}") from exc
@@ -163,9 +170,7 @@ def cmd_simulate(args) -> int:
         if traj_fh:
             dynamics.write_trajectory_csv(traj, traj_fh)
         if mon_fh:
-            mon_fh.write("t,H,momentum_norm,min_dist\n")
-            for t, row in zip(traj.times, traj.monitors):
-                mon_fh.write(",".join([_fmt(t)] + [_fmt(v) for v in row]) + "\n")
+            dynamics.write_monitor_csv(traj, mon_fh)
 
     h = traj.monitors[:, 0]
     mom = traj.monitors[:, 1]
@@ -175,22 +180,11 @@ def cmd_simulate(args) -> int:
     print(f"  energy_drift: {_fmt(np.max(np.abs(h - h[0])))}")
     print(f"  momentum_norm_drift: {_fmt(np.max(np.abs(mom - mom[0])))}")
     print(f"  min_separation: {_fmt(np.min(traj.monitors[:, 2]))}")
-    period = _estimated_pair_period(traj)
+    period = dynamics.planar_pair_period(traj)
     if period is not None:
         print(f"  estimated_period: {_fmt(period)}")
     print(f"  wall_time_s: {wall:.3f}")
     return EXIT_OK
-
-
-def _estimated_pair_period(traj) -> float | None:
-    """Rotation period of a planar two-vortex run from the swept pair angle."""
-    if traj.system.manifold != "plane" or traj.system.size != 2 or traj.times.size < 3:
-        return None
-    rel = traj.positions[:, 0] - traj.positions[:, 1]
-    angle = float(np.sum(np.angle(rel[1:] / rel[:-1])))
-    if abs(angle) < 1e-12:
-        return None
-    return float(traj.times[-1] * (2.0 * math.pi / abs(angle)))
 
 
 def cmd_verify(args) -> int:

@@ -7,16 +7,16 @@ The planar model evolves by
 with conserved H = -1/(4 pi) sum_{k != j} Gamma_j Gamma_k log|z_j - z_k|
 and linear/angular impulses (p_x, p_y, m).
 
-On CP^n the Hamiltonian is the strength-weighted sum of the radial Green's
-profile over vortex pairs,
+On CP^n the Hamiltonian is the strength-weighted sum of the Green's
+function over vortex pairs,
 
-    H = -1/(2 (n-1)! pi^n) sum_{a<b} Gamma_a Gamma_b
-            ( log sin(r_ab) - sum_{j=1}^{n-1} 1/(2j sin^{2j} r_ab) ),
+    H = sum_{a<b} Gamma_a Gamma_b G_n(r_ab),   G_n = greens_cpn = C_n f_n,
 
 the (constant) self-interaction term being dropped on the homogeneous
-space.  The integrator evolves the unit lifts v_a, the rows of V: with the
-Gram matrix G = V V*, rho_ab = |G_ab|^2 and
-c_ab = prefactor Gamma_a Gamma_b df/drho(rho_ab),
+space; the constant C_n, the profile f_n and its slope df_n/drho all come
+from cpvortex.greens.  The integrator evolves the unit lifts v_a, the rows
+of V: with the Gram matrix G = V V*, rho_ab = |G_ab|^2 = cos^2 r_ab and
+c_ab = C_n Gamma_a Gamma_b df_n/drho(rho_ab),
 
     dv_a/dt = -(2i/Gamma_a) (I - v_a v_a*) sum_{b != a} c_ab G_ab v_b,
 
@@ -47,7 +47,7 @@ from .geom import (
     pivot_threshold,
     to_chart,
 )
-from .greens import cpn_volume, greens_radial_part
+from .greens import greens_constant, greens_radial_part, greens_radial_slope
 from .momentum import _momentum_sum
 
 __all__ = [
@@ -64,6 +64,7 @@ __all__ = [
     "omega_identity_defect",
     "planar_conserved",
     "planar_hamiltonian",
+    "planar_pair_period",
     "planar_rhs",
 ]
 
@@ -79,24 +80,8 @@ METHODS = ("rk4", "rk45_adaptive")
 _MONITOR_PAIRS = 256
 
 
-def hamiltonian_prefactor(n: int) -> float:
-    """Coupling constant -1/(2 (n-1)! pi^n) of the CP^n vortex Hamiltonian."""
-    return -1.0 / (2.0 * math.factorial(n - 1) * math.pi**n)
-
-
-def _prefactor_identity_gap(n: int) -> float:
-    """|prefactor - (-1/(2 n vol(CP^n)))|, the pairwise-Green normalization gap.
-
-    Zero for n in {1, 2}; the two tabulated constants drift apart by a factor
-    ((n-1)!)^2 for larger n.  Checked once at import for the dynamical cases.
-    """
-    return abs(hamiltonian_prefactor(n) - (-1.0 / (2.0 * n * cpn_volume(n))))
-
-
-for _n in (1, 2):
-    if _prefactor_identity_gap(_n) > 1e-15:
-        raise AssertionError(f"Hamiltonian prefactor inconsistent with Green's normalization at n={_n}")
-del _n
+# the coupling constant of H is the Green's normalization C_n
+hamiltonian_prefactor = greens_constant
 
 
 @dataclass(frozen=True)
@@ -192,7 +177,7 @@ def _pair_energy(n: int, g: np.ndarray, i, j, r: np.ndarray):
     weights = g[i] * g[j]
     if n == 0:
         return (np.log(r) @ weights) * (-1.0 / (2.0 * math.pi))
-    return hamiltonian_prefactor(n) * (greens_radial_part(n, r) @ weights)
+    return greens_constant(n) * (greens_radial_part(n, r) @ weights)
 
 
 def _monitors(x: np.ndarray, g: np.ndarray, n: int, i, j):
@@ -214,30 +199,16 @@ def _planar_rhs(z: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (inv @ g).conj() * (1.0j / (2.0 * math.pi))
 
 
-def _pair_coupling(n: int, rho):
-    """d(radial profile)/d(rho), elementwise; regular at rho = 0, where it is -n/2.
-
-    With s = sin^2 r = 1 - rho the profile f satisfies
-    df/drho = -(1 - s^n) / (2 rho s^n) = -(1/s + 1/s^2 + ... + 1/s^n) / 2,
-    the geometric sum taking out the factor rho = 1 - s without cancellation.
-    """
-    u = 1.0 / (1.0 - rho)
-    total = u
-    for _ in range(n - 1):
-        total = u * (total + 1.0)
-    return -0.5 * total
-
-
 def _cpn_rhs(v: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     """dv_a/dt = -(2i/Gamma_a) (I - v_a v_a*) sum_{b != a} c_ab G_ab v_b for unit lifts v."""
     gram = v @ v.conj().T
     rho = np.abs(gram) ** 2
     rho.ravel()[:: len(v) + 1] = 0.0  # keeps the coupling finite; the diagonal of m is set below
-    c = g * _pair_coupling(n, rho)  # c_ab / (prefactor Gamma_a)
+    c = g * greens_radial_slope(n, 1.0 - rho)  # c_ab / (C_n Gamma_a)
     m = c * gram
     # v_a* sum_b c_ab G_ab v_b = sum_b c_ab rho_ab: the projection only shifts the diagonal
     m.ravel()[:: len(v) + 1] = -np.add.reduce(c * rho, axis=1)
-    return (-2.0j * hamiltonian_prefactor(n)) * (m @ v)
+    return (-2.0j * greens_constant(n)) * (m @ v)
 
 
 def _energy(system: VortexSystem) -> float:
@@ -305,7 +276,7 @@ def _grad_from_lifts(n, charts, ws, strengths):
     N = len(ws)
     lifts = [_lift(c, w) for c, w in zip(charts, ws)]
     norms2 = [float(np.real(np.dot(a, a.conj()))) for a in lifts]
-    pref = hamiltonian_prefactor(n)
+    pref = greens_constant(n)
     # Wirtinger derivative dH/d(a_alpha) accumulated over pairs
     wirt = [np.zeros(n + 1, dtype=complex) for _ in range(N)]
     for j in range(N):
@@ -316,7 +287,7 @@ def _grad_from_lifts(n, charts, ws, strengths):
             r = math.asin(math.sqrt(1.0 - rho))
             if r < COLLISION_THRESHOLD:
                 raise CollisionError(f"vortices {j} and {k} at separation {r:.3e}")
-            coup = pref * strengths[j] * strengths[k] * _pair_coupling(n, rho)
+            coup = pref * strengths[j] * strengths[k] * greens_radial_slope(n, 1.0 - rho)
             if rho > 0.0:
                 # d(rho)/d(a_i) = rho (conj(b)_i/<a,b> - conj(a)_i/<a,a>)
                 wirt[j] += coup * rho * (b.conj() / inner - a.conj() / norms2[j])
@@ -561,11 +532,28 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
     return Trajectory(system, np.asarray(times), np.array(positions), np.concatenate(monitors), np.array(chart_rows))
 
 
+def planar_pair_period(traj: Trajectory) -> float | None:
+    """Rotation period of a planar two-vortex run from the swept pair angle; None for other runs."""
+    if traj.system.manifold != "plane" or traj.system.size != 2 or traj.times.size < 3:
+        return None
+    rel = traj.positions[:, 0] - traj.positions[:, 1]
+    angle = float(np.sum(np.angle(rel[1:] / rel[:-1])))
+    if abs(angle) < 1e-12:
+        return None
+    return float(traj.times[-1] * (2.0 * math.pi / abs(angle)))
+
+
+def _write_table(fh, header: str, table: np.ndarray, row_format: str) -> None:
+    """Header, then one row_format line per row; floats as %.17g round-trip and diff bit-stably."""
+    fh.write(header + "\n")
+    row_format += "\n"
+    for row in table.tolist():
+        fh.write(row_format % tuple(row))
+
+
 def write_trajectory_csv(traj: Trajectory, fh) -> None:
     """Emit a trajectory as CSV: t, per-vortex chart and chart coordinates,
-    then the three monitors.  Floats use 17 significant digits so runs
-    round-trip and diff bit-stably.
-    """
+    then the three monitors."""
     x, charts = traj.positions, traj.charts
     T, N = charts.shape
     if x.ndim == 2:
@@ -579,13 +567,17 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
         pivots = np.take_along_axis(x, charts[:, :, None], axis=2)
         values = np.take_along_axis(x, rest[charts], axis=2) / pivots
     coord_names = [f"chart{k}," + ",".join(f"x{k}{s},y{k}{s}" for s in suffixes) for k in range(N)]
-    fh.write("t," + ",".join(coord_names) + ",H,momentum_norm,min_dist\n")
 
     cells = np.empty((T, N, 1 + 2 * dims))
     cells[:, :, 0] = charts
     cells[:, :, 1::2] = values.real
     cells[:, :, 2::2] = values.imag
     table = np.column_stack([traj.times, cells.reshape(T, -1), traj.monitors])
-    row_format = ",".join(["%.17g"] + ["%d" + ",%.17g" * (2 * dims)] * N + ["%.17g"] * 3) + "\n"
-    for row in table.tolist():
-        fh.write(row_format % tuple(row))
+    row_format = ",".join(["%.17g"] + ["%d" + ",%.17g" * (2 * dims)] * N + ["%.17g"] * 3)
+    _write_table(fh, "t," + ",".join(coord_names) + ",H,momentum_norm,min_dist", table, row_format)
+
+
+def write_monitor_csv(traj: Trajectory, fh) -> None:
+    """Emit the monitors as CSV: t, H, momentum norm, min pairwise distance."""
+    table = np.column_stack([traj.times, traj.monitors])
+    _write_table(fh, "t,H,momentum_norm,min_dist", table, ",".join(["%.17g"] * 4))

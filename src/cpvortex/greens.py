@@ -2,9 +2,11 @@
 
 The CP^n Green's function is radial in the geodesic distance r:
 
-    G_n(r) = -1/(2n vol(CP^n)) * ( log(sin r) - sum_{j=1}^{n-1} 1/(2j sin^{2j} r) )
+    G_n(r) = C_n f_n(r),   C_n = -1/(2n vol(CP^n)),
+    f_n(r) = log(sin r) - sum_{j=1}^{n-1} 1/(2j sin^{2j} r)
 
-with vol(CP^n) = pi^n/n! and diameter pi/2.  Its derivative solves
+with vol(CP^n) = pi^n/n! and diameter pi/2; the vortex dynamics takes C_n,
+f_n and the slope of f_n from here.  The derivative solves
 
     phi'(r) = -1/(r^{n-1} V(r) vol) * integral_r^{pi/2} t^{n-1} V(t) dt
 
@@ -17,6 +19,7 @@ integration constant never enters.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -28,11 +31,13 @@ from .errors import DomainError, OracleError, SingularityError
 
 __all__ = [
     "CrossSpaceSpec",
+    "greens_constant",
     "greens_cpn",
     "greens_cpn_derivative",
     "greens_ode_oracle",
     "greens_plane",
     "greens_radial_part",
+    "greens_radial_slope",
     "greens_sphere",
     "volume_density_cpn",
 ]
@@ -43,6 +48,12 @@ DIAMETER = math.pi / 2.0
 def cpn_volume(n: int) -> float:
     """Riemannian volume of CP^n, pi^n / n!."""
     return math.pi**n / math.factorial(n)
+
+
+@functools.cache
+def greens_constant(n: int) -> float:
+    """Normalization C_n = -1/(2n vol(CP^n)) of the CP^n Green's function."""
+    return -1.0 / (2.0 * n * cpn_volume(n))
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,17 @@ def greens_radial_part(n: int, r):
     return out
 
 
+def greens_radial_slope(n: int, s2):
+    """Slope df/d(cos^2 r) of the radial profile f, elementwise in s2 = sin^2 r: the geometric
+    sum -(1/s2 + ... + 1/s2^n)/2 = -(1 - s2^n)/(2 (1 - s2) s2^n), free of the cancellation
+    in 1 - s2 = cos^2 r and regular at s2 = 1, where it is -n/2."""
+    u = 1.0 / s2
+    total = u
+    for _ in range(n - 1):
+        total = u * (total + 1.0)
+    return -0.5 * total
+
+
 def greens_cpn(n: int, r: float) -> float:
     """Green's function of the Laplace-Beltrami operator on CP^n at distance r."""
     _check_n(n)
@@ -93,26 +115,18 @@ def greens_cpn(n: int, r: float) -> float:
         raise SingularityError(f"Green's function diverges as r -> 0+, got r = {r}")
     if r > DIAMETER:
         raise DomainError(f"r must lie in (0, pi/2], got {r}")
-    return -greens_radial_part(n, r) / (2.0 * n * cpn_volume(n))
+    return greens_constant(n) * greens_radial_part(n, r)
 
 
 def greens_cpn_derivative(n: int, r: float) -> float:
-    """Radial derivative phi'(r) of the CP^n Green's function.
-
-    phi'(r) = -(1 - sin^{2n} r) / (2n vol sin^{2n-1} r cos r); evaluated
-    through expm1/log1p so the r -> pi/2 limit (which is 0) stays accurate.
-    """
+    """Radial derivative phi'(r) = -2 sin r cos r C_n slope(sin^2 r) of the CP^n Green's function."""
     _check_n(n)
     if r <= 0.0:
         raise SingularityError(f"phi' diverges as r -> 0+, got r = {r}")
     if r > DIAMETER:
         raise DomainError(f"r must lie in (0, pi/2], got {r}")
-    c = math.cos(r)
-    if c == 0.0:
-        return 0.0
     s = math.sin(r)
-    one_minus_s2n = -math.expm1(n * math.log1p(-c * c))  # 1 - sin^{2n} r, no cancellation
-    return -one_minus_s2n / (2.0 * n * cpn_volume(n) * s ** (2 * n - 1) * c)
+    return -2.0 * s * math.cos(r) * greens_constant(n) * greens_radial_slope(n, s * s)
 
 
 def greens_ode_oracle(n: int, r_a: float, r_b: float, target: float = 1e-10) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import dynamics, geom, greens, momentum, su3flag
+from .errors import CollisionError
 from .su3flag import FlagCoords
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
@@ -179,7 +180,7 @@ def verify_momentum(seed: int = 0, tol_scale: float = 1.0) -> list:
         try:
             s1 = dynamics.VortexSystem.cpn(sys_pts, gam)
             s2 = dynamics.VortexSystem.cpn(sys_pts, c * gam)
-        except Exception:
+        except CollisionError:
             continue
         lhs = momentum.weighted_momentum(s2).matrix
         rhs = c * momentum.weighted_momentum(s1).matrix
@@ -415,25 +416,26 @@ def verify_metric(seed: int = 0, tol_scale: float = 1.0) -> list:
 # dynamics suite
 
 
-def _random_cpn_system(rng, n, N, min_sep=0.3, gamma_range=(0.5, 2.0)):
+def _random_system(rng, make, draw, N, min_sep, gamma_range):
+    """Redraw positions and signed strengths until no pair is closer than min_sep."""
     while True:
-        pts = [geom.random_point(n, rng) for _ in range(N)]
+        positions = [draw() for _ in range(N)]
         gam = rng.uniform(*gamma_range, N) * rng.choice([-1.0, 1.0], N)
         try:
-            sys = dynamics.VortexSystem.cpn(pts, gam)
-        except Exception:
+            system = make(positions, gam)
+        except CollisionError:
             continue
-        if dynamics.min_pairwise_distance(sys) >= min_sep:
-            return sys
+        if dynamics.min_pairwise_distance(system) >= min_sep:
+            return system
+
+
+def _random_cpn_system(rng, n, N, min_sep=0.3, gamma_range=(0.5, 2.0)):
+    return _random_system(rng, dynamics.VortexSystem.cpn, lambda: geom.random_point(n, rng), N, min_sep, gamma_range)
 
 
 def _random_planar_system(rng, N, min_sep=0.3, gamma_range=(0.5, 1.5)):
-    while True:
-        pos = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(N)]
-        gam = rng.uniform(*gamma_range, N) * rng.choice([-1.0, 1.0], N)
-        sys = dynamics.VortexSystem.plane(pos, gam)
-        if dynamics.min_pairwise_distance(sys) >= min_sep:
-            return sys
+    draw = lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return _random_system(rng, dynamics.VortexSystem.plane, draw, N, min_sep, gamma_range)
 
 
 def _relative_gradient_error(system, rng, h=1e-5):
@@ -468,10 +470,7 @@ def _planar_period_error(rng=None):
     steps = 10_000
     sys0 = dynamics.VortexSystem.plane([0.5 * d, -0.5 * d], [gamma, gamma])
     traj = dynamics.integrate(sys0, period / steps, steps, method="rk4")
-    z = traj.positions[:, 0]
-    angle = float(np.sum(np.angle(z[1:] / z[:-1])))
-    measured = traj.times[-1] * (2.0 * math.pi / angle)
-    return abs(measured - period) / period
+    return abs(dynamics.planar_pair_period(traj) - period) / period
 
 
 def verify_dynamics(seed: int = 0, tol_scale: float = 1.0) -> list:

@@ -150,6 +150,19 @@ class TestConfigValidation:
         assert self.run(tmp_path, {"method": "rk4", "dt": 0.001, "t_end": 0.0505}) == 2
         assert "multiple" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", [2.9, 10.0, True, "10", None])
+    def test_steps_must_be_an_integer(self, tmp_path, capsys, steps):
+        assert self.run(tmp_path, {"method": "rk4", "dt": 0.001, "steps": steps}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "integrator.steps" in err
+
+    @pytest.mark.parametrize("field, value", [("n", 1.0), ("n", True), ("n", "1"), ("seed", 0.5), ("seed", False)])
+    def test_n_and_seed_must_be_integers(self, tmp_path, capsys, field, value):
+        doc = dict(CP1_PAIR, **{field: value})
+        assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and f"{field} must be an integer" in err
+
 
 class TestTabulate:
     def test_greens_rows(self, capsys):

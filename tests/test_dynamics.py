@@ -129,7 +129,7 @@ class TestHamiltonianCpn:
     def test_prefactor_matches_pairwise_green_for_low_n(self):
         from cpvortex.greens import cpn_volume
 
-        for n in (1, 2):
+        for n in (1, 2, 3, 4, 5, 6):
             assert hamiltonian_prefactor(n) == pytest.approx(-1.0 / (2.0 * n * cpn_volume(n)), rel=1e-15)
 
     def test_unitary_invariance(self):

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cpvortex.dynamics import VortexSystem, hamiltonian_cpn
 from cpvortex.errors import DomainError, SingularityError
+from cpvortex.geom import AffineChart, ProjectivePoint, from_chart, fubini_study_metric, geodesic_distance_cpn
 from cpvortex.greens import (
     CrossSpaceSpec,
+    cpn_volume,
     greens_cpn,
     greens_cpn_derivative,
     greens_ode_oracle,
@@ -118,6 +121,61 @@ class TestDerivative:
 
     def test_zero_limit_at_diameter(self):
         assert abs(greens_cpn_derivative(2, math.pi / 2)) < 1e-12
+
+
+class TestLaplaceBeltrami:
+    """Normalization oracle: vol(CP^n) Delta F = 1 away from the pole.
+
+    Delta F = (1/sqrt g) d_a (sqrt g g^{ab} d_b F) by nested central
+    differences in the real coordinates (x_1..x_n, y_1..y_n) of chart 0,
+    with g the real part of the Fubini-Study Hermitian form.  It takes only
+    values of F, so no closed-form derivative enters.
+    """
+
+    STEP = 1e-4
+
+    @staticmethod
+    def metric(basis, w):
+        # g_ab = Re(e_a^T h conj(e_b)) for the complex directions e_a of the real coordinates
+        return (basis @ fubini_study_metric(AffineChart(0, w)) @ basis.conj().T).real
+
+    def laplacian(self, f, w0):
+        h = self.STEP
+        basis = np.concatenate([np.eye(w0.size), 1j * np.eye(w0.size)])
+
+        def flux(w, a):
+            g = self.metric(basis, w)
+            grad = np.array([(f(w + h * e) - f(w - h * e)) / (2.0 * h) for e in basis])
+            return math.sqrt(np.linalg.det(g)) * np.linalg.solve(g, grad)[a]
+
+        div = sum((flux(w0 + h * e, a) - flux(w0 - h * e, a)) / (2.0 * h) for a, e in enumerate(basis))
+        return div / math.sqrt(np.linalg.det(self.metric(basis, w0)))
+
+    @staticmethod
+    def pole_and_point(n, r, rng):
+        """A pole p near the chart-0 origin and chart-0 coordinates of a point at distance r from it."""
+        a = np.concatenate([[1.0], 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))])
+        a /= np.linalg.norm(a)
+        t = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        t -= np.vdot(a, t) * a
+        b = math.cos(r) * a + math.sin(r) * t / np.linalg.norm(t)
+        return ProjectivePoint(a), b[1:] / b[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_green_and_pair_hamiltonian(self, n):
+        rng = np.random.default_rng(n)
+        for r in (0.3, 0.8, 1.3):
+            p, w0 = self.pole_and_point(n, r, rng)
+            assert geodesic_distance_cpn(p, from_chart(AffineChart(0, w0))) == pytest.approx(r, rel=1e-12)
+
+            def green(w):
+                return greens_cpn(n, geodesic_distance_cpn(p, from_chart(AffineChart(0, w))))
+
+            def pair_energy(w):
+                return hamiltonian_cpn(VortexSystem.cpn([p, from_chart(AffineChart(0, w))], [1.0, 1.0]))
+
+            assert cpn_volume(n) * self.laplacian(green, w0) == pytest.approx(1.0, rel=1e-2)
+            assert cpn_volume(n) * self.laplacian(pair_energy, w0) == pytest.approx(1.0, rel=1e-2)
 
 
 class TestPlane:
