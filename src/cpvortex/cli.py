@@ -56,11 +56,35 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _number(value, name: str) -> float:
+    """A JSON number field; bools and strings are rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _output_path(value, name: str):
+    """An output file name: null (no file) or a nonempty string, never a file descriptor."""
+    if value is not None and not (isinstance(value, str) and value):
+        raise ConfigurationError(f"{name} must be a nonempty string or null, got {value!r}")
+    return value
+
+
+def _complex(pair, name: str) -> complex:
+    return complex(_number(pair[0], f"{name} re"), _number(pair[1], f"{name} im"))
+
+
 def _parse_position(manifold: str, n: int, raw, index: int):
     if manifold == "plane":
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
             raise ConfigurationError(f"vortex {index}: planar position must be [re, im], got {raw!r}")
-        return complex(float(raw[0]), float(raw[1]))
+        return _complex(raw, f"vortex {index}: position")
     if not (isinstance(raw, (list, tuple)) and len(raw) == n + 1):
         raise ConfigurationError(
             f"vortex {index}: CP^{n} position needs {n + 1} homogeneous [re, im] pairs, got {raw!r}"
@@ -69,7 +93,7 @@ def _parse_position(manifold: str, n: int, raw, index: int):
     for pair in raw:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ConfigurationError(f"vortex {index}: each coordinate must be [re, im], got {pair!r}")
-        coords.append(complex(float(pair[0]), float(pair[1])))
+        coords.append(_complex(pair, f"vortex {index}: coordinate"))
     return ProjectivePoint(np.array(coords))
 
 
@@ -96,23 +120,23 @@ def load_config(path: str):
         positions, strengths = [], []
         for i, entry in enumerate(vortices):
             positions.append(_parse_position(manifold, n, entry["position"], i))
-            strengths.append(float(entry["strength"]))
+            strengths.append(_number(entry["strength"], f"vortex {i}: strength"))
         if manifold == "plane":
             system = dynamics.VortexSystem.plane(positions, strengths)
         else:
             system = dynamics.VortexSystem.cpn(positions, strengths)
 
-        integ = doc["integrator"]
+        integ = _object(doc["integrator"], "integrator")
         method = integ.get("method", "rk4")
         if method not in dynamics.METHODS:
             raise ConfigurationError(f"integrator.method must be one of {list(dynamics.METHODS)}, got {method!r}")
-        dt = float(integ["dt"])
+        dt = _number(integ["dt"], "integrator.dt")
         if not (math.isfinite(dt) and dt > 0.0):
             raise ConfigurationError(f"integrator.dt must be finite and positive, got {dt!r}")
         if "steps" in integ:
             steps = _integer(integ["steps"], "integrator.steps")
         elif "t_end" in integ:
-            t_end = float(integ["t_end"])
+            t_end = _number(integ["t_end"], "integrator.t_end")
             steps = round(t_end / dt)
             if not abs(t_end - steps * dt) <= 1e-9 * abs(t_end):
                 raise ConfigurationError(f"integrator.t_end {t_end!r} is not an integer multiple of dt {dt!r}")
@@ -120,14 +144,14 @@ def load_config(path: str):
             raise ConfigurationError("integrator needs 'steps' or 't_end'")
         if steps < 0:
             raise ConfigurationError(f"integrator needs a nonnegative number of steps, got {steps}")
-        outputs = doc.get("outputs", {})
+        outputs = _object(doc.get("outputs", {}), "outputs")
         return {
             "system": system,
             "method": method,
             "dt": dt,
             "steps": steps,
-            "trajectory_path": outputs.get("trajectory_path"),
-            "monitor_path": outputs.get("monitor_path"),
+            "trajectory_path": _output_path(outputs.get("trajectory_path"), "outputs.trajectory_path"),
+            "monitor_path": _output_path(outputs.get("monitor_path"), "outputs.monitor_path"),
             "seed": _integer(doc.get("seed", 0), "seed"),
         }
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError, OracleError, SingularityError
 
@@ -135,7 +134,10 @@ def greens_ode_oracle(n: int, r_a: float, r_b: float, target: float = 1e-10) -> 
     Independent cross-check of the closed form: the result must equal
     greens_cpn(n, r_b) - greens_cpn(n, r_a).  The inner integral of the
     defining ODE is used in its collapsed form (1 - sin^{2n} s)/(2n).
+    SciPy is imported here, on first use, so that the dynamics never loads it.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     _check_n(n)
     if r_a == r_b:
         return 0.0

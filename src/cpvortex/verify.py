@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import dynamics, geom, greens, momentum, su3flag
 from .errors import CollisionError
@@ -246,6 +245,8 @@ def verify_vectorfields(seed: int = 0, tol_scale: float = 1.0) -> list:
             rhs = su3flag.exp_su3(k, s + t).entries
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     checks.append(CheckResult("one-parameter subgroup law exp(s)exp(t)=exp(s+t)", worst, 1e-12 * tol_scale))
+
+    from scipy.linalg import expm  # imported on first use, like quad in greens: simulate never loads SciPy
 
     worst = 0.0
     for k in range(1, 9):

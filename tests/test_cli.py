@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cpvortex
 from cpvortex import cli
 
 
@@ -123,6 +127,51 @@ class TestSimulate:
         assert abs(measured - period) / period < 1e-3
 
 
+CP2_TRIO = {
+    "manifold": "cpn",
+    "n": 2,
+    "vortices": [
+        {"position": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "strength": 1.0},
+        {"position": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], "strength": -0.5},
+        {"position": [[0.6, 0.0], [0.0, 0.6], [0.53, 0.0]], "strength": 1.5},
+    ],
+    "integrator": {"method": "rk4", "dt": 0.001, "steps": 20},
+}
+
+SIMULATE_AND_LIST_SCIPY = """
+import json, sys
+import cpvortex, cpvortex.cli
+code = cpvortex.cli.main(["simulate", sys.argv[1]])
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+sys.exit(code)
+"""
+
+
+def test_simulate_loads_no_scipy(tmp_path):
+    # SciPy serves only the quadrature and expm oracles; start-up and runs must not pay for it
+    doc = dict(CP2_TRIO, outputs={"trajectory_path": str(tmp_path / "t.csv"), "monitor_path": str(tmp_path / "m.csv")})
+    src = os.path.dirname(os.path.dirname(cpvortex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SIMULATE_AND_LIST_SCIPY, write_config(tmp_path / "cfg.json", doc)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def assert_one_error_line(capsys, *fragments):
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no summary: the run never started
+    err = captured.err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
 class TestConfigValidation:
     def run(self, tmp_path, integrator):
         doc = dict(CP1_PAIR)
@@ -162,6 +211,56 @@ class TestConfigValidation:
         assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and f"{field} must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "keys, value, name",
+        [
+            (("vortices", 0, "position", 0, 0), "1.0", "vortex 0: coordinate re"),
+            (("vortices", 1, "position", 1, 1), True, "vortex 1: coordinate im"),
+            (("vortices", 0, "strength"), True, "vortex 0: strength"),
+            (("vortices", 0, "strength"), "1e0", "vortex 0: strength"),
+            (("vortices", 1, "strength"), None, "vortex 1: strength"),
+            (("integrator", "dt"), "0.001", "integrator.dt"),
+            (("integrator", "dt"), False, "integrator.dt"),
+        ],
+    )
+    def test_float_fields_must_be_numbers(self, tmp_path, capsys, keys, value, name):
+        doc = json.loads(json.dumps(CP1_PAIR))
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
+        assert_one_error_line(capsys, f"{name} must be a number")
+
+    @pytest.mark.parametrize("t_end", ["0.05", True])
+    def test_t_end_must_be_a_number(self, tmp_path, capsys, t_end):
+        assert self.run(tmp_path, {"method": "rk4", "dt": 0.001, "t_end": t_end}) == 2
+        assert_one_error_line(capsys, "integrator.t_end must be a number")
+
+    @pytest.mark.parametrize("position", [["0.5", True], [0.5, "0"]])
+    def test_planar_position_must_be_numbers(self, tmp_path, capsys, position):
+        doc = {
+            "manifold": "plane",
+            "vortices": [{"position": position, "strength": 1.0}, {"position": [-0.5, 0.0], "strength": 1.0}],
+            "integrator": {"method": "rk4", "dt": 0.01, "steps": 10},
+        }
+        assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
+        assert_one_error_line(capsys, "vortex 0: position", "must be a number")
+
+    @pytest.mark.parametrize("key", ["trajectory_path", "monitor_path"])
+    @pytest.mark.parametrize("value", [2, True, "", ["out.csv"]])
+    def test_output_paths_must_be_strings(self, tmp_path, capsys, key, value):
+        # an integer would be taken as a file descriptor: 2 wrote the CSV to stderr and closed it
+        doc = dict(CP1_PAIR, outputs={key: value})
+        assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
+        assert_one_error_line(capsys, f"outputs.{key} must be a nonempty string or null")
+
+    @pytest.mark.parametrize("field", ["integrator", "outputs"])
+    def test_sections_must_be_objects(self, tmp_path, capsys, field):
+        doc = dict(CP1_PAIR, **{field: []})
+        assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
+        assert_one_error_line(capsys, f"{field} must be a JSON object")
 
 
 class TestTabulate:

@@ -122,6 +122,16 @@ class TestDerivative:
     def test_zero_limit_at_diameter(self):
         assert abs(greens_cpn_derivative(2, math.pi / 2)) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_flux_through_geodesic_sphere(self, n):
+        # Gauss's law: the flux of grad G through the geodesic sphere of radius r is
+        # -1 from the point source plus the background 1/vol(CP^n) times the ball's
+        # volume pi^n sin^{2n} r / n!, whose r-derivative is the sphere's area
+        for r in (1e-3, 0.3, 0.8, 1.3):
+            s = math.sin(r)
+            area = 2.0 * math.pi**n * s ** (2 * n - 1) * math.cos(r) / math.factorial(n - 1)
+            assert area * greens_cpn_derivative(n, r) == pytest.approx(-(1.0 - s ** (2 * n)), abs=1e-12)
+
 
 class TestLaplaceBeltrami:
     """Normalization oracle: vol(CP^n) Delta F = 1 away from the pole.
