@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 failed verification, 2 unreadable or invalid
 configuration, 3 collision during integration (the step index is
-reported), 4 numeric or domain failure.
+reported), 4 numeric or domain failure, including a run whose state,
+energy or momentum norm stops being finite.
 
-Default check tolerances can be loosened or tightened for exploratory runs
-through the environment variable CPVORTEX_TOL_SCALE (a finite positive
-float multiplier; non-normative, the shipped defaults are the contract).
+Each verification check has a fixed tolerance, set in cpvortex.verify; no
+option or environment variable changes it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -212,16 +211,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    raw = os.environ.get("CPVORTEX_TOL_SCALE", "1.0")
     try:
-        tol_scale = float(raw)
-    except ValueError:
-        tol_scale = math.nan
-    if not (math.isfinite(tol_scale) and tol_scale > 0.0):
-        print(f"error: CPVORTEX_TOL_SCALE must be a finite positive number, got {raw!r}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        results = verify.run_suite(args.suite, seed=args.seed, tol_scale=tol_scale)
+        results = verify.run_suite(args.suite, seed=args.seed)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

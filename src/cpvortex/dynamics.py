@@ -79,6 +79,9 @@ METHODS = ("rk4", "rk45_adaptive")
 # the pair sweep for small N, and a collision stops the run within a batch
 _MONITOR_PAIRS = 256
 
+# random unit test vectors per vortex in omega_identity_defect
+_OMEGA_SAMPLES = 10
+
 
 # the coupling constant of H is the Green's normalization C_n
 hamiltonian_prefactor = greens_constant
@@ -344,7 +347,7 @@ def hamiltonian_vector_field(system: VortexSystem, charts=None):
     return [(c, vel) for c, (_, _, vel) in zip(charts, _sharp(system, charts))]
 
 
-def omega_identity_defect(system: VortexSystem, rng=None, samples: int = 10) -> float:
+def omega_identity_defect(system: VortexSystem, rng=None) -> float:
     """Max defect |Gamma_a omega_a(X_a, Y) - d_a H(Y)| over random unit test vectors.
 
     This is the convention self-test for the sharp operator: it must come
@@ -354,7 +357,7 @@ def omega_identity_defect(system: VortexSystem, rng=None, samples: int = 10) -> 
     rng = np.random.default_rng(0) if rng is None else rng
     worst = 0.0
     for (W, grad, vel), gamma in zip(_sharp(system, _default_charts(system)), system.strengths):
-        for _ in range(samples):
+        for _ in range(_OMEGA_SAMPLES):
             y = rng.standard_normal(2 * system.n)
             y /= np.linalg.norm(y)
             worst = max(worst, abs(gamma * np.dot(W @ vel, y) - np.dot(grad, y)))
@@ -448,7 +451,9 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
     unit lifts, renormalized after each step; each recorded step gets its
     charts (switched when a pivot weakens) and its monitors from one sweep
     over the pairs.  The run stops with CollisionError, carrying the index
-    of the first step that brought two vortices within COLLISION_THRESHOLD.
+    of the first step that brought two vortices within COLLISION_THRESHOLD,
+    or with NumericError at the first non-finite state, adaptive error
+    estimate, H or momentum norm.
     """
     if dt <= 0.0 or steps < 0 or not np.isfinite(dt * steps):
         raise ConfigurationError(f"need dt > 0 and steps >= 0 with finite horizon, got {dt}, {steps}")
@@ -483,6 +488,9 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
             raise CollisionError(
                 f"vortices {pairs[0][p]} and {pairs[1][p]} at separation {dmin[k]:.3e}", step_index=checked + k
             )
+        bad = np.flatnonzero(~(np.isfinite(h) & np.isfinite(mom)))  # min_dist is inf for N = 1
+        if bad.size:
+            raise NumericError(f"non-finite energy or momentum norm at step {checked + int(bad[0])}")
         monitors.append(np.column_stack([h, mom, dmin]))
         checked = len(positions)
 
@@ -507,27 +515,31 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
             flush()
         return x
 
-    if method == "rk4":
-        for k in range(steps):
-            y = record((k + 1) * dt, _rk4_step(rhs, y, dt))
-    else:
-        t_end = dt * steps
-        t = 0.0
-        h = dt
-        while t < t_end - 1e-15 * max(1.0, t_end):
-            h = min(h, t_end - t)
-            if h < 1e-14 * max(1.0, abs(t)):
-                fail(f"adaptive step size underflow at t = {t}")
-            y5, err_vec = _dp_step(rhs, y, h)
-            scale = 1e-10 + 1e-9 * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
-            if err <= 1.0:
-                t += h
-                y = record(t, y5)
-            factor = 0.9 * (err if err > 0.0 else 1e-10) ** (-0.2)
-            h *= min(5.0, max(0.2, factor))
-    if checked < len(positions):
-        flush()
+    # overflow surfaces as the non-finite values checked here; NumPy's warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if method == "rk4":
+            for k in range(steps):
+                y = record((k + 1) * dt, _rk4_step(rhs, y, dt))
+        else:
+            t_end = dt * steps
+            t = 0.0
+            h = dt
+            while t < t_end - 1e-15 * max(1.0, t_end):
+                h = min(h, t_end - t)
+                if h < 1e-14 * max(1.0, abs(t)):
+                    fail(f"adaptive step size underflow at t = {t}")
+                y5, err_vec = _dp_step(rhs, y, h)
+                scale = 1e-10 + 1e-9 * np.maximum(np.abs(y), np.abs(y5))
+                err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
+                if not math.isfinite(err):
+                    fail(f"non-finite error estimate at step {len(times)} (t = {t})")
+                if err <= 1.0:
+                    t += h
+                    y = record(t, y5)
+                factor = 0.9 * (err if err > 0.0 else 1e-10) ** (-0.2)
+                h *= min(5.0, max(0.2, factor))
+        if checked < len(positions):
+            flush()
 
     return Trajectory(system, np.asarray(times), np.array(positions), np.concatenate(monitors), np.array(chart_rows))
 

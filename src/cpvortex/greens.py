@@ -128,7 +128,10 @@ def greens_cpn_derivative(n: int, r: float) -> float:
     return -2.0 * s * math.cos(r) * greens_constant(n) * greens_radial_slope(n, s * s)
 
 
-def greens_ode_oracle(n: int, r_a: float, r_b: float, target: float = 1e-10) -> float:
+_ODE_ORACLE_TARGET = 1e-10  # absolute error target of the quadrature oracle
+
+
+def greens_ode_oracle(n: int, r_a: float, r_b: float) -> float:
     """Integrate phi' over [r_a, r_b] by adaptive quadrature.
 
     Independent cross-check of the closed form: the result must equal
@@ -148,10 +151,10 @@ def greens_ode_oracle(n: int, r_a: float, r_b: float, target: float = 1e-10) -> 
         # the roundoff floor; the explicit error-estimate check below gates it
         warnings.simplefilter("ignore", IntegrationWarning)
         value, err = quad(
-            lambda s: greens_cpn_derivative(n, s), r_a, r_b, epsabs=target, epsrel=0.0, limit=200
+            lambda s: greens_cpn_derivative(n, s), r_a, r_b, epsabs=_ODE_ORACLE_TARGET, epsrel=0.0, limit=200
         )
-    if err > 100.0 * target:
-        raise OracleError(f"quadrature error estimate {err:.2e} above target {target:.2e}", achieved=err)
+    if err > 100.0 * _ODE_ORACLE_TARGET:
+        raise OracleError(f"quadrature error estimate {err:.2e} above target {_ODE_ORACLE_TARGET:.2e}", achieved=err)
     return value
 
 

@@ -62,9 +62,6 @@ class MomentumValue:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
 
 def _unit_vector(p) -> np.ndarray:
     if isinstance(p, ProjectivePoint):

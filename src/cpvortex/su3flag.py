@@ -168,13 +168,6 @@ class FlagCoords:
         object.__setattr__(self, "K1", 1.0 + abs(z1) ** 2 + abs(z2) ** 2)
         object.__setattr__(self, "K2", 1.0 + abs(z3) ** 2 + abs(z1 * z3 - z2) ** 2)
 
-    @classmethod
-    def from_vector(cls, z) -> "FlagCoords":
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (3,):
-            raise DomainError(f"expected 3 complex coordinates, got shape {z.shape}")
-        return cls(z[0], z[1], z[2])
-
     def as_vector(self) -> np.ndarray:
         return np.array([self.z1, self.z2, self.z3], dtype=complex)
 

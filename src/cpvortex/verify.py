@@ -21,6 +21,12 @@ from .su3flag import FlagCoords
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
+# finite-difference steps of the Hessian and gradient oracles, and the
+# number of subgroup factors in a random unitary
+_HESSIAN_STEP = 1e-4
+_GRADIENT_STEP = 1e-5
+_UNITARY_FACTORS = 5
+
 
 @dataclass
 class CheckResult:
@@ -55,17 +61,18 @@ def _random_flag(rng: np.random.Generator, radius: float = 1.5) -> FlagCoords:
     return FlagCoords(_disk(rng, radius), _disk(rng, radius), _disk(rng, radius))
 
 
-def _product_unitary(rng: np.random.Generator, factors: int = 5) -> np.ndarray:
+def _product_unitary(rng: np.random.Generator) -> np.ndarray:
     u = np.eye(3, dtype=complex)
-    for _ in range(factors):
+    for _ in range(_UNITARY_FACTORS):
         k = int(rng.integers(1, 9))
         u = u @ su3flag.exp_su3(k, float(rng.uniform(-2.0, 2.0))).entries
     return u
 
 
-def wirtinger_hessian(f, z: np.ndarray, h: float = 1e-4) -> np.ndarray:
+def wirtinger_hessian(f, z: np.ndarray) -> np.ndarray:
     """Mixed second derivatives d_{z_i} d_{zbar_j} f by nested central differences."""
     m = z.size
+    h = _HESSIAN_STEP
 
     def dbar(j, zz):
         ex = np.zeros(m, complex)
@@ -101,7 +108,7 @@ def vf_finite_difference(k: int, z: FlagCoords, h: float = 1e-5) -> np.ndarray:
 # Green's function suite
 
 
-def verify_greens(seed: int = 0, tol_scale: float = 1.0) -> list:
+def verify_greens(seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -114,7 +121,7 @@ def verify_greens(seed: int = 0, tol_scale: float = 1.0) -> list:
                 b = min(hi, a + 1e-3)
             closed = greens.greens_cpn(n, b) - greens.greens_cpn(n, a)
             worst = max(worst, abs(greens.greens_ode_oracle(n, a, b) - closed))
-    checks.append(CheckResult("greens quadrature oracle vs closed form (n=1..4)", worst, 1e-8 * tol_scale))
+    checks.append(CheckResult("greens quadrature oracle vs closed form (n=1..4)", worst, 1e-8))
 
     worst = 0.0
     h = 1e-6
@@ -125,7 +132,7 @@ def verify_greens(seed: int = 0, tol_scale: float = 1.0) -> list:
             s, c = math.sin(r), math.cos(r)
             integrand = (1.0 - s ** (2 * n)) / (s ** (2 * n - 1) * c)
             worst = max(worst, abs(fd - integrand) / abs(integrand))
-    checks.append(CheckResult("radial antiderivative vs integrand (relative)", worst, 1e-6 * tol_scale))
+    checks.append(CheckResult("radial antiderivative vs integrand (relative)", worst, 1e-6))
 
     worst = -math.inf
     for n in (1, 2, 3, 4):
@@ -142,7 +149,7 @@ def verify_greens(seed: int = 0, tol_scale: float = 1.0) -> list:
 # momentum suite
 
 
-def verify_momentum(seed: int = 0, tol_scale: float = 1.0) -> list:
+def verify_momentum(seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -152,13 +159,13 @@ def verify_momentum(seed: int = 0, tol_scale: float = 1.0) -> list:
         p = geom.random_point(2, rng)
         ev = np.linalg.eigvalsh(momentum.momentum_cp2(p).matrix)
         worst = max(worst, float(np.max(np.abs(np.sort(ev) - target))))
-    checks.append(CheckResult("cp2 momentum spectrum {-1/3,-1/3,2/3} (1000 points)", worst, 1e-10 * tol_scale))
+    checks.append(CheckResult("cp2 momentum spectrum {-1/3,-1/3,2/3} (1000 points)", worst, 1e-10))
 
     worst = 0.0
     for _ in range(100):
         p = geom.random_point(2, rng)
         worst = max(worst, momentum.momentum_cp2_equivariance_check(p, _product_unitary(rng)))
-    checks.append(CheckResult("cp2 momentum equivariance (100 pairs)", worst, 1e-10 * tol_scale))
+    checks.append(CheckResult("cp2 momentum equivariance (100 pairs)", worst, 1e-10))
 
     worst, worst_at = 0.0, ""
     for _ in range(100):
@@ -167,9 +174,7 @@ def verify_momentum(seed: int = 0, tol_scale: float = 1.0) -> list:
             d = momentum.defining_equation_defect(k, z)
             if d > worst:
                 worst, worst_at = d, f"k={k}, z=({z.z1:.4f}, {z.z2:.4f}, {z.z3:.4f})"
-    checks.append(
-        CheckResult("flag momentum defining equation, k=1..8 (100 points)", worst, 1e-6 * tol_scale, worst_at=worst_at)
-    )
+    checks.append(CheckResult("flag momentum defining equation, k=1..8 (100 points)", worst, 1e-6, worst_at=worst_at))
 
     worst = 0.0
     for _ in range(20):
@@ -184,7 +189,7 @@ def verify_momentum(seed: int = 0, tol_scale: float = 1.0) -> list:
         lhs = momentum.weighted_momentum(s2).matrix
         rhs = c * momentum.weighted_momentum(s1).matrix
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    checks.append(CheckResult("weighted momentum linearity in strengths", worst, 1e-14 * tol_scale))
+    checks.append(CheckResult("weighted momentum linearity in strengths", worst, 1e-14))
 
     worst_ah = 0.0
     worst_rd = 0.0
@@ -222,7 +227,7 @@ def verify_momentum(seed: int = 0, tol_scale: float = 1.0) -> list:
 # vector-field suite
 
 
-def verify_vectorfields(seed: int = 0, tol_scale: float = 1.0) -> list:
+def verify_vectorfields(seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -233,9 +238,7 @@ def verify_vectorfields(seed: int = 0, tol_scale: float = 1.0) -> list:
             defect = float(np.max(np.abs(su3flag.infinitesimal_vf(k, z) - vf_finite_difference(k, z))))
             if defect > worst:
                 worst, worst_at = defect, f"k={k}, z=({z.z1:.4f}, {z.z2:.4f}, {z.z3:.4f})"
-    checks.append(
-        CheckResult("generator fields vs LU finite differences, k=1..8", worst, 1e-6 * tol_scale, worst_at=worst_at)
-    )
+    checks.append(CheckResult("generator fields vs LU finite differences, k=1..8", worst, 1e-6, worst_at=worst_at))
 
     worst = 0.0
     for k in range(1, 9):
@@ -244,7 +247,7 @@ def verify_vectorfields(seed: int = 0, tol_scale: float = 1.0) -> list:
             lhs = su3flag.exp_su3(k, s).entries @ su3flag.exp_su3(k, t).entries
             rhs = su3flag.exp_su3(k, s + t).entries
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    checks.append(CheckResult("one-parameter subgroup law exp(s)exp(t)=exp(s+t)", worst, 1e-12 * tol_scale))
+    checks.append(CheckResult("one-parameter subgroup law exp(s)exp(t)=exp(s+t)", worst, 1e-12))
 
     from scipy.linalg import expm  # imported on first use, like quad in greens: simulate never loads SciPy
 
@@ -254,7 +257,7 @@ def verify_vectorfields(seed: int = 0, tol_scale: float = 1.0) -> list:
             t = rng.uniform(-3.0, 3.0)
             closed = su3flag.exp_su3(k, t).entries
             worst = max(worst, float(np.linalg.norm(closed - expm(t * su3flag.gell_mann(k).entries))))
-    checks.append(CheckResult("closed-form exponentials vs scipy expm", worst, 1e-12 * tol_scale))
+    checks.append(CheckResult("closed-form exponentials vs scipy expm", worst, 1e-12))
     return checks
 
 
@@ -307,7 +310,7 @@ def _tabulated_symplectic_blocks(z: FlagCoords):
     return im, re
 
 
-def verify_metric(seed: int = 0, tol_scale: float = 1.0) -> list:
+def verify_metric(seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -320,9 +323,7 @@ def verify_metric(seed: int = 0, tol_scale: float = 1.0) -> list:
         if d > worst:
             worst, worst_at = d, f"z=({z.z1:.4f}, {z.z2:.4f}, {z.z3:.4f})"
     checks.append(
-        CheckResult(
-            "flag metric determinant 2/(K1^2 K2^2) (relative, 1000 points)", worst, 1e-10 * tol_scale, worst_at=worst_at
-        )
+        CheckResult("flag metric determinant 2/(K1^2 K2^2) (relative, 1000 points)", worst, 1e-10, worst_at=worst_at)
     )
 
     worst = 0.0
@@ -333,7 +334,7 @@ def verify_metric(seed: int = 0, tol_scale: float = 1.0) -> list:
             det = np.linalg.det(geom.fubini_study_metric(chart)).real
             expected = (1.0 + float(np.sum(np.abs(vals) ** 2))) ** -(n + 1)
             worst = max(worst, abs(det - expected) / expected)
-    checks.append(CheckResult("projective metric determinant (1+|z|^2)^-(n+1) (relative, 1000 points)", worst, 1e-10 * tol_scale))
+    checks.append(CheckResult("projective metric determinant (1+|z|^2)^-(n+1) (relative, 1000 points)", worst, 1e-10))
 
     worst = 0.0
     for _ in range(100):
@@ -342,7 +343,7 @@ def verify_metric(seed: int = 0, tol_scale: float = 1.0) -> list:
             lambda v: su3flag.kahler_potential_flag(FlagCoords(v[0], v[1], v[2])), z.as_vector()
         )
         worst = max(worst, float(np.max(np.abs(fd - su3flag.flag_metric(z)))))
-    checks.append(CheckResult("flag metric vs potential Hessian (finite differences)", worst, 1e-5 * tol_scale))
+    checks.append(CheckResult("flag metric vs potential Hessian (finite differences)", worst, 1e-5))
 
     worst = 0.0
     for _ in range(100):
@@ -351,7 +352,7 @@ def verify_metric(seed: int = 0, tol_scale: float = 1.0) -> list:
         chart = geom.AffineChart(0, vals)
         fd = wirtinger_hessian(lambda v: geom.fubini_study_potential(v), vals)
         worst = max(worst, float(np.max(np.abs(fd - geom.fubini_study_metric(chart)))))
-    checks.append(CheckResult("projective metric vs potential Hessian (finite differences)", worst, 1e-5 * tol_scale))
+    checks.append(CheckResult("projective metric vs potential Hessian (finite differences)", worst, 1e-5))
 
     smallest = math.inf
     for _ in range(1000):
@@ -370,8 +371,8 @@ def verify_metric(seed: int = 0, tol_scale: float = 1.0) -> list:
         im, re = _tabulated_symplectic_blocks(z)
         printed = np.block([[im, -re], [re, im]])
         worst_blocks = max(worst_blocks, float(np.max(np.abs(w - printed))))
-    checks.append(CheckResult("symplectic matrix antisymmetry", worst_sym, 1e-12 * tol_scale))
-    checks.append(CheckResult("symplectic blocks vs entrywise real-coordinate formulas", worst_blocks, 1e-10 * tol_scale))
+    checks.append(CheckResult("symplectic matrix antisymmetry", worst_sym, 1e-12))
+    checks.append(CheckResult("symplectic blocks vs entrywise real-coordinate formulas", worst_blocks, 1e-10))
 
     ratios = []
     for _ in range(100):
@@ -439,7 +440,8 @@ def _random_planar_system(rng, N, min_sep=0.3, gamma_range=(0.5, 1.5)):
     return _random_system(rng, dynamics.VortexSystem.plane, draw, N, min_sep, gamma_range)
 
 
-def _relative_gradient_error(system, rng, h=1e-5):
+def _relative_gradient_error(system, rng):
+    h = _GRADIENT_STEP
     charts = [geom.best_chart_index(p) for p in system.positions]
     grads = dynamics.grad_hamiltonian(system, charts)
     n = system.n
@@ -464,7 +466,7 @@ def _relative_gradient_error(system, rng, h=1e-5):
     return worst
 
 
-def _planar_period_error(rng=None):
+def _planar_period_error():
     """Two equal vortices at distance d rotate rigidly; compare the period."""
     d, gamma = 1.0, 1.0
     period = 2.0 * math.pi**2 * d**2 / gamma
@@ -474,7 +476,7 @@ def _planar_period_error(rng=None):
     return abs(dynamics.planar_pair_period(traj) - period) / period
 
 
-def verify_dynamics(seed: int = 0, tol_scale: float = 1.0) -> list:
+def verify_dynamics(seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -483,13 +485,13 @@ def verify_dynamics(seed: int = 0, tol_scale: float = 1.0) -> list:
         n = int(rng.integers(1, 3))
         N = int(rng.integers(2, 5))
         worst = max(worst, _relative_gradient_error(_random_cpn_system(rng, n, N), rng))
-    checks.append(CheckResult("analytic gradient vs finite differences (relative, 50 configs)", worst, 1e-6 * tol_scale))
+    checks.append(CheckResult("analytic gradient vs finite differences (relative, 50 configs)", worst, 1e-6))
 
     worst = 0.0
     for _ in range(20):
         n = int(rng.integers(1, 3))
         worst = max(worst, dynamics.omega_identity_defect(_random_cpn_system(rng, n, 3), rng))
-    checks.append(CheckResult("symplectic identity Omega(X_H, Y) = dH(Y)", worst, 1e-6 * tol_scale))
+    checks.append(CheckResult("symplectic identity Omega(X_H, Y) = dH(Y)", worst, 1e-6))
 
     worst = 0.0
     for n in (1, 2, 3):
@@ -500,10 +502,10 @@ def verify_dynamics(seed: int = 0, tol_scale: float = 1.0) -> list:
                 [geom.ProjectivePoint(u @ p.coords) for p in sys.positions], sys.strengths
             )
             worst = max(worst, abs(dynamics.hamiltonian_cpn(moved) - dynamics.hamiltonian_cpn(sys)))
-    checks.append(CheckResult("Hamiltonian invariance under common unitaries (n=1,2,3)", worst, 1e-10 * tol_scale))
+    checks.append(CheckResult("Hamiltonian invariance under common unitaries (n=1,2,3)", worst, 1e-10))
 
     checks.append(
-        CheckResult("planar two-vortex period vs 2 pi^2 d^2 / Gamma (relative)", _planar_period_error(), 1e-3 * tol_scale)
+        CheckResult("planar two-vortex period vs 2 pi^2 d^2 / Gamma (relative)", _planar_period_error(), 1e-3)
     )
 
     steps, dt = 10_000, 1e-3
@@ -512,25 +514,25 @@ def verify_dynamics(seed: int = 0, tol_scale: float = 1.0) -> list:
         traj = dynamics.integrate(sys, dt, steps, method="rk4")
         h0 = traj.monitors[0, 0]
         drift = float(np.max(np.abs(traj.monitors[:, 0] - h0))) / max(abs(h0), 1e-3)
-        checks.append(CheckResult(f"energy drift on CP^{n} (relative, {steps} rk4 steps)", drift, 1e-8 * tol_scale))
+        checks.append(CheckResult(f"energy drift on CP^{n} (relative, {steps} rk4 steps)", drift, 1e-8))
         if n == 2:
             mu0 = momentum.weighted_momentum(traj.states[0]).matrix
             mdrift = max(
                 float(np.linalg.norm(momentum.weighted_momentum(s).matrix - mu0)) for s in traj.states
             )
-            checks.append(CheckResult("weighted momentum drift on CP^2 (Frobenius)", mdrift, 1e-7 * tol_scale))
+            checks.append(CheckResult("weighted momentum drift on CP^2 (Frobenius)", mdrift, 1e-7))
 
     plan = _random_planar_system(rng, 3)
     traj = dynamics.integrate(plan, dt, steps, method="rk4")
     inv0 = np.array(dynamics.planar_conserved(traj.states[0]))
     drift = max(float(np.max(np.abs(np.array(dynamics.planar_conserved(s)) - inv0))) for s in traj.states)
-    checks.append(CheckResult("planar invariants p_x, p_y, m drift", drift, 1e-9 * tol_scale))
+    checks.append(CheckResult("planar invariants p_x, p_y, m drift", drift, 1e-9))
 
     sep_sys = _random_cpn_system(rng, 1, 2, min_sep=0.5)
     traj = dynamics.integrate(sep_sys, dt, steps, method="rk4")
     sep0 = traj.monitors[0, 2]
     sep_drift = float(np.max(np.abs(traj.monitors[:, 2] - sep0)))
-    checks.append(CheckResult("CP^1 two-vortex separation constancy", sep_drift, 1e-8 * tol_scale))
+    checks.append(CheckResult("CP^1 two-vortex separation constancy", sep_drift, 1e-8))
     return checks
 
 
@@ -543,13 +545,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0) -> list:
+def run_suite(name: str, seed: int = 0) -> list:
     """Run one named suite (or 'all'); returns the collected CheckResults."""
     if name == "all":
         out = []
         for key in SUITES:
-            out.extend(run_suite(key, seed=seed, tol_scale=tol_scale))
+            out.extend(run_suite(key, seed=seed))
         return out
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](seed=seed, tol_scale=tol_scale)
+    return SUITES[name](seed=seed)
