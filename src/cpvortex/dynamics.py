@@ -524,9 +524,10 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
             t_end = dt * steps
             t = 0.0
             h = dt
-            while t < t_end - 1e-15 * max(1.0, t_end):
+            # both guards scale with the horizon, so a horizon of any size is integrated
+            while t < t_end - 1e-15 * t_end:
                 h = min(h, t_end - t)
-                if h < 1e-14 * max(1.0, abs(t)):
+                if h < 1e-14 * t_end:
                     fail(f"adaptive step size underflow at t = {t}")
                 y5, err_vec = _dp_step(rhs, y, h)
                 scale = 1e-10 + 1e-9 * np.maximum(np.abs(y), np.abs(y5))

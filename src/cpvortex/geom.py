@@ -77,10 +77,11 @@ class ProjectivePoint:
 
 @dataclass(frozen=True)
 class AffineChart:
-    """Affine chart values of a projective point.
+    """Affine chart values of a projective point, or of a batch of points in one chart.
 
     ``chart_index`` is the pivot coordinate that was scaled to 1; ``values``
-    are the remaining n coordinates in ascending index order.
+    are the remaining n coordinates in ascending index order along the last
+    axis (shape (n,) for one point, (..., n) for a batch).
     """
 
     chart_index: int
@@ -88,18 +89,18 @@ class AffineChart:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 1 or values.size < 1:
+        if values.ndim < 1 or values.shape[-1] < 1:
             raise DimensionMismatchError("chart values need length n >= 1")
         if not np.all(np.isfinite(values)):
             raise ValueError("chart values must be finite")
-        if not 0 <= self.chart_index <= values.size:
-            raise ValueError(f"chart_index {self.chart_index} out of range [0, {values.size}]")
+        if not 0 <= self.chart_index <= values.shape[-1]:
+            raise ValueError(f"chart_index {self.chart_index} out of range [0, {values.shape[-1]}]")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
 
 def pivot_threshold(n: int) -> float:
@@ -137,7 +138,9 @@ def to_chart(p: ProjectivePoint, chart_index: int) -> AffineChart:
 
 
 def from_chart(chart: AffineChart) -> ProjectivePoint:
-    """Insert 1 at the pivot slot and renormalize."""
+    """Insert 1 at the pivot slot and renormalize; the chart holds one point."""
+    if chart.values.ndim != 1:
+        raise DimensionMismatchError(f"from_chart takes the chart of one point, got values of shape {chart.values.shape}")
     coords = np.insert(chart.values, chart.chart_index, 1.0 + 0.0j)
     return ProjectivePoint(coords)
 
@@ -167,21 +170,21 @@ def _lift_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.arctan2(np.sqrt((np.abs(residual) ** 2).sum(axis=-1)), np.abs(overlap))
 
 
-def fubini_study_potential(values: np.ndarray) -> float:
-    """Kahler potential log(1 + |z|^2) in an affine chart."""
+def fubini_study_potential(values: np.ndarray):
+    """Kahler potential log(1 + |z|^2) in an affine chart, of chart values (n,) or (..., n)."""
     z = np.asarray(values, dtype=complex)
-    return float(np.log1p(np.sum(np.abs(z) ** 2)))
+    return np.log1p(np.sum(np.abs(z) ** 2, axis=-1))
 
 
 def fubini_study_metric(chart: AffineChart) -> np.ndarray:
-    """Fubini-Study Hermitian metric h_ij in an affine chart.
+    """Fubini-Study Hermitian metric h_ij in an affine chart, shape (..., n, n) for values (..., n).
 
     h_ij = ((1 + |z|^2) delta_ij - conj(z_i) z_j) / (1 + |z|^2)^2,
     Hermitian positive definite with det h = (1 + |z|^2)^-(n+1).
     """
     z = chart.values
-    s = 1.0 + float(np.sum(np.abs(z) ** 2))
-    return (s * np.eye(z.size) - np.outer(z.conj(), z)) / s**2
+    s = (1.0 + np.sum(np.abs(z) ** 2, axis=-1))[..., None, None]
+    return (s * np.eye(z.shape[-1]) - z.conj()[..., :, None] * z[..., None, :]) / s**2
 
 
 def random_point(n: int, rng: np.random.Generator) -> ProjectivePoint:

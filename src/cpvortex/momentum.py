@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .geom import ProjectivePoint
-from .su3flag import FlagCoords, flag_symplectic_matrix, gell_mann, infinitesimal_vf
+from .su3flag import FlagCoords, _matrix, flag_symplectic_matrix, gell_mann, infinitesimal_vf
 
 __all__ = [
     "MomentumValue",
@@ -39,71 +39,85 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentumValue:
-    """A momentum-map value: traceless matrix plus its symmetry convention."""
+    """A momentum-map value: traceless matrix plus its symmetry convention.
+
+    ``matrix`` is one square matrix or a stack (..., m, m) of them, one per
+    point of a batch; every matrix of a stack is validated, so one bad
+    value rejects the batch.
+    """
 
     matrix: np.ndarray
     convention: str
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = np.array(self.matrix, dtype=complex)
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise DomainError(f"momentum matrix must be square, got shape {m.shape}")
-        if abs(np.trace(m)) > 1e-12 * max(1.0, np.linalg.norm(m)):
+        norm = np.linalg.norm(m, axis=(-2, -1))
+        if np.any(np.abs(np.trace(m, axis1=-2, axis2=-1)) > 1e-12 * np.maximum(1.0, norm)):
             raise DomainError("momentum matrix must be traceless")
+        adjoint = m.conj().swapaxes(-1, -2)
         if self.convention == "hermitian_cp2":
-            if np.linalg.norm(m - m.conj().T) > 1e-12:
+            if np.any(np.linalg.norm(m - adjoint, axis=(-2, -1)) > 1e-12):
                 raise DomainError("hermitian_cp2 value must be Hermitian within 1e-12")
         elif self.convention == "antihermitian_flag":
-            if np.linalg.norm(m + m.conj().T) > 1e-10:
+            if np.any(np.linalg.norm(m + adjoint, axis=(-2, -1)) > 1e-10):
                 raise DomainError("antihermitian_flag value must be anti-Hermitian within 1e-10")
         else:
             raise DomainError(f"unknown convention {self.convention!r}")
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
 
 def _unit_vector(p) -> np.ndarray:
+    """The unit lift of a ProjectivePoint, or unit vectors (..., n+1) as given."""
     if isinstance(p, ProjectivePoint):
         return p.coords
     v = np.asarray(p, dtype=complex)
-    if v.ndim != 1 or v.size < 2:
+    if v.ndim < 1 or v.shape[-1] < 2:
         raise DomainError("expected homogeneous coordinates of length n+1 >= 2")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-10):
         raise DomainError("homogeneous coordinates must be normalized to unit norm")
     return v
 
 
 def momentum_cpn(p) -> MomentumValue:
-    """Hermitian momentum value v v* - I/(n+1) of a unit vector v."""
+    """Hermitian momentum value v v* - I/(n+1) of a unit vector v, or of each of a stack (..., n+1)."""
     v = _unit_vector(p)
-    m = np.outer(v, v.conj()) - np.eye(v.size) / v.size
+    size = v.shape[-1]
+    m = v[..., :, None] * v.conj()[..., None, :] - np.eye(size) / size
     return MomentumValue(m, "hermitian_cp2")
 
 
 def momentum_cp2(p) -> MomentumValue:
     """The CP^2 momentum map; eigenvalues are always {-1/3, -1/3, 2/3}."""
     v = _unit_vector(p)
-    if v.size != 3:
-        raise DomainError(f"momentum_cp2 needs a point of CP^2 (3 coordinates), got {v.size}")
+    if v.shape[-1] != 3:
+        raise DomainError(f"momentum_cp2 needs a point of CP^2 (3 coordinates), got {v.shape[-1]}")
     return momentum_cpn(v)
 
 
-def momentum_cp2_equivariance_check(p, u) -> float:
-    """Frobenius defect || mu(U p) - U mu(p) U* || of left-action equivariance."""
+def momentum_cp2_equivariance_check(p, u):
+    """Frobenius defect || mu(U p) - U mu(p) U* || of left-action equivariance.
+
+    ``p`` and ``u`` may be stacks (..., n+1) and (..., n+1, n+1) of pairs;
+    the defect then has their common leading shape.
+    """
     v = _unit_vector(p)
     u = u.entries if hasattr(u, "entries") else np.asarray(u, dtype=complex)
-    if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) > 1e-10:
+    eye = np.eye(u.shape[-1])
+    adjoint = u.conj().swapaxes(-1, -2)
+    if np.any(np.linalg.norm(u @ adjoint - eye, axis=(-2, -1)) > 1e-10):
         raise DomainError("expected a unitary matrix")
-    if abs(np.linalg.det(u) - 1.0) > 1e-10:
+    if np.any(np.abs(np.linalg.det(u) - 1.0) > 1e-10):
         raise DomainError("expected determinant 1")
-    left = momentum_cpn(u @ v).matrix
-    right = u @ momentum_cpn(v).matrix @ u.conj().T
-    return float(np.linalg.norm(left - right))
+    left = momentum_cpn((u @ v[..., None])[..., 0]).matrix
+    right = u @ momentum_cpn(v).matrix @ adjoint
+    return np.linalg.norm(left - right, axis=(-2, -1))[()]
 
 
 def momentum_flag(z: FlagCoords) -> MomentumValue:
-    """Anti-Hermitian momentum value of a big-cell flag point.
+    """Anti-Hermitian momentum value of a big-cell flag point, or of each point of a batch.
 
     Entries (lower triangle; upper filled by anti-Hermiticity), with
     w = z1 z3 - z2:
@@ -119,6 +133,7 @@ def momentum_flag(z: FlagCoords) -> MomentumValue:
     with constants fixed by mu(0) = diag(i/2, 0, -i/2); equivalently
     mu = U diag(i/2, 0, -i/2) U* for the Gram-Schmidt unitary factor U of
     the big-cell matrix, so the value is equivariant by construction.
+    The matrices have shape z.shape + (3, 3).
     """
     z1, z2, z3 = z.z1, z.z2, z.z3
     K1, K2 = z.K1, z.K2
@@ -130,7 +145,7 @@ def momentum_flag(z: FlagCoords) -> MomentumValue:
     mu21 = i2 * (z1 / K1 + z3.conjugate() * w / K2)
     mu31 = i2 * (z2 / K1 - w / K2)
     mu32 = i2 * (z1.conjugate() * z2 / K1 + z3 / K2)
-    m = np.array(
+    m = _matrix(
         [
             [mu11, -mu21.conjugate(), -mu31.conjugate()],
             [mu21, mu22, -mu32.conjugate()],
@@ -148,7 +163,8 @@ def momentum_flag_tabulated(z: FlagCoords, variant: str) -> np.ndarray:
     entry list with a real diagonal that repeats the (1,2) formula for
     (1,3)).  Both deviate from momentum_flag on some entries - they fail
     the defining equation for part of the generators - so the verification
-    suite reports the deviations instead of asserting them away.
+    suite reports the deviations instead of asserting them away.  The
+    matrices have shape z.shape + (3, 3).
     """
     z1, z2, z3 = z.z1, z.z2, z.z3
     K1, K2 = z.K1, z.K2
@@ -159,7 +175,7 @@ def momentum_flag_tabulated(z: FlagCoords, variant: str) -> np.ndarray:
         mu11 = (-1j / 6.0) * ((abs(z2) ** 2 - 1.0) / K1 - (abs(z3) ** 2 + 2.0) / K2)
         mu22 = (-1j / 6.0) * ((2.0 * abs(z2) ** 2 + 1.0) / K1 + (abs(z3) ** 2 - 1.0) / K2)
         mu33 = -(mu11 + mu22)
-        return np.array(
+        return _matrix(
             [
                 [mu11, -mu21.conjugate(), -mu31.conjugate()],
                 [mu21, mu22, -mu32.conjugate()],
@@ -175,7 +191,7 @@ def momentum_flag_tabulated(z: FlagCoords, variant: str) -> np.ndarray:
         mu12 = ((1j * y1 - x1) * (x3 - 1j * y3) - 1j * y2 + x2) / K2 - (x1 - 1j * y1) / K1
         mu13 = mu12  # the table lists identical formulas for mu12 and mu13
         mu23 = (1j * y3 + x3) / K2 - (x1 + 1j * y1) * (x2 - 1j * y2) / K1
-        return np.array(
+        return _matrix(
             [
                 [mu11, mu12, mu13],
                 [-mu12.conjugate(), mu22, mu23],
@@ -185,39 +201,51 @@ def momentum_flag_tabulated(z: FlagCoords, variant: str) -> np.ndarray:
     raise DomainError(f"variant must be 'antihermitian' or 'real_diagonal', got {variant!r}")
 
 
-def momentum_flag_pairing(k: int, z: FlagCoords) -> float:
-    """Dual pairing <mu(z), lambda_k> = trace(mu(z) lambda_k), a real number."""
-    t = complex(np.trace(momentum_flag(z).matrix @ gell_mann(k).entries))
-    if abs(t.imag) > 1e-9:
-        raise DomainError(f"pairing picked up an imaginary residue {t.imag:.3e}")
-    return t.real
+def momentum_flag_pairing(k, z: FlagCoords):
+    """Dual pairing <mu(z), lambda_k> = trace(mu(z) lambda_k), a real number per point.
+
+    ``k`` is a generator index 1..8 or an array of them; the pairings have
+    shape np.shape(k) + z.shape, all from one evaluation of momentum_flag.
+    """
+    ks = np.asarray(k)
+    lam = np.array([gell_mann(int(j)).entries for j in ks.ravel()])
+    t = np.einsum("...ij,kji->k...", momentum_flag(z).matrix, lam).reshape(ks.shape + z.shape)
+    residue = np.abs(t.imag)
+    if np.any(residue > 1e-9):
+        raise DomainError(f"pairing picked up an imaginary residue {residue.max():.3e}")
+    return t.real[()]
 
 
 def _vf_real(k: int, z: FlagCoords) -> np.ndarray:
     a = infinitesimal_vf(k, z)
-    return np.concatenate([a.real, a.imag])
+    return np.concatenate([a.real, a.imag], axis=-1)
 
 
-def defining_equation_defect(k: int, z: FlagCoords, h: float = 1e-5) -> float:
+def defining_equation_defect(k, z: FlagCoords, h: float = 1e-5):
     """|| grad <mu, lambda_k> - omega X_k || at z, gradient by central differences.
 
     The gradient is taken in the real coordinates (x1..x3, y1..y3) and the
     contraction follows the flag_symplectic_matrix convention (covector =
     W @ X).  Small defects (<= 1e-6 for |z_i| <= 1.5) certify that
     momentum_flag, infinitesimal_vf and flag_metric are mutually consistent.
+    ``k`` is a generator index or an array of them and ``z`` a point or a
+    batch; the defects have shape np.shape(k) + z.shape, and all of them
+    come from one momentum_flag evaluation at the 12 shifted copies of z.
     """
-    xy = z.real_coords()
-
-    def pairing_at(vec):
-        return momentum_flag_pairing(k, FlagCoords(vec[0] + 1j * vec[3], vec[1] + 1j * vec[4], vec[2] + 1j * vec[5]))
-
-    grad = np.zeros(6)
-    for i in range(6):
-        e = np.zeros(6)
-        e[i] = h
-        grad[i] = (pairing_at(xy + e) - pairing_at(xy - e)) / (2.0 * h)
-    contraction = flag_symplectic_matrix(z) @ _vf_real(k, z)
-    return float(np.linalg.norm(grad - contraction))
+    steps = h * np.eye(6)
+    xy = z.real_coords()[..., None, :]
+    shifted = np.concatenate([xy + steps, xy - steps], axis=-2)  # z.shape + (12, 6)
+    moved = FlagCoords(
+        shifted[..., 0] + 1j * shifted[..., 3],
+        shifted[..., 1] + 1j * shifted[..., 4],
+        shifted[..., 2] + 1j * shifted[..., 5],
+    )
+    pairing = momentum_flag_pairing(k, moved)
+    grad = (pairing[..., :6] - pairing[..., 6:]) / (2.0 * h)
+    w = flag_symplectic_matrix(z)
+    ks = np.asarray(k)
+    contraction = np.array([(w @ _vf_real(int(j), z)[..., None])[..., 0] for j in ks.ravel()])
+    return np.linalg.norm(grad - contraction.reshape(grad.shape), axis=-1)[()]
 
 
 def _momentum_sum(lifts: np.ndarray, strengths: np.ndarray) -> np.ndarray:

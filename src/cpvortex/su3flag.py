@@ -14,6 +14,11 @@ Kahler potential is log(K1 * K2) with
 and everything else here (metric, symplectic form, Laplacian coefficients,
 infinitesimal generator fields) is derived from that potential and the
 Gell-Mann basis of su(3).
+
+Every closed form takes a batch of points: a FlagCoords whose coordinates
+are arrays of one shape S returns its values with S as leading axes
+(matrices of shape S + (3, 3), vectors S + (3,)).  A single point is the
+case S = ().
 """
 
 from __future__ import annotations
@@ -61,12 +66,29 @@ _LAMBDA = 0.5j * _TILDE
 _LAMBDA.flags.writeable = False
 
 
+def _matrix(rows) -> np.ndarray:
+    """Square matrices from a nested list of entries that broadcast together: shape S + (m, m)."""
+    entries = [e for row in rows for e in row]
+    if not any(isinstance(e, np.ndarray) and e.ndim for e in entries):
+        return np.array(rows)
+    entries = np.broadcast_arrays(*entries)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (len(rows), len(rows)))
+
+
+def _vector(*entries) -> np.ndarray:
+    """Vectors from entries that broadcast together: shape S + (len(entries),)."""
+    if not any(isinstance(e, np.ndarray) and e.ndim for e in entries):
+        return np.array(entries)
+    return np.stack(np.broadcast_arrays(*entries), axis=-1)
+
+
 @dataclass(frozen=True)
 class Su3Matrix:
-    """A 3x3 complex matrix tagged with the structural role it must satisfy.
+    """A 3x3 complex matrix, or a stack (..., 3, 3) of them, tagged with a role.
 
     Roles: "unitary", "antihermitian_traceless", "unit_lower_triangular",
-    "general".  The corresponding invariant is checked on construction.
+    "general".  The corresponding invariant is checked on construction, for
+    every matrix of a stack.
     """
 
     entries: np.ndarray
@@ -75,22 +97,22 @@ class Su3Matrix:
     _TOL = 1e-12
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (3, 3):
+        m = np.array(self.entries, dtype=complex)
+        if m.shape[-2:] != (3, 3):
             raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
         if self.role == "unitary":
-            if np.linalg.norm(m @ m.conj().T - np.eye(3)) > self._TOL:
+            if np.any(np.linalg.norm(m @ m.conj().swapaxes(-1, -2) - np.eye(3), axis=(-2, -1)) > self._TOL):
                 raise DomainError("matrix is not unitary within 1e-12")
         elif self.role == "antihermitian_traceless":
-            if np.linalg.norm(m + m.conj().T) > self._TOL or abs(np.trace(m)) > self._TOL:
+            if np.any(np.linalg.norm(m + m.conj().swapaxes(-1, -2), axis=(-2, -1)) > self._TOL) or np.any(
+                np.abs(np.trace(m, axis1=-2, axis2=-1)) > self._TOL
+            ):
                 raise DomainError("matrix is not anti-Hermitian traceless within 1e-12")
         elif self.role == "unit_lower_triangular":
-            if (
-                np.linalg.norm(np.triu(m, 1)) > self._TOL
-                or np.linalg.norm(np.diag(m) - 1.0) > self._TOL
+            if np.any(np.linalg.norm(np.triu(m, 1), axis=(-2, -1)) > self._TOL) or np.any(
+                np.linalg.norm(np.diagonal(m, axis1=-2, axis2=-1) - 1.0, axis=-1) > self._TOL
             ):
                 raise DomainError("matrix is not unit lower triangular within 1e-12")
         elif self.role != "general":
@@ -101,7 +123,7 @@ def _entries(m) -> np.ndarray:
     if isinstance(m, Su3Matrix):
         return m.entries
     m = np.asarray(m, dtype=complex)
-    if m.shape != (3, 3):
+    if m.shape[-2:] != (3, 3):
         raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
     return m
 
@@ -120,19 +142,20 @@ def gell_mann(k: int) -> Su3Matrix:
     return Su3Matrix(_LAMBDA[k - 1], role="antihermitian_traceless")
 
 
-def exp_su3(k: int, t: float) -> Su3Matrix:
-    """One-parameter subgroup exp(t lambda_k) in closed form."""
+def exp_su3(k: int, t) -> Su3Matrix:
+    """One-parameter subgroup exp(t lambda_k) in closed form, for a time or an array of times."""
     if not 1 <= k <= 8:
         raise IndexError(f"k must lie in 1..8, got {k}")
-    if not np.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
         raise DomainError(f"t must be finite, got {t}")
-    c, s = math.cos(t / 2.0), math.sin(t / 2.0)
+    c, s = np.cos(t / 2.0), np.sin(t / 2.0)
     if k == 1:
         m = [[c, 1j * s, 0], [1j * s, c, 0], [0, 0, 1]]
     elif k == 2:
         m = [[c, s, 0], [-s, c, 0], [0, 0, 1]]
     elif k == 3:
-        m = np.diag([np.exp(0.5j * t), np.exp(-0.5j * t), 1.0])
+        m = [[np.exp(0.5j * t), 0, 0], [0, np.exp(-0.5j * t), 0], [0, 0, 1]]
     elif k == 4:
         m = [[c, 0, 1j * s], [0, 1, 0], [1j * s, 0, c]]
     elif k == 5:
@@ -143,13 +166,19 @@ def exp_su3(k: int, t: float) -> Su3Matrix:
         m = [[1, 0, 0], [0, c, s], [0, -s, c]]
     else:
         w = 0.5j * t / _SQRT3
-        m = np.diag([np.exp(w), np.exp(w), np.exp(-2.0 * w)])
-    return Su3Matrix(np.asarray(m, dtype=complex), role="unitary")
+        m = [[np.exp(w), 0, 0], [0, np.exp(w), 0], [0, 0, np.exp(-2.0 * w)]]
+    return Su3Matrix(_matrix(m), role="unitary")
 
 
 @dataclass(frozen=True)
 class FlagCoords:
-    """Big-cell coordinates (z1, z2, z3) of the flag manifold."""
+    """Big-cell coordinates (z1, z2, z3) of the flag manifold, at one point or a batch.
+
+    The coordinates are broadcast to one shape S; a batch has S != () and
+    holds read-only complex arrays, a single point has S = () and holds
+    complex scalars.  K1 and K2 have the same shape.  Validation covers the
+    whole batch: one non-finite coordinate rejects it.
+    """
 
     z1: complex
     z2: complex
@@ -158,30 +187,45 @@ class FlagCoords:
     K2: float = field(init=False)
 
     def __post_init__(self):
-        z1, z2, z3 = complex(self.z1), complex(self.z2), complex(self.z3)
-        for name, z in (("z1", z1), ("z2", z2), ("z3", z3)):
-            if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-                raise DomainError(f"{name} must be finite, got {z}")
+        coords = [np.array(v, dtype=complex) for v in (self.z1, self.z2, self.z3)]
+        if not coords[0].shape == coords[1].shape == coords[2].shape:
+            try:
+                coords = [z.copy() for z in np.broadcast_arrays(*coords)]
+            except ValueError as exc:
+                raise DomainError(f"flag coordinates must broadcast to one shape: {exc}") from None
+        if not (np.isfinite(coords[0]) & np.isfinite(coords[1]) & np.isfinite(coords[2])).all():
+            for name, z in zip(("z1", "z2", "z3"), coords):
+                if not np.isfinite(z).all():
+                    raise DomainError(f"{name} must be finite, got {z[~np.isfinite(z)][0]}")
+        if coords[0].ndim:
+            for z in coords:
+                z.flags.writeable = False
+            z1, z2, z3 = coords
+        else:
+            z1, z2, z3 = (complex(z) for z in coords)
         object.__setattr__(self, "z1", z1)
         object.__setattr__(self, "z2", z2)
         object.__setattr__(self, "z3", z3)
         object.__setattr__(self, "K1", 1.0 + abs(z1) ** 2 + abs(z2) ** 2)
         object.__setattr__(self, "K2", 1.0 + abs(z3) ** 2 + abs(z1 * z3 - z2) ** 2)
 
+    @property
+    def shape(self) -> tuple:
+        """The batch shape S; () for a single point."""
+        return np.shape(self.z1)
+
     def as_vector(self) -> np.ndarray:
-        return np.array([self.z1, self.z2, self.z3], dtype=complex)
+        """(z1, z2, z3) along the last axis: shape S + (3,)."""
+        return _vector(self.z1, self.z2, self.z3)
 
     def real_coords(self) -> np.ndarray:
-        """(x1, x2, x3, y1, y2, y3) with z_k = x_k + i y_k."""
+        """(x1, x2, x3, y1, y2, y3) with z_k = x_k + i y_k along the last axis: shape S + (6,)."""
         v = self.as_vector()
-        return np.concatenate([v.real, v.imag])
+        return np.concatenate([v.real, v.imag], axis=-1)
 
     def matrix(self) -> Su3Matrix:
-        """The unit lower-triangular big-cell representative."""
-        m = np.array(
-            [[1, 0, 0], [self.z1, 1, 0], [self.z2, self.z3, 1]], dtype=complex
-        )
-        return Su3Matrix(m, role="unit_lower_triangular")
+        """The unit lower-triangular big-cell representatives, shape S + (3, 3)."""
+        return Su3Matrix(_matrix([[1, 0, 0], [self.z1, 1, 0], [self.z2, self.z3, 1]]), role="unit_lower_triangular")
 
 
 # Minimum magnitude of the two leading principal minors of an invertible
@@ -190,67 +234,71 @@ BIG_CELL_MINOR_THRESHOLD = 1e-10
 
 
 def bruhat_normalize(m) -> FlagCoords:
-    """Big-cell coordinates of an invertible matrix via unpivoted LU.
+    """Big-cell coordinates of an invertible matrix, or of a stack (..., 3, 3), via unpivoted LU.
 
     Writes M = L U with L unit lower triangular and returns
     (L21, L31, L32).  Fails with OutsideBigCellError when a leading
-    principal minor vanishes: such flags lie in a lower Bruhat cell.
+    principal minor of any matrix vanishes: such flags lie in a lower
+    Bruhat cell.
     """
     a = _entries(m)
-    minor1 = a[0, 0]
-    minor2 = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(minor1) <= BIG_CELL_MINOR_THRESHOLD or abs(minor2) <= BIG_CELL_MINOR_THRESHOLD:
+    minor1 = a[..., 0, 0]
+    minor2 = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    outside = (np.abs(minor1) <= BIG_CELL_MINOR_THRESHOLD) | (np.abs(minor2) <= BIG_CELL_MINOR_THRESHOLD)
+    if outside.any():
+        first = np.flatnonzero(outside)[0]
         raise OutsideBigCellError(
-            f"leading minors ({abs(minor1):.3e}, {abs(minor2):.3e}) below threshold; "
+            f"leading minors ({np.abs(minor1).flat[first]:.3e}, {np.abs(minor2).flat[first]:.3e}) below threshold; "
             "flag lies outside the big cell"
         )
-    l21 = a[1, 0] / minor1
-    l31 = a[2, 0] / minor1
-    u22 = a[1, 1] - l21 * a[0, 1]
-    l32 = (a[2, 1] - l31 * a[0, 1]) / u22
+    l21 = a[..., 1, 0] / minor1
+    l31 = a[..., 2, 0] / minor1
+    u22 = a[..., 1, 1] - l21 * a[..., 0, 1]
+    l32 = (a[..., 2, 1] - l31 * a[..., 0, 1]) / u22
     return FlagCoords(l21, l31, l32)
 
 
 def infinitesimal_vf(k: int, z: FlagCoords) -> np.ndarray:
     """Generator field of exp(t lambda_k) in big-cell coordinates.
 
-    Returns the coefficients (a1, a2, a3) of (d/dz1, d/dz2, d/dz3), i.e.
-    the t-derivative at 0 of the normalized left translate of Z.
+    Returns the coefficients (a1, a2, a3) of (d/dz1, d/dz2, d/dz3) along the
+    last axis, i.e. the t-derivative at 0 of the normalized left translate
+    of Z: shape S + (3,).
     """
     if not 1 <= k <= 8:
         raise IndexError(f"k must lie in 1..8, got {k}")
     z1, z2, z3 = z.z1, z.z2, z.z3
     if k == 1:
-        return 0.5j * np.array([1 - z1**2, -z1 * z2, z1 * z3 - z2])
+        return 0.5j * _vector(1 - z1**2, -z1 * z2, z1 * z3 - z2)
     if k == 2:
-        return 0.5 * np.array([-1 - z1**2, -z1 * z2, z1 * z3 - z2])
+        return 0.5 * _vector(-1 - z1**2, -z1 * z2, z1 * z3 - z2)
     if k == 3:
-        return 0.5j * np.array([-2 * z1, -z2, z3])
+        return 0.5j * _vector(-2 * z1, -z2, z3)
     if k == 4:
-        return 0.5j * np.array([-z1 * z2, 1 - z2**2, -z3 * (z2 - z1 * z3)])
+        return 0.5j * _vector(-z1 * z2, 1 - z2**2, -z3 * (z2 - z1 * z3))
     if k == 5:
-        return 0.5 * np.array([-z1 * z2, -1 - z2**2, -z3 * (z2 - z1 * z3)])
+        return 0.5 * _vector(-z1 * z2, -1 - z2**2, -z3 * (z2 - z1 * z3))
     if k == 6:
-        return 0.5j * np.array([z2, z1, 1 - z3**2])
+        return 0.5j * _vector(z2, z1, 1 - z3**2)
     if k == 7:
         # third coefficient -(1 + z3^2): pinned by the finite-difference flow
         # of exp(t lambda_7), matching the k=2, k=5 pattern
-        return 0.5 * np.array([z2, -z1, -(1 + z3**2)])
-    return -0.5j * _SQRT3 * np.array([0, z2, z3])
+        return 0.5 * _vector(z2, -z1, -(1 + z3**2))
+    return -0.5j * _SQRT3 * _vector(0, z2, z3)
 
 
-def kahler_potential_flag(z: FlagCoords) -> float:
-    """Kahler potential log(K1 K2) of the flag manifold, >= 0."""
-    return math.log(z.K1) + math.log(z.K2)
+def kahler_potential_flag(z: FlagCoords):
+    """Kahler potential log(K1 K2) of the flag manifold, >= 0; shape S."""
+    return np.log(z.K1) + np.log(z.K2)
 
 
 def flag_metric(z: FlagCoords) -> np.ndarray:
-    """Hermitian metric h_ij = d_{z_i} d_{zbar_j} log(K1 K2).
+    """Hermitian metric h_ij = d_{z_i} d_{zbar_j} log(K1 K2), shape S + (3, 3).
 
     Positive definite with det h = 2 / (K1^2 K2^2).
     """
     z1, z2, z3 = z.z1, z.z2, z.z3
-    c1, c2, c3 = z1.conjugate(), z2.conjugate(), z3.conjugate()
+    c1, c2 = z1.conjugate(), z2.conjugate()
     K1sq, K2sq = z.K1**2, z.K2**2
     a3 = abs(z3) ** 2
     h11 = (1 + abs(z2) ** 2) / K1sq + a3 * (1 + a3) / K2sq
@@ -259,7 +307,7 @@ def flag_metric(z: FlagCoords) -> np.ndarray:
     h22 = (1 + abs(z1) ** 2) / K1sq + (1 + a3) / K2sq
     h23 = -(c1 + c2 * z3) / K2sq
     h33 = z.K1 / K2sq
-    return np.array(
+    return _matrix(
         [
             [h11, h12, h13],
             [h12.conjugate(), h22, h23],
@@ -284,7 +332,7 @@ def flag_metric_inverse_tabulated(z: FlagCoords) -> np.ndarray:
     c1, c2, c3 = z1.conjugate(), z2.conjugate(), z3.conjugate()
     K1, K2 = z.K1, z.K2
     q = K1 / K2
-    return np.array(
+    return _matrix(
         [
             [
                 K1 * (1 + abs(z1) ** 2 + q),
@@ -306,7 +354,7 @@ def flag_metric_inverse_tabulated(z: FlagCoords) -> np.ndarray:
 
 
 def flag_symplectic_matrix(z: FlagCoords) -> np.ndarray:
-    """The 6x6 real matrix of the symplectic form in (x1..x3, y1..y3).
+    """The 6x6 real matrix of the symplectic form in (x1..x3, y1..y3), shape S + (6, 6).
 
     Built from h = flag_metric(z) as [[Im h, -Re h], [Re h, Im h]]; it is
     antisymmetric and nondegenerate.  Contraction convention: the covector
@@ -318,7 +366,7 @@ def flag_symplectic_matrix(z: FlagCoords) -> np.ndarray:
 
 
 def flag_laplacian_coeffs(z: FlagCoords) -> np.ndarray:
-    """Coefficient matrix c[i, j] of d_{z_i} d_{zbar_j} in the flag Laplacian.
+    """Coefficient matrix c[i, j] of d_{z_i} d_{zbar_j} in the flag Laplacian, shape S + (3, 3).
 
     Assembled as the CP^2 part plus the fiber correction term; the (3,1)
     and (3,2) coefficients are the Hermitian conjugates of (1,3), (2,3)
@@ -328,31 +376,24 @@ def flag_laplacian_coeffs(z: FlagCoords) -> np.ndarray:
     z1, z2, z3 = z.z1, z.z2, z.z3
     c1, c2, c3 = z1.conjugate(), z2.conjugate(), z3.conjugate()
     K1, K2 = z.K1, z.K2
-    c = np.zeros((3, 3), dtype=complex)
-    # CP^2 block: (1 + delta_jk z_k zbar_j)
-    c[0, 0] = 1 + z1 * c1
-    c[0, 1] = 1
-    c[1, 0] = 1
-    c[1, 1] = 1 + z2 * c2
-    # correction term
+    # CP^2 block (1 + delta_jk z_k zbar_j) plus the correction term r (1, z3; zbar3, |z3|^2)
     r = K1**2 / K2
-    c[0, 0] += r
-    c[0, 1] += z3 * r
-    c[1, 0] += c3 * r
-    c[1, 1] += abs(z3) ** 2 * r
-    c[2, 2] = K1 * (1 + abs(z3) ** 2) + K2**2 / K1
-    c[0, 2] = (c1 + z3 * c2) * (c1 * z2 - z3 - z3 * abs(z1) ** 2)
-    c[1, 2] = (c1 + c2 * z3) * ((1 + abs(z2) ** 2) - z1 * c2 * z3)
-    c[2, 0] = c[0, 2].conjugate()
-    c[2, 1] = c[1, 2].conjugate()
-    return c
+    c13 = (c1 + z3 * c2) * (c1 * z2 - z3 - z3 * abs(z1) ** 2)
+    c23 = (c1 + c2 * z3) * ((1 + abs(z2) ** 2) - z1 * c2 * z3)
+    return _matrix(
+        [
+            [1 + z1 * c1 + r, 1 + z3 * r, c13],
+            [1 + c3 * r, 1 + z2 * c2 + abs(z3) ** 2 * r, c23],
+            [c13.conjugate(), c23.conjugate(), K1 * (1 + abs(z3) ** 2) + K2**2 / K1],
+        ]
+    )
 
 
 def flag_laplacian_reference(z: FlagCoords) -> np.ndarray:
-    """Reference coefficients 2 h^{ji} of a Kahler Laplacian.
+    """Reference coefficients 2 h^{ji} of a Kahler Laplacian, shape S + (3, 3).
 
     The tabulated flag_laplacian_coeffs do not reproduce these (the CP^2
     block differs in form); the gap is measured and reported by the
     verification suite, never asserted.
     """
-    return 2.0 * flag_metric_inverse(z).T
+    return 2.0 * flag_metric_inverse(z).swapaxes(-1, -2)

@@ -183,7 +183,7 @@ def test_criterion_10_gradient_and_sharp():
         n = int(rng.integers(1, 3))
         N = int(rng.integers(2, 5))
         sys = verify._random_cpn_system(rng, n, N, min_sep=0.3)
-        worst_grad = max(worst_grad, verify._relative_gradient_error(sys, rng))
+        worst_grad = max(worst_grad, verify._relative_gradient_error(sys))
     report(10, "analytic gradient vs central differences (relative, 50 configs)", worst_grad, 1e-6)
 
     worst_omega = 0.0

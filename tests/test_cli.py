@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cpvortex
-from cpvortex import cli, su3flag
+from cpvortex import cli, momentum, su3flag
 
 
 def write_config(path, doc):
@@ -377,3 +378,27 @@ class TestVerify:
         out = capsys.readouterr().out
         fail_line = [ln for ln in out.splitlines() if ln.startswith("FAIL") and "LU" in ln][0]
         assert "defect" in fail_line and "at k=" in fail_line
+
+    def test_momentum_gate_bites(self, capsys, monkeypatch):
+        # mu shifted by a small anti-Hermitian term along Re z1 breaks
+        # d<mu, lambda_k> = iota_{X_k} omega (a constant shift would not:
+        # the defining equation fixes mu only up to a constant)
+        flag_map = momentum.momentum_flag
+        shift = 1e-3j * np.diag([1.0, -1.0, 0.0])
+
+        def shifted(z):
+            return momentum.MomentumValue(flag_map(z).matrix + np.real(z.z1)[..., None, None] * shift, "antihermitian_flag")
+
+        monkeypatch.setattr(momentum, "momentum_flag", shifted)
+        assert cli.main(["verify", "momentum"]) == 1
+        out = capsys.readouterr().out
+        fail_line = [ln for ln in out.splitlines() if ln.startswith("FAIL") and "defining equation" in ln][0]
+        assert "at k=" in fail_line
+
+    def test_metric_gate_bites(self, capsys, monkeypatch):
+        metric = su3flag.flag_metric
+        monkeypatch.setattr(su3flag, "flag_metric", lambda z: metric(z) + 1e-3)
+        assert cli.main(["verify", "metric"]) == 1
+        out = capsys.readouterr().out
+        assert [ln for ln in out.splitlines() if ln.startswith("FAIL") and "flag metric vs potential Hessian" in ln]
+

@@ -152,7 +152,7 @@ class TestGradient:
         for _ in range(5):
             n = int(rng.integers(1, 3))
             sys = _random_cpn_system(rng, n, 3)
-            assert _relative_gradient_error(sys, rng) < 1e-6
+            assert _relative_gradient_error(sys) < 1e-6
 
     def test_symmetric_pair_gradients_opposite(self):
         a = 0.37
@@ -268,6 +268,14 @@ class TestIntegrate:
         from cpvortex.geom import geodesic_distance_cpn
 
         assert geodesic_distance_cpn(p_fine, p_adap) < 1e-7
+
+    @pytest.mark.parametrize("dt", [1e-17, 1e-9, 10.0])
+    def test_rk45_reaches_any_horizon(self, dt):
+        # the loop and underflow guards scale with t_end: a horizon below
+        # 1e-15 used to record no step at all
+        traj = integrate(cp1_pair(0.8), dt, 3, method="rk45_adaptive")
+        assert len(traj.times) >= 2
+        assert traj.times[-1] == pytest.approx(dt * 3, rel=1e-12)
 
     def test_collision_detection(self):
         # a tight counter-rotating dipole sweeps past a weak vortex closer

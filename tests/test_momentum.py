@@ -240,3 +240,43 @@ class TestWeightedMomentum:
         sys = VortexSystem.plane([0.0, 1.0], [1.0, 1.0])
         with pytest.raises(ConfigurationError):
             weighted_momentum(sys)
+
+
+def single_points(z):
+    return [FlagCoords(a, b, c) for a, b, c in zip(z.z1, z.z2, z.z3)]
+
+
+class TestBatches:
+    """The flag momentum map and its pairings take a batch of points and validate it as a whole."""
+
+    @pytest.fixture
+    def batch(self):
+        return _random_flag(np.random.default_rng(21), shape=(200,))
+
+    def test_momentum_flag_matches_per_point(self, batch):
+        # normwise per point, to 1e-15 relative
+        per_point = np.array([momentum_flag(p).matrix for p in single_points(batch)])
+        gap = np.max(np.abs(momentum_flag(batch).matrix - per_point), axis=(1, 2))
+        assert np.all(gap <= 1e-15 * np.max(np.abs(per_point), axis=(1, 2)))
+
+    def test_pairings_of_all_generators(self, batch):
+        pairings = momentum_flag_pairing(range(1, 9), batch)
+        assert pairings.shape == (8, 200)
+        points = single_points(batch)
+        for k in range(1, 9):
+            np.testing.assert_allclose(pairings[k - 1], [momentum_flag_pairing(k, p) for p in points], rtol=0, atol=1e-15)
+
+    def test_defining_equation_defects_of_a_batch(self, batch):
+        defects = defining_equation_defect(range(1, 9), batch)
+        assert defects.shape == (8, 200) and np.max(defects) < 1e-6
+        points = single_points(batch)[:20]
+        per_point = [[defining_equation_defect(k, p) for p in points] for k in (1, 5, 8)]
+        np.testing.assert_allclose(defects[[0, 4, 7], :20], per_point, rtol=0, atol=1e-14)
+
+    def test_corrupted_value_rejects_batch(self, batch):
+        m = np.array(momentum_flag(batch).matrix)
+        m[3, 0, 1] += 1e-6  # no longer anti-Hermitian, still traceless
+        with pytest.raises(DomainError):
+            MomentumValue(m, "antihermitian_flag")
+        MomentumValue(np.delete(m, 3, axis=0), "antihermitian_flag")
+

@@ -358,3 +358,66 @@ class TestLaplacian:
         z = _random_flag(rng)
         gap = np.max(np.abs(flag_laplacian_coeffs(z) - flag_laplacian_reference(z)))
         assert np.isfinite(gap)
+
+
+def assert_matches_points(batch, per_point, rel=1e-15):
+    """A batch result (M, ...) equals the stacked per-point results, normwise per point."""
+    single = np.array(per_point).reshape(len(per_point), -1)
+    gap = np.max(np.abs(np.reshape(batch, single.shape) - single), axis=1)
+    assert np.all(gap <= rel * np.max(np.abs(single), axis=1))
+
+
+def single_points(z):
+    return [FlagCoords(a, b, c) for a, b, c in zip(z.z1, z.z2, z.z3)]
+
+
+class TestBatches:
+    """Every closed form takes a batch of points; a single point is the shape-() case."""
+
+    @pytest.fixture
+    def batch(self):
+        return _random_flag(np.random.default_rng(20), shape=(200,))
+
+    def test_single_point_is_shape_empty(self):
+        z = FlagCoords(0.3, -0.2j, 1.0)
+        assert z.shape == () and isinstance(z.z1, complex) and isinstance(z.K1, float)
+        assert flag_metric(z).shape == (3, 3) and z.real_coords().shape == (6,)
+
+    def test_coordinates_and_factors(self, batch):
+        assert batch.shape == (200,)
+        assert batch.as_vector().shape == (200, 3) and batch.real_coords().shape == (200, 6)
+        points = single_points(batch)
+        assert_matches_points(np.stack([batch.K1, batch.K2], axis=-1), [(p.K1, p.K2) for p in points])
+
+    @pytest.mark.parametrize("form", [flag_metric, flag_symplectic_matrix, kahler_potential_flag])
+    def test_closed_form_matches_per_point(self, batch, form):
+        assert_matches_points(form(batch), [form(p) for p in single_points(batch)])
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_generator_field_matches_per_point(self, batch, k):
+        assert_matches_points(infinitesimal_vf(k, batch), [infinitesimal_vf(k, p) for p in single_points(batch)])
+
+    def test_bruhat_normalize_matches_per_point(self, batch):
+        g = exp_su3(5, 0.7).entries @ exp_su3(1, -0.4).entries
+        moved = g @ batch.matrix().entries
+        assert_matches_points(
+            bruhat_normalize(moved).as_vector(), [bruhat_normalize(m).as_vector() for m in moved]
+        )
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_exp_su3_matches_per_time(self, k):
+        t = np.random.default_rng(22).uniform(-3.0, 3.0, 50)
+        assert_matches_points(exp_su3(k, t).entries, [exp_su3(k, s).entries for s in t])
+
+    def test_non_finite_point_rejects_batch(self, batch):
+        z2 = np.array(batch.z2)
+        z2[117] = complex(np.nan, 0.0)
+        with pytest.raises(DomainError):
+            FlagCoords(batch.z1, z2, batch.z3)
+
+    def test_point_outside_big_cell_rejects_batch(self, batch):
+        m = np.array(batch.matrix().entries)
+        m[42] = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+        with pytest.raises(OutsideBigCellError):
+            bruhat_normalize(m)
+
