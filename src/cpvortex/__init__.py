@@ -35,13 +35,10 @@ from .geom import (
     to_chart,
 )
 from .greens import (
-    CrossSpaceSpec,
     greens_cpn,
     greens_cpn_derivative,
     greens_ode_oracle,
     greens_plane,
-    greens_sphere,
-    volume_density_cpn,
 )
 from .momentum import (
     MomentumValue,

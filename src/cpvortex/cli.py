@@ -230,7 +230,7 @@ def cmd_tabulate_greens(args) -> int:
         if args.samples < 1:
             raise DomainError("need at least one sample")
         rs = np.linspace(args.rmin, args.rmax, args.samples)
-        rows = [(r, greens.greens_cpn(args.n, r), greens.greens_cpn_derivative(args.n, r)) for r in rs]
+        rows = zip(rs, greens.greens_cpn(args.n, rs), greens.greens_cpn_derivative(args.n, rs))
     except (DomainError, SingularityError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -249,11 +249,11 @@ def defining_equation_defect(k, z: FlagCoords, h: float = 1e-5):
 
 
 def _momentum_sum(lifts: np.ndarray, strengths: np.ndarray) -> np.ndarray:
-    """sum_a Gamma_a (v_a v_a* - I/(n+1)) of unit lifts (N, n+1), or of a stack of them."""
+    """sum_a Gamma_a (v_a v_a* - I/(n+1)) of unit lifts (N, n+1) and strengths (N,), or of stacks of either."""
     size = lifts.shape[-1]
-    total = (lifts.swapaxes(-1, -2) * strengths) @ lifts.conj()
+    total = (lifts.swapaxes(-1, -2) * strengths[..., None, :]) @ lifts.conj()
     diag = np.arange(size)
-    total[..., diag, diag] -= strengths.sum() / size
+    total[..., diag, diag] -= (strengths.sum(axis=-1) / size)[..., None]
     return total
 
 

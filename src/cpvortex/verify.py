@@ -158,34 +158,29 @@ def vf_finite_difference(k: int, z: FlagCoords, h: float = 1e-5) -> np.ndarray:
 def verify_greens(seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     checks = []
+    ns = (1, 2, 3, 4)
 
-    worst = 0.0
     lo, hi = 0.05, math.pi / 2.0 - 0.05
-    for n in (1, 2, 3, 4):
-        for _ in range(100):
-            a, b = np.sort(rng.uniform(lo, hi, size=2))
-            if b - a < 1e-6:
-                b = min(hi, a + 1e-3)
-            closed = greens.greens_cpn(n, b) - greens.greens_cpn(n, a)
-            worst = max(worst, abs(greens.greens_ode_oracle(n, a, b) - closed))
+    ends = np.sort(rng.uniform(lo, hi, size=(len(ns), 100, 2)), axis=-1)
+    a, b = ends[..., 0], ends[..., 1]
+    b = np.where(b - a < 1e-6, np.minimum(hi, a + 1e-3), b)
+    worst = 0.0
+    for n, a_n, b_n in zip(ns, a, b):
+        closed = greens.greens_cpn(n, b_n) - greens.greens_cpn(n, a_n)
+        worst = max(worst, float(np.max(np.abs(greens.greens_ode_oracle(n, a_n, b_n) - closed))))
     checks.append(CheckResult("greens quadrature oracle vs closed form (n=1..4)", worst, 1e-8))
 
     worst = 0.0
     h = 1e-6
-    for n in (1, 2, 3, 4):
-        for _ in range(100):
-            r = rng.uniform(lo, hi)
-            fd = (greens.greens_radial_part(n, r + h) - greens.greens_radial_part(n, r - h)) / (2.0 * h)
-            s, c = math.sin(r), math.cos(r)
-            integrand = (1.0 - s ** (2 * n)) / (s ** (2 * n - 1) * c)
-            worst = max(worst, abs(fd - integrand) / abs(integrand))
+    for n, r in zip(ns, rng.uniform(lo, hi, size=(len(ns), 100))):
+        fd = (greens.greens_radial_part(n, r + h) - greens.greens_radial_part(n, r - h)) / (2.0 * h)
+        s, c = np.sin(r), np.cos(r)
+        integrand = (1.0 - s ** (2 * n)) / (s ** (2 * n - 1) * c)
+        worst = max(worst, float(np.max(np.abs(fd - integrand) / np.abs(integrand))))
     checks.append(CheckResult("radial antiderivative vs integrand (relative)", worst, 1e-6))
 
-    worst = -math.inf
-    for n in (1, 2, 3, 4):
-        grid = np.linspace(0.01, math.pi / 2.0, 400)
-        vals = [greens.greens_cpn(n, r) for r in grid]
-        worst = max(worst, float(np.max(np.diff(vals))))
+    grid = np.linspace(0.01, math.pi / 2.0, 400)
+    worst = max(float(np.max(np.diff(greens.greens_cpn(n, grid)))) for n in ns)
     checks.append(
         CheckResult("monotonicity: max increment of G along r (must be < 0)", worst, 0.0)
     )
@@ -215,25 +210,29 @@ def verify_momentum(seed: int = 0) -> list:
     worst, worst_at = _worst(defects.T, lambda i, k: f"k={k + 1}, {_flag_label(z, i)}")
     checks.append(CheckResult("flag momentum defining equation, k=1..8 (100 points)", worst, 1e-6, worst_at=worst_at))
 
-    worst = 0.0
-    for _ in range(20):
-        sys_pts = [geom.random_point(2, rng) for _ in range(3)]
-        gam = rng.uniform(0.5, 2.0, 3)
-        c = rng.uniform(0.5, 2.0)
-        try:
-            s1 = dynamics.VortexSystem.cpn(sys_pts, gam)
-            s2 = dynamics.VortexSystem.cpn(sys_pts, c * gam)
-        except CollisionError:
-            continue
-        lhs = momentum.weighted_momentum(s2).matrix
-        rhs = c * momentum.weighted_momentum(s1).matrix
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    draws = [(_random_lifts(rng, 2, 3), rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0)) for _ in range(20)]
+    lifts, gam, c = (np.array(x) for x in zip(*draws))
+    lhs = momentum._momentum_sum(lifts, c[:, None] * gam)
+    rhs = c[:, None, None] * momentum._momentum_sum(lifts, gam)
+    worst = float(np.max(np.linalg.norm(lhs - rhs, axis=(-2, -1))))
     checks.append(CheckResult("weighted momentum linearity in strengths", worst, 1e-14))
 
     z = _random_flag(rng, shape=(50,))
     m = momentum.momentum_flag(z).matrix
     worst_ah = float(np.max(np.linalg.norm(m - momentum.momentum_flag_tabulated(z, "antihermitian"), axis=(-2, -1))))
     worst_rd = float(np.max(np.linalg.norm(m - momentum.momentum_flag_tabulated(z, "real_diagonal"), axis=(-2, -1))))
+
+    # mu(g z) = g mu(z) g* for g = exp(t lambda_k): the defining equation fixes mu only up to a
+    # constant, and the only Ad-invariant element of su(3) is 0, so this pins the constant.
+    # Row 0 of the stack is z itself, so one normalization and one mu evaluation serve all.
+    z = _random_flag(rng, shape=(50,))
+    u = np.stack([su3flag.exp_su3(k, t).entries for k, t in enumerate(rng.uniform(-2.0, 2.0, (8, 50)), start=1)])
+    zm = z.matrix().entries
+    mu = momentum.momentum_flag(su3flag.bruhat_normalize(np.concatenate([zm[None], u @ zm]))).matrix
+    defects = np.linalg.norm(mu[1:] - u @ mu[0] @ u.conj().swapaxes(-1, -2), axis=(-2, -1))  # (8, 50)
+    worst, worst_at = _worst(defects.T, lambda i, k: f"k={k + 1}, {_flag_label(z, i)}")
+    checks.append(CheckResult("flag momentum equivariance, k=1..8 (50 points)", worst, 1e-10, worst_at=worst_at))
+
     checks.append(
         CheckResult(
             "anti-Hermitian entry table vs defining-equation solution",
@@ -534,8 +533,8 @@ def verify_dynamics(seed: int = 0) -> list:
 
     plan = _random_planar_system(rng, 3)
     traj = dynamics.integrate(plan, dt, steps, method="rk4")
-    inv0 = np.array(dynamics.planar_conserved(traj.states[0]))
-    drift = max(float(np.max(np.abs(np.array(dynamics.planar_conserved(s)) - inv0))) for s in traj.states)
+    inv = np.array(dynamics._planar_impulses(traj.positions, np.asarray(plan.strengths)))  # (3, steps + 1)
+    drift = float(np.max(np.abs(inv - inv[:, :1])))
     checks.append(CheckResult("planar invariants p_x, p_y, m drift", drift, 1e-9))
 
     sep_sys = _random_cpn_system(rng, 1, 2, min_sep=0.5)

@@ -147,12 +147,27 @@ print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy")
 sys.exit(code)
 """
 
+VERIFY_GREENS_AND_LIST_SCIPY = """
+import json, sys
+import cpvortex.cli
+code = cpvortex.cli.main(["verify", "greens"])
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+sys.exit(code)
+"""
+
 
 def run_python(*args, timeout=120):
     """Run a fresh interpreter on ``args`` with this package's source on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(cpvortex.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_verify_greens_loads_no_scipy():
+    # the Green's quadrature oracle runs on NumPy alone
+    proc = run_python("-c", VERIFY_GREENS_AND_LIST_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_simulate_loads_no_scipy(tmp_path):
@@ -393,6 +408,18 @@ class TestVerify:
         assert cli.main(["verify", "momentum"]) == 1
         out = capsys.readouterr().out
         fail_line = [ln for ln in out.splitlines() if ln.startswith("FAIL") and "defining equation" in ln][0]
+        assert "at k=" in fail_line
+
+    def test_momentum_constant_gate_bites(self, capsys, monkeypatch):
+        # a constant shift of mu leaves the defining equation intact; equivariance pins it
+        flag_map = momentum.momentum_flag
+        shift = 1e-3j * np.diag([1.0, -1.0, 0.0])
+        monkeypatch.setattr(
+            momentum, "momentum_flag", lambda z: momentum.MomentumValue(flag_map(z).matrix + shift, "antihermitian_flag")
+        )
+        assert cli.main(["verify", "momentum"]) == 1
+        out = capsys.readouterr().out
+        fail_line = [ln for ln in out.splitlines() if ln.startswith("FAIL") and "flag momentum equivariance" in ln][0]
         assert "at k=" in fail_line
 
     def test_metric_gate_bites(self, capsys, monkeypatch):

@@ -3,56 +3,30 @@ import math
 import numpy as np
 import pytest
 
+from cpvortex import greens
 from cpvortex.dynamics import VortexSystem, hamiltonian_cpn
-from cpvortex.errors import DomainError, SingularityError
+from cpvortex.errors import DomainError, OracleError, SingularityError
 from cpvortex.geom import AffineChart, ProjectivePoint, from_chart, fubini_study_metric, geodesic_distance_cpn
 from cpvortex.greens import (
-    CrossSpaceSpec,
+    DIAMETER,
     cpn_volume,
     greens_cpn,
     greens_cpn_derivative,
     greens_ode_oracle,
     greens_plane,
     greens_radial_part,
-    greens_sphere,
-    volume_density_cpn,
 )
 
 
-class TestCrossSpaceSpec:
-    def test_constants(self):
-        spec = CrossSpaceSpec(2)
-        assert spec.volume == pytest.approx(math.pi**2 / 2)
-        assert spec.diameter == math.pi / 2
+class TestGreensCpn:
+    def test_volume_and_diameter(self):
+        assert cpn_volume(2) == pytest.approx(math.pi**2 / 2)
+        assert DIAMETER == math.pi / 2
 
     def test_bad_n(self):
         with pytest.raises(DomainError):
-            CrossSpaceSpec(0)
+            greens_cpn(0, 1.0)
 
-
-class TestVolumeDensity:
-    def test_n1_quarter_pi(self):
-        # 2 sin(pi/4) cos(pi/4) = sin(pi/2) = 1
-        assert volume_density_cpn(1, math.pi / 4) == pytest.approx(1.0, rel=1e-14)
-
-    def test_vanishes_at_diameter(self):
-        assert volume_density_cpn(1, math.pi / 2 - 1e-8) < 1e-7
-
-    def test_n2_quarter_pi(self):
-        assert volume_density_cpn(2, math.pi / 4) == pytest.approx(8.0 / math.pi, rel=1e-14)
-
-    def test_positive_on_open_interval(self):
-        for n in (1, 2, 3):
-            for r in np.linspace(0.01, math.pi / 2 - 0.01, 50):
-                assert volume_density_cpn(n, r) > 0
-
-    @pytest.mark.parametrize("r", [0.0, -0.1, math.pi / 2, 2.0])
-    def test_domain(self, r):
-        with pytest.raises(DomainError):
-            volume_density_cpn(2, r)
-
-
-class TestGreensCpn:
     def test_n1_at_diameter(self):
         assert greens_cpn(1, math.pi / 2) == 0.0
 
@@ -206,20 +180,58 @@ class TestPlane:
             greens_plane([1.0, 2.0], [1.0, 2.0])
 
 
-class TestSphere:
-    def test_equator(self):
-        assert greens_sphere(math.pi / 2) == pytest.approx(0.0, abs=1e-16)
+class TestBatches:
+    """The closed forms are elementwise in r and the oracle in its intervals; a batch equals its scalar calls."""
 
-    def test_antipodal(self):
-        assert greens_sphere(math.pi) == pytest.approx(math.log(2.0) / (2.0 * math.pi), rel=1e-14)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_oracle_matches_scalar_calls(self, n):
+        rng = np.random.default_rng(n)
+        a, b = np.sort(rng.uniform(0.05, math.pi / 2 - 0.05, (2, 50)), axis=0)
+        b[:5] = a[:5]  # empty intervals give 0 inside a batch too
+        batch = greens_ode_oracle(n, a, b)
+        assert batch.shape == (50,)
+        scalar = np.array([greens_ode_oracle(n, x, y) for x, y in zip(a, b)])
+        assert np.all(batch[:5] == 0.0)
+        np.testing.assert_allclose(batch, scalar, rtol=1e-15, atol=0.0)
 
-    def test_sixty_degrees(self):
-        assert greens_sphere(math.pi / 3) == pytest.approx(-math.log(2.0) / (2.0 * math.pi), rel=1e-14)
+    def test_oracle_broadcasts(self):
+        a = np.array([[0.1], [0.2]])
+        b = np.array([0.5, 0.9, 1.3])
+        out = greens_ode_oracle(2, a, b)
+        assert out.shape == (2, 3)
+        assert out[1, 2] == pytest.approx(greens_ode_oracle(2, 0.2, 1.3), rel=1e-15)
 
-    def test_singularity(self):
-        with pytest.raises(SingularityError):
-            greens_sphere(0.0)
+    def test_oracle_unreachable_target(self, monkeypatch):
+        monkeypatch.setattr(greens, "_ODE_ORACLE_TARGET", 1e-20)
+        with pytest.raises(OracleError) as info:
+            greens_ode_oracle(3, np.array([0.3, 0.05]), np.array([0.9, 1.2]))
+        assert info.value.achieved > 1e-18
 
-    def test_beyond_pi(self):
+    def test_oracle_subinterval_limit(self, monkeypatch):
+        monkeypatch.setattr(greens, "_ODE_ORACLE_LIMIT", 2)
+        with pytest.raises(OracleError, match="more than 2 subintervals"):
+            greens_ode_oracle(4, np.array([0.5, 0.05]), np.array([0.6, 1.2]))
+
+    def test_oracle_rejects_any_bad_interval(self):
+        a = np.array([0.1, 0.2, 0.9])
+        b = np.array([0.5, 0.6, 0.2])
         with pytest.raises(DomainError):
-            greens_sphere(3.5)
+            greens_ode_oracle(2, a, b)
+
+    @pytest.mark.parametrize("f", [greens_cpn, greens_cpn_derivative])
+    def test_closed_forms_match_scalar_calls(self, f):
+        r = np.linspace(0.01, math.pi / 2, 200)
+        for n in (1, 2, 3, 4):
+            batch = f(n, r)
+            assert batch.shape == r.shape
+            scalar = np.array([f(n, x) for x in r])
+            np.testing.assert_allclose(batch, scalar, rtol=1e-15, atol=0.0)
+            assert isinstance(f(n, 0.7), float)
+
+    @pytest.mark.parametrize("f", [greens_cpn, greens_cpn_derivative])
+    @pytest.mark.parametrize("bad, error", [(0.0, SingularityError), (-0.2, SingularityError), (1.6, DomainError)])
+    def test_closed_forms_reject_any_bad_element(self, f, bad, error):
+        r = np.linspace(0.1, 1.5, 9)
+        r[4] = bad
+        with pytest.raises(error):
+            f(2, r)

@@ -12,11 +12,6 @@ def raise_type_error(points, strengths):
 class TestOnlyCollisionsAreSkipped:
     """A verify helper may skip a draw only on a collision; every other error reaches the caller."""
 
-    def test_momentum_linearity_gate(self, monkeypatch):
-        monkeypatch.setattr(dynamics.VortexSystem, "cpn", staticmethod(raise_type_error))
-        with pytest.raises(TypeError):
-            verify.verify_momentum()
-
     def test_random_cpn_system(self, monkeypatch):
         calls = []
 
