@@ -39,6 +39,7 @@ from .greens import (
     greens_cpn_derivative,
     greens_ode_oracle,
     greens_plane,
+    volume_density_cpn,
 )
 from .momentum import (
     MomentumValue,

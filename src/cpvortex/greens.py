@@ -16,7 +16,8 @@ quadrature oracle integrates phi' numerically and is the independent check
 of the closed form: only *differences* of G are compared, so the free
 integration constant never enters.
 
-Every function here is elementwise in r (a scalar r gives a float), and
+The Green's function, its derivative and its profile are elementwise in
+r (a scalar r gives a float; `volume_density_cpn` takes a scalar only), and
 the oracle integrates a whole array of intervals at once, so the module
 needs NumPy only.
 """
@@ -38,6 +39,7 @@ __all__ = [
     "greens_plane",
     "greens_radial_part",
     "greens_radial_slope",
+    "volume_density_cpn",
 ]
 
 DIAMETER = math.pi / 2.0
@@ -57,6 +59,18 @@ def greens_constant(n: int) -> float:
 def _check_n(n: int):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
+
+
+def volume_density_cpn(n: int, r: float) -> float:
+    """Volume density of geodesic polar coordinates on CP^n.
+
+    V(r) = 2^{2n-1} sin^{2n-1}(r) cos(r) / r^{n-1}, strictly positive on
+    the open interval (0, pi/2).
+    """
+    _check_n(n)
+    if not 0.0 < r < DIAMETER:
+        raise DomainError(f"r must lie in (0, pi/2), got {r}")
+    return 2.0 ** (2 * n - 1) * math.sin(r) ** (2 * n - 1) * math.cos(r) / r ** (n - 1)
 
 
 def _distances(n: int, r, what: str) -> np.ndarray:

@@ -15,7 +15,30 @@ from cpvortex.greens import (
     greens_ode_oracle,
     greens_plane,
     greens_radial_part,
+    volume_density_cpn,
 )
+
+
+class TestVolumeDensity:
+    def test_n1_quarter_pi(self):
+        # 2 sin(pi/4) cos(pi/4) = sin(pi/2) = 1
+        assert volume_density_cpn(1, math.pi / 4) == pytest.approx(1.0, rel=1e-14)
+
+    def test_vanishes_at_diameter(self):
+        assert volume_density_cpn(1, math.pi / 2 - 1e-8) < 1e-7
+
+    def test_n2_quarter_pi(self):
+        assert volume_density_cpn(2, math.pi / 4) == pytest.approx(8.0 / math.pi, rel=1e-14)
+
+    def test_positive_on_open_interval(self):
+        for n in (1, 2, 3):
+            for r in np.linspace(0.01, math.pi / 2 - 0.01, 50):
+                assert volume_density_cpn(n, r) > 0
+
+    @pytest.mark.parametrize("r", [0.0, -0.1, math.pi / 2, 2.0])
+    def test_domain(self, r):
+        with pytest.raises(DomainError):
+            volume_density_cpn(2, r)
 
 
 class TestGreensCpn:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpvortex import dynamics, verify
+from cpvortex import dynamics, momentum, verify
 from cpvortex.errors import CollisionError
 
 
@@ -11,6 +11,11 @@ def raise_type_error(points, strengths):
 
 class TestOnlyCollisionsAreSkipped:
     """A verify helper may skip a draw only on a collision; every other error reaches the caller."""
+
+    def test_momentum_linearity_gate(self, monkeypatch):
+        monkeypatch.setattr(momentum, "_momentum_sum", raise_type_error)
+        with pytest.raises(TypeError):
+            verify.verify_momentum()
 
     def test_random_cpn_system(self, monkeypatch):
         calls = []
