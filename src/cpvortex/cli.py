@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -253,18 +254,25 @@ def cmd_tabulate_momentum(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Each subcommand stores the name of its handler, not the function, and
+    main looks that name up in this module on every call, so a wrapped or
+    patched cmd_* is the one that runs.
+    """
     parser = argparse.ArgumentParser(prog="cpvortex", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run a vortex simulation from a JSON config")
     p_sim.add_argument("config", help="path to the JSON run configuration")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(handler="cmd_simulate")
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(handler="cmd_verify")
 
     p_tab = sub.add_parser("tabulate", help="emit tabulated values as CSV / text")
     tab_sub = p_tab.add_subparsers(dest="what", required=True)
@@ -274,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_g.add_argument("--samples", type=int, default=10)
     p_g.add_argument("--rmin", type=float, default=0.1)
     p_g.add_argument("--rmax", type=float, default=math.pi / 2)
-    p_g.set_defaults(func=cmd_tabulate_greens)
+    p_g.set_defaults(handler="cmd_tabulate_greens")
 
     p_m = tab_sub.add_parser("momentum", help="flag momentum matrix at (z1, z2, z3)")
     p_m.add_argument("--z1", default="0", help="complex literal, e.g. '0.5+0.3j'")
     p_m.add_argument("--z2", default="0")
     p_m.add_argument("--z3", default="0")
-    p_m.set_defaults(func=cmd_tabulate_momentum)
+    p_m.set_defaults(handler="cmd_tabulate_momentum")
 
     return parser
 
@@ -288,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except CpvortexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

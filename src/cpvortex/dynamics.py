@@ -47,7 +47,7 @@ from .geom import (
     pivot_threshold,
     to_chart,
 )
-from .greens import greens_constant, greens_radial_part, greens_radial_slope
+from .greens import PLANE_CONSTANT, greens_constant, greens_radial_part, greens_radial_slope
 from .momentum import _momentum_sum
 
 __all__ = [
@@ -179,7 +179,7 @@ def _pair_energy(n: int, g: np.ndarray, i, j, r: np.ndarray):
     """H from the pair separations r (each unordered pair once)."""
     weights = g[i] * g[j]
     if n == 0:
-        return (np.log(r) @ weights) * (-1.0 / (2.0 * math.pi))
+        return (np.log(r) @ weights) * PLANE_CONSTANT
     return greens_constant(n) * (greens_radial_part(n, r) @ weights)
 
 

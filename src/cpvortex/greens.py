@@ -44,6 +44,10 @@ __all__ = [
 
 DIAMETER = math.pi / 2.0
 
+# -1/(2 pi): the planar Green's function is PLANE_CONSTANT log|x - y|, and the
+# planar vortex energy takes its constant from here
+PLANE_CONSTANT = -1.0 / (2.0 * math.pi)
+
 
 def cpn_volume(n: int) -> float:
     """Riemannian volume of CP^n, pi^n / n!."""
@@ -194,4 +198,4 @@ def greens_plane(x, y) -> float:
     d = float(np.hypot(x[0] - y[0], x[1] - y[1]))
     if d == 0.0:
         raise SingularityError("coincident points")
-    return -math.log(d) / (2.0 * math.pi)
+    return PLANE_CONSTANT * math.log(d)

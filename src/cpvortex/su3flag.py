@@ -69,17 +69,31 @@ _LAMBDA.flags.writeable = False
 def _matrix(rows) -> np.ndarray:
     """Square matrices from a nested list of entries that broadcast together: shape S + (m, m)."""
     entries = [e for row in rows for e in row]
-    if not any(isinstance(e, np.ndarray) and e.ndim for e in entries):
+    shape = np.broadcast(*entries).shape
+    if not shape:
         return np.array(rows)
-    entries = np.broadcast_arrays(*entries)
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (len(rows), len(rows)))
+    out = np.empty(shape + (len(rows), len(rows)), np.result_type(*entries))
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            out[..., i, j] = e
+    return out
 
 
 def _vector(*entries) -> np.ndarray:
     """Vectors from entries that broadcast together: shape S + (len(entries),)."""
-    if not any(isinstance(e, np.ndarray) and e.ndim for e in entries):
+    shape = np.broadcast(*entries).shape
+    if not shape:
         return np.array(entries)
-    return np.stack(np.broadcast_arrays(*entries), axis=-1)
+    out = np.empty(shape + (len(entries),), np.result_type(*entries))
+    for i, e in enumerate(entries):
+        out[..., i] = e
+    return out
+
+
+def _squared_norm(a: np.ndarray, axes: int) -> np.ndarray:
+    """Sum of |a|^2 over the last ``axes`` axes: the squared Frobenius (or Euclidean) norm."""
+    a = a.reshape(a.shape[: a.ndim - axes] + (math.prod(a.shape[a.ndim - axes :]),))
+    return np.vecdot(a, a).real
 
 
 @dataclass(frozen=True)
@@ -102,18 +116,19 @@ class Su3Matrix:
             raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
+        tol2 = self._TOL**2
         if self.role == "unitary":
-            if np.any(np.linalg.norm(m @ m.conj().swapaxes(-1, -2) - np.eye(3), axis=(-2, -1)) > self._TOL):
+            if (_squared_norm(m @ m.conj().swapaxes(-1, -2) - np.eye(3), 2) > tol2).any():
                 raise DomainError("matrix is not unitary within 1e-12")
         elif self.role == "antihermitian_traceless":
-            if np.any(np.linalg.norm(m + m.conj().swapaxes(-1, -2), axis=(-2, -1)) > self._TOL) or np.any(
+            if (_squared_norm(m + m.conj().swapaxes(-1, -2), 2) > tol2).any() or (
                 np.abs(np.trace(m, axis1=-2, axis2=-1)) > self._TOL
-            ):
+            ).any():
                 raise DomainError("matrix is not anti-Hermitian traceless within 1e-12")
         elif self.role == "unit_lower_triangular":
-            if np.any(np.linalg.norm(np.triu(m, 1), axis=(-2, -1)) > self._TOL) or np.any(
-                np.linalg.norm(np.diagonal(m, axis1=-2, axis2=-1) - 1.0, axis=-1) > self._TOL
-            ):
+            if (_squared_norm(m[..., [0, 0, 1], [1, 2, 2]], 1) > tol2).any() or (
+                _squared_norm(np.diagonal(m, axis1=-2, axis2=-1) - 1.0, 1) > tol2
+            ).any():
                 raise DomainError("matrix is not unit lower triangular within 1e-12")
         elif self.role != "general":
             raise DomainError(f"unknown role {self.role!r}")

@@ -147,10 +147,10 @@ print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy")
 sys.exit(code)
 """
 
-VERIFY_GREENS_AND_LIST_SCIPY = """
+VERIFY_AND_LIST_SCIPY = """
 import json, sys
 import cpvortex.cli
-code = cpvortex.cli.main(["verify", "greens"])
+code = cpvortex.cli.main(["verify", sys.argv[1]])
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
 sys.exit(code)
 """
@@ -165,17 +165,31 @@ def run_python(*args, timeout=120):
 
 def test_verify_greens_loads_no_scipy():
     # the Green's quadrature oracle runs on NumPy alone
-    proc = run_python("-c", VERIFY_GREENS_AND_LIST_SCIPY)
+    proc = run_python("-c", VERIFY_AND_LIST_SCIPY, "greens")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_verify_vectorfields_loads_no_scipy():
+    # the exponential oracle is a NumPy eigendecomposition, not scipy.linalg.expm
+    proc = run_python("-c", VERIFY_AND_LIST_SCIPY, "vectorfields")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_simulate_loads_no_scipy(tmp_path):
-    # SciPy serves only the quadrature and expm oracles; start-up and runs must not pay for it
+    # the package imports no SciPy; start-up and runs must not pay for it
     doc = dict(CP2_TRIO, outputs={"trajectory_path": str(tmp_path / "t.csv"), "monitor_path": str(tmp_path / "m.csv")})
     proc = run_python("-c", SIMULATE_AND_LIST_SCIPY, write_config(tmp_path / "cfg.json", doc))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_parser_built_once_handlers_looked_up_per_call(monkeypatch):
+    # the cached parser names its handlers, so a cmd_* patched (or traced) after it was built still runs
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+    assert cli.main(["verify", "greens"]) == 7
 
 
 ADAPTIVE_OVERFLOW = """
@@ -393,6 +407,15 @@ class TestVerify:
         out = capsys.readouterr().out
         fail_line = [ln for ln in out.splitlines() if ln.startswith("FAIL") and "LU" in ln][0]
         assert "defect" in fail_line and "at k=" in fail_line
+
+    def test_exponential_gate_bites(self, capsys, monkeypatch):
+        # exp(1.001 t lambda_5) still obeys the subgroup law; the spectral oracle must catch it
+        closed = su3flag.exp_su3
+        monkeypatch.setattr(su3flag, "exp_su3", lambda k, t: closed(k, 1.001 * np.asarray(t) if k == 5 else t))
+        assert cli.main(["verify", "vectorfields"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("FAIL") and "closed-form exponentials" in ln]
+        assert [ln for ln in lines if ln.startswith("PASS") and "one-parameter subgroup law" in ln]
 
     def test_momentum_gate_bites(self, capsys, monkeypatch):
         # mu shifted by a small anti-Hermitian term along Re z1 breaks

@@ -23,7 +23,7 @@ from cpvortex.su3flag import (
     infinitesimal_vf,
     kahler_potential_flag,
 )
-from cpvortex.verify import _random_flag, vf_finite_difference, wirtinger_hessian
+from cpvortex.verify import _random_flag, spectral_exponential, vf_finite_difference, wirtinger_hessian
 
 
 class TestGellMann:
@@ -122,6 +122,15 @@ class TestExp:
         for k in range(1, 9):
             t = rng.uniform(-4, 4)
             assert np.linalg.norm(exp_su3(k, t).entries - expm(t * gell_mann(k).entries)) < 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_spectral_oracle_matches_expm(self, k):
+        # the verify suite's exponential oracle, against SciPy's Pade scaling and squaring
+        t = np.random.default_rng(k).uniform(-4, 4, 10)
+        spectral = spectral_exponential(k, t)
+        assert spectral.shape == (10, 3, 3)
+        for tt, u in zip(t, spectral):
+            assert np.linalg.norm(u - expm(tt * gell_mann(k).entries)) < 1e-14
 
 
 class TestBruhat:
