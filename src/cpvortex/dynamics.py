@@ -29,24 +29,14 @@ makes Omega(X, Y) = dH(Y) hold with positive sign (checked by a self-test).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollisionError, ConfigurationError, NumericError
-from .geom import (
-    AffineChart,
-    ProjectivePoint,
-    _lift_distance,
-    best_chart_index,
-    fubini_study_metric,
-    pivot_threshold,
-    to_chart,
-)
+from .errors import ChartDegenerateError, CollisionError, ConfigurationError, NumericError
+from .geom import MIN_PIVOT, AffineChart, ProjectivePoint, _lift_distance, fubini_study_metric, pivot_threshold
 from .greens import PLANE_CONSTANT, greens_constant, greens_radial_part, greens_radial_slope
 from .momentum import _momentum_sum
 
@@ -87,57 +77,65 @@ _OMEGA_SAMPLES = 10
 hamiltonian_prefactor = greens_constant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VortexSystem:
-    """N point vortices with nonzero strengths on a single manifold.
+    """N point vortices with nonzero strengths on a single manifold, held as arrays.
 
-    ``manifold`` is "plane" (positions: complex numbers) or "cpn"
-    (positions: ProjectivePoint of common dimension ``n``).  Pairwise
+    ``manifold`` is "plane" (``positions``: complex array (N,)) or "cpn"
+    (``positions``: unit lifts (N, n+1) of points of CP^n); ``strengths``
+    is a float array (N,).  Both are read-only copies of the input; lifts
+    must have unit norm within 1e-10 and are never renormalized.  Pairwise
     separations must exceed COLLISION_THRESHOLD.
     """
 
     manifold: str
-    positions: tuple
-    strengths: tuple
+    positions: np.ndarray
+    strengths: np.ndarray
     n: int = 0
 
     def __post_init__(self):
         if self.manifold not in ("plane", "cpn"):
             raise ConfigurationError(f"manifold must be 'plane' or 'cpn', got {self.manifold!r}")
-        positions = tuple(self.positions)
-        strengths = tuple(float(g) for g in self.strengths)
-        if len(positions) < 1 or len(positions) != len(strengths):
-            raise ConfigurationError("need N >= 1 positions with matching strengths")
-        if any(g == 0.0 or not math.isfinite(g) for g in strengths):
-            raise ConfigurationError("all strengths must be finite and nonzero")
+        x = np.array(self.positions, dtype=complex)
+        g = np.array(self.strengths, dtype=float)
         if self.manifold == "plane":
-            positions = tuple(complex(p) for p in positions)
-            if not all(cmath.isfinite(p) for p in positions):
-                raise ConfigurationError("planar positions must be finite")
             if self.n != 0:
                 raise ConfigurationError("planar systems have no projective dimension")
-        else:
-            if not all(isinstance(p, ProjectivePoint) for p in positions):
-                raise ConfigurationError("cpn positions must be ProjectivePoint instances")
-            dims = {p.n for p in positions}
-            if len(dims) != 1 or dims != {self.n}:
-                raise ConfigurationError(f"all positions must lie on CP^{self.n}, got dimensions {sorted(dims)}")
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "strengths", strengths)
-        d = min_pairwise_distance(self)
-        if d < COLLISION_THRESHOLD:
-            raise CollisionError(f"minimum pairwise separation {d:.3e} below collision threshold")
+            if x.ndim != 1:
+                raise ConfigurationError(f"planar positions must be complex numbers (N,), got shape {x.shape}")
+        elif x.ndim != 2 or self.n < 1 or x.shape[1] != self.n + 1:
+            raise ConfigurationError(f"cpn positions must be unit lifts (N, n+1), got shape {x.shape} for n = {self.n}")
+        if len(x) < 1 or g.shape != x.shape[:1]:
+            raise ConfigurationError("need N >= 1 positions with matching strengths")
+        if not (np.isfinite(g).all() and g.all()):
+            raise ConfigurationError("all strengths must be finite and nonzero")
+        if not np.isfinite(x).all():
+            raise ConfigurationError("positions must be finite")
+        if self.n and np.any(np.abs(np.linalg.norm(x, axis=1) - 1.0) > 1e-10):
+            raise ConfigurationError("cpn positions must be unit lifts (norm 1 within 1e-10)")
+        x.flags.writeable = g.flags.writeable = False
+        object.__setattr__(self, "positions", x)
+        object.__setattr__(self, "strengths", g)
+        pairs = _pairs(len(x))
+        r = _separations(x, self.n, *pairs)
+        if r.size and r.min() < COLLISION_THRESHOLD:
+            raise _collision(pairs, r)
 
     @classmethod
     def plane(cls, positions, strengths) -> "VortexSystem":
-        return cls("plane", tuple(positions), tuple(strengths))
+        return cls("plane", positions, strengths)
 
     @classmethod
     def cpn(cls, points, strengths) -> "VortexSystem":
-        points = tuple(points)
-        if not points:
-            raise ConfigurationError("need at least one vortex")
-        return cls("cpn", points, tuple(strengths), n=points[0].n)
+        """A CP^n system from ProjectivePoints of one dimension, or from unit lifts (N, n+1)."""
+        points = list(points)
+        if points and all(isinstance(p, ProjectivePoint) for p in points):
+            dims = sorted({p.n for p in points})
+            if len(dims) != 1:
+                raise ConfigurationError(f"all positions must lie on one CP^n, got dimensions {dims}")
+            points = [p.coords for p in points]
+        lifts = np.asarray(points, dtype=complex)
+        return cls("cpn", lifts, strengths, n=lifts.shape[-1] - 1)
 
     @property
     def size(self) -> int:
@@ -150,18 +148,16 @@ class VortexSystem:
 # take a stack of states along leading axes.
 
 
-def _arrays(system: VortexSystem):
-    """(x, strengths) of a system as arrays."""
-    g = np.asarray(system.strengths)
-    if system.manifold == "plane":
-        return np.asarray(system.positions, dtype=complex), g
-    return np.array([p.coords for p in system.positions]), g
-
-
 def _pairs(N: int):
     """Index arrays (i, j) of the N (N - 1) / 2 vortex pairs i < j."""
     k = np.arange(N)
     return np.nonzero(k[:, None] < k)
+
+
+def _collision(pairs, r: np.ndarray, step_index=None) -> CollisionError:
+    """CollisionError naming the closest of the pairs (i, j), given their separations r."""
+    p = int(np.argmin(r))
+    return CollisionError(f"vortices {pairs[0][p]} and {pairs[1][p]} at separation {r[p]:.3e}", step_index=step_index)
 
 
 def _separations(x: np.ndarray, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -199,7 +195,7 @@ def _planar_rhs(z: np.ndarray, g: np.ndarray) -> np.ndarray:
     diff.ravel()[:: len(z) + 1] = 1.0
     inv = 1.0 / diff
     inv.ravel()[:: len(z) + 1] = 0.0
-    return (inv @ g).conj() * (1.0j / (2.0 * math.pi))
+    return (inv @ g).conj() * (-1.0j * PLANE_CONSTANT)
 
 
 def _cpn_rhs(v: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
@@ -215,15 +211,13 @@ def _cpn_rhs(v: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
 
 
 def _energy(system: VortexSystem) -> float:
-    x, g = _arrays(system)
     i, j = _pairs(system.size)
-    return float(_pair_energy(system.n, g, i, j, _separations(x, system.n, i, j)))
+    return float(_pair_energy(system.n, system.strengths, i, j, _separations(system.positions, system.n, i, j)))
 
 
 def min_pairwise_distance(system: VortexSystem) -> float:
     """Smallest pairwise separation (Euclidean or geodesic); inf for N = 1."""
-    x, _ = _arrays(system)
-    r = _separations(x, system.n, *_pairs(system.size))
+    r = _separations(system.positions, system.n, *_pairs(system.size))
     return float(r.min()) if r.size else math.inf
 
 
@@ -235,12 +229,12 @@ def planar_rhs(system: VortexSystem) -> np.ndarray:
     """Velocities dz_j/dt of the planar model (conjugated pair sum)."""
     if system.manifold != "plane":
         raise ConfigurationError("planar_rhs needs a planar system")
-    return _planar_rhs(*_arrays(system))
+    return _planar_rhs(system.positions, system.strengths)
 
 
 def planar_conserved(system: VortexSystem):
     """The three planar invariants (p_x, p_y, m)."""
-    return tuple(float(p) for p in _planar_impulses(*_arrays(system)))
+    return tuple(float(p) for p in _planar_impulses(system.positions, system.strengths))
 
 
 def planar_hamiltonian(system: VortexSystem) -> float:
@@ -262,16 +256,28 @@ def hamiltonian_cpn(system: VortexSystem) -> float:
     return _energy(system)
 
 
-def _default_charts(system: VortexSystem):
-    return [best_chart_index(p) for p in system.positions]
+def _default_charts(lifts: np.ndarray) -> np.ndarray:
+    """Per lift, the index of its largest-magnitude coordinate."""
+    return np.abs(lifts).argmax(axis=-1)
 
 
 def _lift(chart_index: int, w: np.ndarray) -> np.ndarray:
     return np.insert(w, chart_index, 1.0 + 0.0j)
 
 
-def _chart_values(system: VortexSystem, charts) -> list:
-    return [to_chart(p, c).values.copy() for p, c in zip(system.positions, charts)]
+def _chart_values(lifts: np.ndarray, charts) -> np.ndarray:
+    """Affine chart values (..., n) of lifts (..., n+1): each lift without its pivot
+    coordinate charts[...], divided by the pivot.  Raises ChartDegenerateError
+    when a pivot is numerically unusable (|pivot| <= MIN_PIVOT), as to_chart does."""
+    charts = np.asarray(charts)
+    size = lifts.shape[-1]
+    rest = np.array([[i for i in range(size) if i != c] for c in range(size)])
+    pivots = np.take_along_axis(lifts, charts[..., None], axis=-1)
+    if np.any(np.abs(pivots) <= MIN_PIVOT):
+        raise ChartDegenerateError(
+            f"pivot magnitude {np.abs(pivots).min():.3e} below {MIN_PIVOT}; pick another chart"
+        )
+    return np.take_along_axis(lifts, rest[charts], axis=-1) / pivots
 
 
 def _grad_from_lifts(n, charts, ws, strengths):
@@ -315,15 +321,15 @@ def grad_hamiltonian(system: VortexSystem, charts=None):
     if system.manifold != "cpn":
         raise ConfigurationError("grad_hamiltonian needs a cpn system")
     if charts is None:
-        charts = _default_charts(system)
-    ws = _chart_values(system, charts)
+        charts = _default_charts(system.positions).tolist()
+    ws = _chart_values(system.positions, charts)
     grads = _grad_from_lifts(system.n, charts, ws, system.strengths)
     return list(zip(charts, grads))
 
 
 def _sharp(system: VortexSystem, charts):
     """Per vortex (symplectic matrix W, gradient, velocity) with Gamma W velocity = gradient."""
-    ws = _chart_values(system, charts)
+    ws = _chart_values(system.positions, charts)
     grads = _grad_from_lifts(system.n, charts, ws, system.strengths)
     out = []
     for c, w, grad, gamma in zip(charts, ws, grads, system.strengths):
@@ -343,7 +349,7 @@ def hamiltonian_vector_field(system: VortexSystem, charts=None):
     if system.manifold != "cpn":
         raise ConfigurationError("hamiltonian_vector_field needs a cpn system")
     if charts is None:
-        charts = _default_charts(system)
+        charts = _default_charts(system.positions).tolist()
     return [(c, vel) for c, (_, _, vel) in zip(charts, _sharp(system, charts))]
 
 
@@ -356,7 +362,7 @@ def omega_identity_defect(system: VortexSystem, rng=None) -> float:
     """
     rng = np.random.default_rng(0) if rng is None else rng
     worst = 0.0
-    for (W, grad, vel), gamma in zip(_sharp(system, _default_charts(system)), system.strengths):
+    for (W, grad, vel), gamma in zip(_sharp(system, _default_charts(system.positions)), system.strengths):
         for _ in range(_OMEGA_SAMPLES):
             y = rng.standard_normal(2 * system.n)
             y /= np.linalg.norm(y)
@@ -368,36 +374,14 @@ def omega_identity_defect(system: VortexSystem, rng=None) -> float:
 # time integration
 
 
-class _States(Sequence):
-    """Read-only view of a trajectory's states; builds a VortexSystem only when indexed."""
-
-    def __init__(self, traj: "Trajectory"):
-        self._traj = traj
-
-    def __len__(self) -> int:
-        return self._traj.times.size
-
-    def __getitem__(self, index):
-        k = range(len(self))[index]  # IndexError, TypeError and negative indices as for lists
-        if isinstance(k, range):
-            return [self[i] for i in k]
-        system = self._traj.system
-        if k == 0:
-            return system
-        row = self._traj.positions[k]
-        if system.manifold == "plane":
-            return VortexSystem.plane(row, system.strengths)
-        return VortexSystem.cpn([ProjectivePoint(v) for v in row], system.strengths)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """One run as arrays: recorded times, positions, monitors and charts.
 
     ``positions`` holds the planar positions (T, N) or the unit lifts
-    (T, N, n+1) of every recorded step; row 0 is ``system``.  ``charts``
-    is the active affine chart per step and vortex, picked at record time
-    (zeros on the plane).  ``states`` views the rows as VortexSystems.
+    (T, N, n+1) of every recorded step; row 0 is ``system.positions``.
+    ``charts`` is the active affine chart per step and vortex, picked at
+    record time (zeros on the plane).
     """
 
     system: VortexSystem
@@ -405,10 +389,6 @@ class Trajectory:
     positions: np.ndarray
     monitors: np.ndarray  # columns: H, momentum norm, min pairwise distance
     charts: np.ndarray
-
-    @property
-    def states(self) -> _States:
-        return _States(self)
 
 
 def _rk4_step(rhs, y, dt):
@@ -460,7 +440,7 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}")
 
-    y, g = _arrays(system)
+    y, g = system.positions, system.strengths
     n = system.n
     pairs = _pairs(system.size)
     batch = max(1, _MONITOR_PAIRS // max(1, len(pairs[0])))
@@ -470,7 +450,7 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
     else:
         rhs = functools.partial(_cpn_rhs, g=g, n=n)
         rows = np.arange(system.size)
-        charts = np.argmax(np.abs(y), axis=1)
+        charts = _default_charts(y)
         thr = pivot_threshold(n)
 
     times, positions, chart_rows, monitors = [0.0], [y], [charts], []
@@ -484,10 +464,7 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
         hit = np.flatnonzero(dmin < COLLISION_THRESHOLD)
         if hit.size:
             k = int(hit[0])
-            p = int(np.argmin(r[k]))
-            raise CollisionError(
-                f"vortices {pairs[0][p]} and {pairs[1][p]} at separation {dmin[k]:.3e}", step_index=checked + k
-            )
+            raise _collision(pairs, r[k], step_index=checked + k)
         bad = np.flatnonzero(~(np.isfinite(h) & np.isfinite(mom)))  # min_dist is inf for N = 1
         if bad.size:
             raise NumericError(f"non-finite energy or momentum norm at step {checked + int(bad[0])}")
@@ -575,10 +552,7 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
     else:
         dims = x.shape[2] - 1
         suffixes = [f"_{j}" for j in range(dims)]
-        # chart values: the lift without its pivot coordinate, divided by the pivot
-        rest = np.array([[i for i in range(dims + 1) if i != c] for c in range(dims + 1)])
-        pivots = np.take_along_axis(x, charts[:, :, None], axis=2)
-        values = np.take_along_axis(x, rest[charts], axis=2) / pivots
+        values = _chart_values(x, charts)
     coord_names = [f"chart{k}," + ",".join(f"x{k}{s},y{k}{s}" for s in suffixes) for k in range(N)]
 
     cells = np.empty((T, N, 1 + 2 * dims))

@@ -10,8 +10,10 @@ f_n and the slope of f_n from here.  The derivative solves
 
     phi'(r) = -1/(r^{n-1} V(r) vol) * integral_r^{pi/2} t^{n-1} V(t) dt
 
-for the volume density V(r) = 2^{2n-1} sin^{2n-1}(r) cos(r) / r^{n-1}; the
-inner integral collapses to (1 - sin^{2n} r)/(2n) after substitution.  The
+for the volume density V(r) = 2^{2n-1} sin^{2n-1}(r) cos(r) / r^{n-1}.
+r^{n-1} V is 2^{2n-1} (n-1)!/(2 pi^n) times the area of the geodesic sphere
+of radius r, so the inner integral collapses to 2^{2n-1} (1 - sin^{2n} r)/(2n)
+after substitution, and the factor 2^{2n-1} cancels in the ODE.  The
 quadrature oracle integrates phi' numerically and is the independent check
 of the closed form: only *differences* of G are compared, so the free
 integration constant never enters.
@@ -137,7 +139,8 @@ def greens_ode_oracle(n: int, r_a, r_b):
 
     Independent cross-check of the closed form: the result must equal
     greens_cpn(n, r_b) - greens_cpn(n, r_a).  The inner integral of the
-    defining ODE is used in its collapsed form (1 - sin^{2n} s)/(2n).
+    defining ODE is used in its collapsed form 2^{2n-1} (1 - sin^{2n} s)/(2n),
+    whose factor 2^{2n-1} cancels against the one of r^{n-1} V(r).
 
     r_a and r_b broadcast against each other.  Each round evaluates phi'
     on every open subinterval of every integral in one call, at the nodes

@@ -263,5 +263,4 @@ def weighted_momentum(system) -> MomentumValue:
         raise ConfigurationError(
             f"weighted momentum needs a projective-space system, got manifold {system.manifold!r}"
         )
-    lifts = np.array([p.coords for p in system.positions])
-    return MomentumValue(_momentum_sum(lifts, np.asarray(system.strengths)), "hermitian_cp2")
+    return MomentumValue(_momentum_sum(system.positions, system.strengths), "hermitian_cp2")

@@ -463,17 +463,16 @@ def _random_planar_system(rng, N, min_sep=0.3, gamma_range=(0.5, 1.5)):
 
 def _relative_gradient_error(system):
     h = _GRADIENT_STEP
-    charts = [geom.best_chart_index(p) for p in system.positions]
-    grads = dynamics.grad_hamiltonian(system, charts)
+    grads = dynamics.grad_hamiltonian(system)
+    ws = dynamics._chart_values(system.positions, [c for c, _ in grads])
     n = system.n
     worst = 0.0
-    for alpha, (c, grad) in enumerate(grads):
-        w0 = geom.to_chart(system.positions[alpha], c).values
+    for alpha, ((c, grad), w0) in enumerate(zip(grads, ws)):
 
         def h_at(w):
-            pts = list(system.positions)
-            pts[alpha] = geom.from_chart(geom.AffineChart(c, w))
-            return dynamics.hamiltonian_cpn(dynamics.VortexSystem.cpn(pts, system.strengths))
+            lifts = system.positions.copy()  # the other vortices keep their exact lifts
+            lifts[alpha] = geom.from_chart(geom.AffineChart(c, w)).coords
+            return dynamics.hamiltonian_cpn(dynamics.VortexSystem.cpn(lifts, system.strengths))
 
         fd = np.zeros(2 * n)
         for i in range(n):
@@ -520,7 +519,7 @@ def verify_dynamics(seed: int = 0) -> list:
             sys = _random_cpn_system(rng, n, 3)
             u = geom.random_unitary(n + 1, rng)
             moved = dynamics.VortexSystem.cpn(
-                [geom.ProjectivePoint(u @ p.coords) for p in sys.positions], sys.strengths
+                [geom.ProjectivePoint(u @ p) for p in sys.positions], sys.strengths
             )
             worst = max(worst, abs(dynamics.hamiltonian_cpn(moved) - dynamics.hamiltonian_cpn(sys)))
     checks.append(CheckResult("Hamiltonian invariance under common unitaries (n=1,2,3)", worst, 1e-10))
@@ -537,13 +536,13 @@ def verify_dynamics(seed: int = 0) -> list:
         drift = float(np.max(np.abs(traj.monitors[:, 0] - h0))) / max(abs(h0), 1e-3)
         checks.append(CheckResult(f"energy drift on CP^{n} (relative, {steps} rk4 steps)", drift, 1e-8))
         if n == 2:
-            mu = momentum._momentum_sum(traj.positions, np.asarray(sys.strengths))
+            mu = momentum._momentum_sum(traj.positions, sys.strengths)
             mdrift = float(np.max(np.linalg.norm(mu - mu[0], axis=(-2, -1))))
             checks.append(CheckResult("weighted momentum drift on CP^2 (Frobenius)", mdrift, 1e-7))
 
     plan = _random_planar_system(rng, 3)
     traj = dynamics.integrate(plan, dt, steps, method="rk4")
-    inv = np.array(dynamics._planar_impulses(traj.positions, np.asarray(plan.strengths)))  # (3, steps + 1)
+    inv = np.array(dynamics._planar_impulses(traj.positions, plan.strengths))  # (3, steps + 1)
     drift = float(np.max(np.abs(inv - inv[:, :1])))
     checks.append(CheckResult("planar invariants p_x, p_y, m drift", drift, 1e-9))
 

@@ -166,7 +166,7 @@ def test_criterion_09_hamiltonian_invariance():
             sys = verify._random_cpn_system(rng, n, 3, min_sep=0.3)
             u = geom.random_unitary(n + 1, rng)
             moved = dynamics.VortexSystem.cpn(
-                [geom.ProjectivePoint(u @ p.coords) for p in sys.positions], sys.strengths
+                [geom.ProjectivePoint(u @ p) for p in sys.positions], sys.strengths
             )
             worst = max(worst, abs(dynamics.hamiltonian_cpn(moved) - dynamics.hamiltonian_cpn(sys)))
     report(9, "Hamiltonian invariance under common unitaries, n=1,2,3", worst, 1e-10)

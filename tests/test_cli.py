@@ -87,6 +87,12 @@ class TestSimulate:
         assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 3
         assert "collision at step" in capsys.readouterr().err
 
+    def test_colliding_start_names_the_pair(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CP1_PAIR))
+        doc["vortices"].append({"position": [[1.0, 0.0], [1e-5, 0.0]], "strength": 1.0})
+        assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
+        assert_one_error_line(capsys, "error: vortices 0 and 2 at separation 1.000e-05")
+
     def test_unwritable_output_path_fails_before_run(self, tmp_path, capsys):
         doc = dict(CP1_PAIR)
         doc["outputs"] = {"trajectory_path": str(tmp_path / "missing" / "traj.csv")}

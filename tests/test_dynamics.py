@@ -20,7 +20,7 @@ from cpvortex.dynamics import (
     planar_rhs,
     write_trajectory_csv,
 )
-from cpvortex.errors import CollisionError, ConfigurationError
+from cpvortex.errors import ChartDegenerateError, CollisionError, ConfigurationError
 from cpvortex.geom import ProjectivePoint, from_chart, AffineChart, random_point, random_unitary, to_chart
 from cpvortex.verify import _random_cpn_system, _relative_gradient_error
 
@@ -52,8 +52,31 @@ class TestVortexSystem:
     def test_collision_at_construction(self):
         p = ProjectivePoint([1.0, 0.0])
         q = ProjectivePoint([1.0, 1e-5])
-        with pytest.raises(CollisionError):
+        with pytest.raises(CollisionError, match="vortices 0 and 1 at separation 1.000e-05"):
             VortexSystem.cpn([p, q], [1.0, 1.0])
+
+    def test_array_and_points_build_the_same_state(self):
+        rng = np.random.default_rng(5)
+        pts = [random_point(2, rng) for _ in range(3)]
+        gam = [0.7, -1.2, 2.0]
+        from_points = VortexSystem.cpn(pts, gam)
+        from_array = VortexSystem.cpn(np.array([p.coords for p in pts]), np.array(gam))
+        assert from_points.n == from_array.n == 2
+        for a, b in ((from_points.positions, from_array.positions), (from_points.strengths, from_array.strengths)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable and not b.flags.writeable
+
+    def test_input_array_is_copied(self):
+        lifts = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+        sys = VortexSystem.cpn(lifts, [1.0, 1.0])
+        lifts[0] = [0.0, 1.0]
+        assert sys.positions[0, 0] == 1.0
+
+    def test_non_unit_lift_rejected(self):
+        lifts = np.array([[1.0, 0.0], [0.6, 0.8 + 1e-9]])
+        with pytest.raises(ConfigurationError):
+            VortexSystem.cpn(lifts, [1.0, 1.0])
 
     def test_min_distance_single_vortex(self):
         sys = VortexSystem.plane([1.0 + 1.0j], [2.0])
@@ -137,7 +160,7 @@ class TestHamiltonianCpn:
         for n in (1, 2, 3):
             sys = _random_cpn_system(rng, n, 3)
             u = random_unitary(n + 1, rng)
-            moved = VortexSystem.cpn([ProjectivePoint(u @ p.coords) for p in sys.positions], sys.strengths)
+            moved = VortexSystem.cpn([ProjectivePoint(u @ p) for p in sys.positions], sys.strengths)
             assert hamiltonian_cpn(moved) == pytest.approx(hamiltonian_cpn(sys), abs=1e-10)
 
 
@@ -153,6 +176,11 @@ class TestGradient:
             n = int(rng.integers(1, 3))
             sys = _random_cpn_system(rng, n, 3)
             assert _relative_gradient_error(sys) < 1e-6
+
+    def test_zero_pivot_rejected(self):
+        sys = VortexSystem.cpn([ProjectivePoint([1, 0]), ProjectivePoint([0.6, 0.8])], [1.0, 1.0])
+        with pytest.raises(ChartDegenerateError):
+            grad_hamiltonian(sys, charts=[1, 0])
 
     def test_symmetric_pair_gradients_opposite(self):
         a = 0.37
@@ -186,7 +214,7 @@ class TestVectorField:
 
         speeds = []
         for p, (_, v) in zip(sys.positions, hamiltonian_vector_field(sys, charts=[0, 0])):
-            h = fubini_study_metric(to_chart(p, 0)).real[0, 0]
+            h = fubini_study_metric(to_chart(ProjectivePoint(p), 0)).real[0, 0]
             speeds.append(h * (v[0] ** 2 + v[1] ** 2))
         assert speeds[0] == pytest.approx(speeds[1], rel=1e-10)
 
@@ -194,7 +222,7 @@ class TestVectorField:
         rng = np.random.default_rng(2)
         sys = _random_cpn_system(rng, 2, 3)
         c = 2.5
-        scaled = VortexSystem.cpn(list(sys.positions), [c * g for g in sys.strengths])
+        scaled = VortexSystem.cpn(sys.positions, c * sys.strengths)
         v1 = hamiltonian_vector_field(sys)
         v2 = hamiltonian_vector_field(scaled)
         for (ch1, a), (ch2, b) in zip(v1, v2):
@@ -216,8 +244,8 @@ class TestHomogeneousField:
     def test_matches_chart_vector_field(self, n, N):
         rng = np.random.default_rng(100 * n + N)
         sys = _random_cpn_system(rng, n, N)
-        lifts = np.array([p.coords for p in sys.positions])
-        dlifts = _cpn_rhs(lifts, np.asarray(sys.strengths), n)
+        lifts = sys.positions
+        dlifts = _cpn_rhs(lifts, sys.strengths, n)
         errors, scale = [], 0.0
         for v, dv, (c, vel) in zip(lifts, dlifts, hamiltonian_vector_field(sys)):
             # push dv through the chart map w = v_rest / v_c
@@ -234,7 +262,14 @@ class TestIntegrate:
         sys = cp1_pair(0.8)
         traj = integrate(sys, 0.01, 0)
         assert traj.times.size == 1
-        assert traj.states[0] is sys
+        assert np.array_equal(traj.positions[0], sys.positions)
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45_adaptive"])
+    def test_first_row_is_the_system(self, method):
+        rng = np.random.default_rng(6)
+        sys = _random_cpn_system(rng, 2, 3)
+        traj = integrate(sys, 1e-3, 5, method=method)
+        assert traj.positions[0].tobytes() == sys.positions.tobytes()
 
     def test_planar_period(self):
         gamma, d = 1.0, 1.0
@@ -243,7 +278,7 @@ class TestIntegrate:
         sys = VortexSystem.plane([d / 2, -d / 2], [gamma, gamma])
         traj = integrate(sys, period / steps, steps)
         # after one period the vortices return to their start
-        assert abs(traj.states[-1].positions[0] - d / 2) < 1e-3 * d
+        assert abs(traj.positions[-1, 0] - d / 2) < 1e-3 * d
 
     def test_cp1_pair_separation_constant(self):
         sys = cp1_pair(0.6)
@@ -263,8 +298,8 @@ class TestIntegrate:
         fine = integrate(sys, 1e-4, 5000, method="rk4")
         adaptive = integrate(sys, 0.01, 50, method="rk45_adaptive")
         assert adaptive.times[-1] == pytest.approx(t_end, rel=1e-12)
-        p_fine = fine.states[-1].positions[0]
-        p_adap = adaptive.states[-1].positions[0]
+        p_fine = ProjectivePoint(fine.positions[-1, 0])
+        p_adap = ProjectivePoint(adaptive.positions[-1, 0])
         from cpvortex.geom import geodesic_distance_cpn
 
         assert geodesic_distance_cpn(p_fine, p_adap) < 1e-7
@@ -310,11 +345,17 @@ class TestIntegrate:
     def test_single_vortex_is_stationary(self):
         sys = VortexSystem.cpn([ProjectivePoint([0.6, 0.8j])], [1.0])
         traj = integrate(sys, 0.01, 20)
-        assert traj.states[-1].positions[0].same_point(sys.positions[0], tol=1e-12)
+        assert ProjectivePoint(traj.positions[-1, 0]).same_point(ProjectivePoint(sys.positions[0]), tol=1e-12)
 
     def test_invalid_method(self):
         with pytest.raises(ConfigurationError):
             integrate(cp1_pair(0.5), 0.01, 10, method="euler")
+
+    def test_trajectories_compare_by_identity(self):
+        # array fields: a field-wise == would raise on the ambiguous truth value
+        a, b = (integrate(cp1_pair(0.5), 1e-3, 2) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
     def test_times_strictly_increasing(self):
         traj = integrate(cp1_pair(0.5), 1e-3, 50)
@@ -322,33 +363,17 @@ class TestIntegrate:
 
 
 class TestTrajectoryStates:
-    def test_lazy_view(self):
-        sys = cp1_pair(0.5)
-        traj = integrate(sys, 1e-3, 5)
-        states = traj.states
-        assert len(states) == 6
-        assert states[0] is sys
-        assert states[-6] is sys
-        assert np.array_equal(states[-1].positions[1].coords, states[5].positions[1].coords)
-        assert [s.size for s in states[1:3]] == [2, 2]
-        assert states[::-1][-1] is sys
-        with pytest.raises(IndexError):
-            states[6]
-        with pytest.raises(TypeError):
-            states[0] = sys
-
     def test_states_round_trip_csv_rows(self):
         traj = integrate(cp1_pair(0.8), 1e-2, 30)
         buf = io.StringIO()
         write_trajectory_csv(traj, buf)
         rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
         for k, row in enumerate(rows):
-            state = traj.states[k]
             assert float(row[0]) == traj.times[k]
-            for a, p in enumerate(state.positions):
+            for a, lift in enumerate(traj.positions[k]):
                 chart = int(row[1 + 3 * a])
                 w = complex(float(row[2 + 3 * a]), float(row[3 + 3 * a]))
-                np.testing.assert_allclose(to_chart(p, chart).values, [w], rtol=1e-14)
+                np.testing.assert_allclose(to_chart(ProjectivePoint(lift), chart).values, [w], rtol=1e-14)
 
 
 class TestTrajectoryCsv:

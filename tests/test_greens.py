@@ -40,6 +40,18 @@ class TestVolumeDensity:
         with pytest.raises(DomainError):
             volume_density_cpn(2, r)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_defining_ode_gives_the_derivative(self, n):
+        # phi'(r) = -1/(r^{n-1} V(r) vol) * integral_r^{pi/2} t^{n-1} V(t) dt, the inner
+        # integral by a 60-point Gauss-Legendre rule on V alone: no closed form of it enters
+        nodes, weights = np.polynomial.legendre.leggauss(60)
+        for r in (0.05, 0.3, 0.8, 1.3, 1.5):
+            half = 0.5 * (math.pi / 2 - r)
+            ts = r + half * (nodes + 1.0)
+            inner = half * sum(w * t ** (n - 1) * volume_density_cpn(n, t) for t, w in zip(ts, weights))
+            phi = -inner / (r ** (n - 1) * volume_density_cpn(n, r) * cpn_volume(n))
+            assert phi == pytest.approx(greens_cpn_derivative(n, r), rel=1e-12)
+
 
 class TestGreensCpn:
     def test_volume_and_diameter(self):
