@@ -21,10 +21,12 @@ c_ab = C_n Gamma_a Gamma_b df_n/drho(rho_ab),
     dv_a/dt = -(2i/Gamma_a) (I - v_a v_a*) sum_{b != a} c_ab G_ab v_b,
 
 the horizontal lift of the Hamiltonian vector field.  The chart-side field
-(hamiltonian_vector_field: omega X = dH solved per vortex with the
-Fubini-Study symplectic matrix of its affine chart) is kept as the
-independent oracle of that formula; its sign convention is the one that
-makes Omega(X, Y) = dH(Y) hold with positive sign (checked by a self-test).
+is kept as the independent oracle of that formula: grad_hamiltonian takes
+dH from one Gram matrix of the chart lifts (pivot coordinate 1), and
+hamiltonian_vector_field solves omega X = dH for all vortices in one
+batched solve with the Fubini-Study symplectic matrices of their affine
+charts.  Its sign convention is the one that makes Omega(X, Y) = dH(Y)
+hold with positive sign (checked by a self-test).
 """
 
 from __future__ import annotations
@@ -215,6 +217,12 @@ def _energy(system: VortexSystem) -> float:
     return float(_pair_energy(system.n, system.strengths, i, j, _separations(system.positions, system.n, i, j)))
 
 
+def _require(system: VortexSystem, manifold: str, caller: str) -> None:
+    """Raise ConfigurationError unless the system lives on the given manifold."""
+    if system.manifold != manifold:
+        raise ConfigurationError(f"{caller} needs a {'planar' if manifold == 'plane' else manifold} system")
+
+
 def min_pairwise_distance(system: VortexSystem) -> float:
     """Smallest pairwise separation (Euclidean or geodesic); inf for N = 1."""
     r = _separations(system.positions, system.n, *_pairs(system.size))
@@ -227,20 +235,19 @@ def min_pairwise_distance(system: VortexSystem) -> float:
 
 def planar_rhs(system: VortexSystem) -> np.ndarray:
     """Velocities dz_j/dt of the planar model (conjugated pair sum)."""
-    if system.manifold != "plane":
-        raise ConfigurationError("planar_rhs needs a planar system")
+    _require(system, "plane", "planar_rhs")
     return _planar_rhs(system.positions, system.strengths)
 
 
 def planar_conserved(system: VortexSystem):
     """The three planar invariants (p_x, p_y, m)."""
+    _require(system, "plane", "planar_conserved")
     return tuple(float(p) for p in _planar_impulses(system.positions, system.strengths))
 
 
 def planar_hamiltonian(system: VortexSystem) -> float:
     """Planar vortex energy -1/(4 pi) sum_{k != j} G_j G_k log r_jk."""
-    if system.manifold != "plane":
-        raise ConfigurationError("planar_hamiltonian needs a planar system")
+    _require(system, "plane", "planar_hamiltonian")
     return _energy(system)
 
 
@@ -251,8 +258,7 @@ def planar_hamiltonian(system: VortexSystem) -> float:
 
 def hamiltonian_cpn(system: VortexSystem) -> float:
     """Vortex Hamiltonian on CP^n (pair sum over the radial Green profile)."""
-    if system.manifold != "cpn":
-        raise ConfigurationError("hamiltonian_cpn needs a cpn system")
+    _require(system, "cpn", "hamiltonian_cpn")
     return _energy(system)
 
 
@@ -261,16 +267,15 @@ def _default_charts(lifts: np.ndarray) -> np.ndarray:
     return np.abs(lifts).argmax(axis=-1)
 
 
-def _lift(chart_index: int, w: np.ndarray) -> np.ndarray:
-    return np.insert(w, chart_index, 1.0 + 0.0j)
-
-
 def _chart_values(lifts: np.ndarray, charts) -> np.ndarray:
     """Affine chart values (..., n) of lifts (..., n+1): each lift without its pivot
-    coordinate charts[...], divided by the pivot.  Raises ChartDegenerateError
-    when a pivot is numerically unusable (|pivot| <= MIN_PIVOT), as to_chart does."""
+    coordinate charts[...], divided by the pivot.  Raises ConfigurationError unless
+    charts holds one integer in [0, n] per lift, and ChartDegenerateError when a
+    pivot is numerically unusable (|pivot| <= MIN_PIVOT), as to_chart does."""
     charts = np.asarray(charts)
     size = lifts.shape[-1]
+    if charts.shape != lifts.shape[:-1] or charts.dtype.kind not in "iu" or np.any((charts < 0) | (charts >= size)):
+        raise ConfigurationError(f"need an integer chart index in [0, {size - 1}] per lift, got {charts.shape} for {lifts.shape}")
     rest = np.array([[i for i in range(size) if i != c] for c in range(size)])
     pivots = np.take_along_axis(lifts, charts[..., None], axis=-1)
     if np.any(np.abs(pivots) <= MIN_PIVOT):
@@ -280,34 +285,32 @@ def _chart_values(lifts: np.ndarray, charts) -> np.ndarray:
     return np.take_along_axis(lifts, rest[charts], axis=-1) / pivots
 
 
-def _grad_from_lifts(n, charts, ws, strengths):
-    """Per-vortex real gradient of H in chart coordinates (x_1..x_n, y_1..y_n)."""
-    N = len(ws)
-    lifts = [_lift(c, w) for c, w in zip(charts, ws)]
-    norms2 = [float(np.real(np.dot(a, a.conj()))) for a in lifts]
-    pref = greens_constant(n)
-    # Wirtinger derivative dH/d(a_alpha) accumulated over pairs
-    wirt = [np.zeros(n + 1, dtype=complex) for _ in range(N)]
-    for j in range(N):
-        for k in range(j + 1, N):
-            a, b = lifts[j], lifts[k]
-            inner = np.dot(a, b.conj())  # <a, b>
-            rho = min(max(abs(inner) ** 2 / (norms2[j] * norms2[k]), 0.0), 1.0)
-            r = math.asin(math.sqrt(1.0 - rho))
-            if r < COLLISION_THRESHOLD:
-                raise CollisionError(f"vortices {j} and {k} at separation {r:.3e}")
-            coup = pref * strengths[j] * strengths[k] * greens_radial_slope(n, 1.0 - rho)
-            if rho > 0.0:
-                # d(rho)/d(a_i) = rho (conj(b)_i/<a,b> - conj(a)_i/<a,a>)
-                wirt[j] += coup * rho * (b.conj() / inner - a.conj() / norms2[j])
-                wirt[k] += coup * rho * (a.conj() / inner.conjugate() - b.conj() / norms2[k])
-            # at exactly orthogonal pairs d(rho) = 0 in every direction
-    grads = []
-    for alpha in range(N):
-        keep = [i for i in range(n + 1) if i != charts[alpha]]
-        d = wirt[alpha][keep]
-        grads.append(np.concatenate([2.0 * d.real, -2.0 * d.imag]))
-    return grads
+def _chart_gradients(system: VortexSystem, charts):
+    """Chart values (N, n) and real gradients (N, 2n) of H, (dH/dx_1..dx_n, dH/dy_1..dy_n) per vortex.
+
+    The chart lifts a_j have the pivot coordinate 1 and the chart values
+    elsewhere.  From their Gram matrix G_jk = <a_j, a_k>, rho_jk =
+    |G_jk|^2 / (|a_j|^2 |a_k|^2) and c_jk = C_n Gamma_j Gamma_k df_n/drho(rho_jk),
+
+        dH/da_j = sum_k c_jk (conj(G_jk) conj(a_k) / (|a_j|^2 |a_k|^2) - rho_jk conj(a_j) / |a_j|^2),
+
+    which never divides by G_jk: an orthogonal pair contributes nothing.
+    """
+    n, N = system.n, system.size
+    ws = _chart_values(system.positions, charts)
+    rest = np.arange(n + 1) != charts[:, None]
+    a = np.ones((N, n + 1), dtype=complex)
+    a[rest] = ws.ravel()
+    gram = a @ a.conj().T
+    norms2 = gram.diagonal().real
+    inv = 1.0 / np.outer(norms2, norms2)
+    rho = np.abs(gram) ** 2 * inv
+    rho.ravel()[:: N + 1] = 0.0  # keeps the slope finite; the self-coupling is dropped below
+    c = greens_constant(n) * np.outer(system.strengths, system.strengths) * greens_radial_slope(n, 1.0 - rho)
+    c.ravel()[:: N + 1] = 0.0
+    wirt = ((c * inv * gram) @ a - ((c * rho).sum(axis=1) / norms2)[:, None] * a).conj()
+    d = wirt[rest].reshape(N, n)
+    return ws, np.concatenate([2.0 * d.real, -2.0 * d.imag], axis=1)
 
 
 def grad_hamiltonian(system: VortexSystem, charts=None):
@@ -318,25 +321,19 @@ def grad_hamiltonian(system: VortexSystem, charts=None):
     vortex's affine chart.  Matches central finite differences of
     hamiltonian_cpn to about 1e-6 relative.
     """
-    if system.manifold != "cpn":
-        raise ConfigurationError("grad_hamiltonian needs a cpn system")
-    if charts is None:
-        charts = _default_charts(system.positions).tolist()
-    ws = _chart_values(system.positions, charts)
-    grads = _grad_from_lifts(system.n, charts, ws, system.strengths)
-    return list(zip(charts, grads))
+    _require(system, "cpn", "grad_hamiltonian")
+    charts = _default_charts(system.positions) if charts is None else np.asarray(charts)
+    _, grads = _chart_gradients(system, charts)
+    return list(zip(charts.tolist(), grads))
 
 
 def _sharp(system: VortexSystem, charts):
-    """Per vortex (symplectic matrix W, gradient, velocity) with Gamma W velocity = gradient."""
-    ws = _chart_values(system.positions, charts)
-    grads = _grad_from_lifts(system.n, charts, ws, system.strengths)
-    out = []
-    for c, w, grad, gamma in zip(charts, ws, grads, system.strengths):
-        h = fubini_study_metric(AffineChart(c, w))
-        W = np.block([[h.imag, -h.real], [h.real, h.imag]])
-        out.append((W, grad, np.linalg.solve(W, grad) / gamma))
-    return out
+    """Symplectic matrices W (N, 2n, 2n), gradients (N, 2n) and velocities (N, 2n), Gamma W velocity = gradient."""
+    ws, grads = _chart_gradients(system, charts)
+    # the Fubini-Study metric of a chart depends only on the chart values, not on the pivot index
+    h = fubini_study_metric(AffineChart(0, ws))
+    W = np.block([[h.imag, -h.real], [h.real, h.imag]])
+    return W, grads, np.linalg.solve(W, grads[..., None])[..., 0] / system.strengths[:, None]
 
 
 def hamiltonian_vector_field(system: VortexSystem, charts=None):
@@ -346,11 +343,10 @@ def hamiltonian_vector_field(system: VortexSystem, charts=None):
     with the chart's Fubini-Study symplectic matrix, so the weighted form
     Omega = sum Gamma_alpha omega_alpha satisfies Omega(X, Y) = dH(Y).
     """
-    if system.manifold != "cpn":
-        raise ConfigurationError("hamiltonian_vector_field needs a cpn system")
-    if charts is None:
-        charts = _default_charts(system.positions).tolist()
-    return [(c, vel) for c, (_, _, vel) in zip(charts, _sharp(system, charts))]
+    _require(system, "cpn", "hamiltonian_vector_field")
+    charts = _default_charts(system.positions) if charts is None else np.asarray(charts)
+    _, _, vels = _sharp(system, charts)
+    return list(zip(charts.tolist(), vels))
 
 
 def omega_identity_defect(system: VortexSystem, rng=None) -> float:
@@ -360,14 +356,13 @@ def omega_identity_defect(system: VortexSystem, rng=None) -> float:
     out near machine precision, otherwise the symplectic solve is wired
     with the wrong sign or scaling.
     """
+    _require(system, "cpn", "omega_identity_defect")
     rng = np.random.default_rng(0) if rng is None else rng
-    worst = 0.0
-    for (W, grad, vel), gamma in zip(_sharp(system, _default_charts(system.positions)), system.strengths):
-        for _ in range(_OMEGA_SAMPLES):
-            y = rng.standard_normal(2 * system.n)
-            y /= np.linalg.norm(y)
-            worst = max(worst, abs(gamma * np.dot(W @ vel, y) - np.dot(grad, y)))
-    return worst
+    W, grads, vels = _sharp(system, _default_charts(system.positions))
+    y = rng.standard_normal((system.size, _OMEGA_SAMPLES, 2 * system.n))
+    y /= np.linalg.norm(y, axis=-1, keepdims=True)
+    residual = system.strengths[:, None] * (W @ vels[..., None])[..., 0] - grads
+    return float(np.abs(y @ residual[..., None]).max())
 
 
 # ---------------------------------------------------------------------------

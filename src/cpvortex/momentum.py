@@ -36,6 +36,8 @@ __all__ = [
     "weighted_momentum",
 ]
 
+_DEFECT_STEP = 1e-5  # central-difference step of the gradient in defining_equation_defect
+
 
 @dataclass(frozen=True)
 class MomentumValue:
@@ -221,7 +223,7 @@ def _vf_real(k: int, z: FlagCoords) -> np.ndarray:
     return np.concatenate([a.real, a.imag], axis=-1)
 
 
-def defining_equation_defect(k, z: FlagCoords, h: float = 1e-5):
+def defining_equation_defect(k, z: FlagCoords):
     """|| grad <mu, lambda_k> - omega X_k || at z, gradient by central differences.
 
     The gradient is taken in the real coordinates (x1..x3, y1..y3) and the
@@ -232,7 +234,7 @@ def defining_equation_defect(k, z: FlagCoords, h: float = 1e-5):
     batch; the defects have shape np.shape(k) + z.shape, and all of them
     come from one momentum_flag evaluation at the 12 shifted copies of z.
     """
-    steps = h * np.eye(6)
+    steps = _DEFECT_STEP * np.eye(6)
     xy = z.real_coords()[..., None, :]
     shifted = np.concatenate([xy + steps, xy - steps], axis=-2)  # z.shape + (12, 6)
     moved = FlagCoords(
@@ -241,7 +243,7 @@ def defining_equation_defect(k, z: FlagCoords, h: float = 1e-5):
         shifted[..., 2] + 1j * shifted[..., 5],
     )
     pairing = momentum_flag_pairing(k, moved)
-    grad = (pairing[..., :6] - pairing[..., 6:]) / (2.0 * h)
+    grad = (pairing[..., :6] - pairing[..., 6:]) / (2.0 * _DEFECT_STEP)
     w = flag_symplectic_matrix(z)
     ks = np.asarray(k)
     contraction = np.array([(w @ _vf_real(int(j), z)[..., None])[..., 0] for j in ks.ravel()])

@@ -21,10 +21,11 @@ from .su3flag import FlagCoords
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
-# finite-difference steps of the Hessian and gradient oracles, and the
-# number of subgroup factors in a random unitary
+# finite-difference steps of the Hessian, gradient and generator-field
+# oracles, and the number of subgroup factors in a random unitary
 _HESSIAN_STEP = 1e-4
 _GRADIENT_STEP = 1e-5
+_VF_STEP = 1e-5
 _UNITARY_FACTORS = 5
 
 
@@ -144,11 +145,11 @@ def wirtinger_hessian(f, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def vf_finite_difference(k: int, z: FlagCoords, h: float = 1e-5) -> np.ndarray:
+def vf_finite_difference(k: int, z: FlagCoords) -> np.ndarray:
     """Group-action oracle for the generator fields: LU-normalize exp(+-h lambda_k) Z, shape z.shape + (3,)."""
-    steps = su3flag.exp_su3(k, np.array([h, -h])).entries.reshape((2,) + (1,) * len(z.shape) + (3, 3))
+    steps = su3flag.exp_su3(k, np.array([_VF_STEP, -_VF_STEP])).entries.reshape((2,) + (1,) * len(z.shape) + (3, 3))
     plus, minus = su3flag.bruhat_normalize(steps @ z.matrix().entries).as_vector()
-    return (plus - minus) / (2.0 * h)
+    return (plus - minus) / (2.0 * _VF_STEP)
 
 
 def spectral_exponential(k: int, t) -> np.ndarray:

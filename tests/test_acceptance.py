@@ -25,14 +25,12 @@ def test_criterion_01_greens_oracle_equivalence():
     rng = np.random.default_rng(0)
     lo, hi = 0.05, math.pi / 2 - 0.05
     start = time.perf_counter()
+    a, b = np.moveaxis(np.sort(rng.uniform(lo, hi, (4, 100, 2)), axis=-1), -1, 0)  # one row of 100 per n
+    b = np.where(b - a < 1e-6, np.minimum(hi, a + 1e-3), b)
     worst = 0.0
-    for n in (1, 2, 3, 4):
-        for _ in range(100):
-            a, b = np.sort(rng.uniform(lo, hi, 2))
-            if b - a < 1e-6:
-                b = min(hi, a + 1e-3)
-            closed = greens.greens_cpn(n, b) - greens.greens_cpn(n, a)
-            worst = max(worst, abs(greens.greens_ode_oracle(n, a, b) - closed))
+    for n, a_n, b_n in zip((1, 2, 3, 4), a, b):
+        closed = greens.greens_cpn(n, b_n) - greens.greens_cpn(n, a_n)
+        worst = max(worst, float(np.max(np.abs(greens.greens_ode_oracle(n, a_n, b_n) - closed))))
     elapsed = time.perf_counter() - start
     report(1, "quadrature of the density ODE vs closed-form differences", worst, 1e-8, elapsed)
     assert elapsed <= 10.0
@@ -56,10 +54,8 @@ def test_criterion_03_cp2_momentum_spectrum():
     rng = np.random.default_rng(0)
     target = np.array([-1 / 3, -1 / 3, 2 / 3])
     start = time.perf_counter()
-    worst = 0.0
-    for _ in range(1000):
-        ev = np.linalg.eigvalsh(momentum.momentum_cp2(geom.random_point(2, rng)).matrix)
-        worst = max(worst, float(np.max(np.abs(np.sort(ev) - target))))
+    ev = np.linalg.eigvalsh(momentum.momentum_cp2(verify._random_lifts(rng, 2, 1000)).matrix)  # (1000, 3)
+    worst = float(np.max(np.abs(np.sort(ev, axis=-1) - target)))
     elapsed = time.perf_counter() - start
     report(3, "momentum spectrum {-1/3,-1/3,2/3} at 1000 points", worst, 1e-10, elapsed)
     assert elapsed <= 2.0
@@ -67,51 +63,42 @@ def test_criterion_03_cp2_momentum_spectrum():
 
 def test_criterion_04_flag_defining_equation():
     rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(100):
-        z = verify._random_flag(rng, 1.5)
-        for k in range(1, 9):
-            worst = max(worst, momentum.defining_equation_defect(k, z, h=1e-5))
+    z = verify._random_flag(rng, 1.5, (100,))
+    worst = float(np.max(momentum.defining_equation_defect(range(1, 9), z)))  # (8, 100)
     report(4, "flag momentum defining equation, all 8 generators x 100 points", worst, 1e-6)
 
 
 def test_criterion_05_vector_field_oracle():
     rng = np.random.default_rng(0)
+    z = verify._random_flag(rng, 1.5, (100,))
     worst = 0.0
-    for _ in range(100):
-        z = verify._random_flag(rng, 1.5)
-        for k in range(1, 9):
-            fd = verify.vf_finite_difference(k, z, h=1e-5)
-            worst = max(worst, float(np.max(np.abs(fd - su3flag.infinitesimal_vf(k, z)))))
+    for k in range(1, 9):
+        fd = verify.vf_finite_difference(k, z)
+        worst = max(worst, float(np.max(np.abs(fd - su3flag.infinitesimal_vf(k, z)))))
     report(5, "generator fields vs LU group-action finite differences", worst, 1e-6)
 
 
 def test_criterion_06_metric_identities():
     rng = np.random.default_rng(0)
-    worst_flag_det = 0.0
-    for _ in range(1000):
-        z = verify._random_flag(rng, 1.5)
-        det = np.linalg.det(su3flag.flag_metric(z)).real
-        expected = 2.0 / (z.K1**2 * z.K2**2)
-        worst_flag_det = max(worst_flag_det, abs(det - expected) / expected)
+    z = verify._random_flag(rng, 1.5, (1000,))
+    det = np.linalg.det(su3flag.flag_metric(z)).real
+    expected = 2.0 / (z.K1**2 * z.K2**2)
+    worst_flag_det = float(np.max(np.abs(det - expected) / expected))
     report(6, "flag metric determinant 2/(K1^2 K2^2), relative", worst_flag_det, 1e-10)
 
     worst_proj_det = 0.0
     for n in (1, 2, 3, 4):
-        for _ in range(250):
-            vals = np.array([verify._disk(rng, 2.0) for _ in range(n)])
-            det = np.linalg.det(geom.fubini_study_metric(geom.AffineChart(0, vals))).real
-            expected = (1.0 + float(np.sum(np.abs(vals) ** 2))) ** -(n + 1)
-            worst_proj_det = max(worst_proj_det, abs(det - expected) / expected)
+        vals = verify._disk(rng, 2.0, (250, n))
+        det = np.linalg.det(geom.fubini_study_metric(geom.AffineChart(0, vals))).real
+        expected = (1.0 + np.sum(np.abs(vals) ** 2, axis=-1)) ** -(n + 1)
+        worst_proj_det = max(worst_proj_det, float(np.max(np.abs(det - expected) / expected)))
     report(6, "projective metric determinant (1+|z|^2)^-(n+1), relative", worst_proj_det, 1e-10)
 
-    worst_flag_fd = 0.0
-    for _ in range(100):
-        z = verify._random_flag(rng, 1.5)
-        fd = verify.wirtinger_hessian(
-            lambda v: su3flag.kahler_potential_flag(FlagCoords(v[0], v[1], v[2])), z.as_vector()
-        )
-        worst_flag_fd = max(worst_flag_fd, float(np.max(np.abs(fd - su3flag.flag_metric(z)))))
+    z = verify._random_flag(rng, 1.5, (100,))
+    fd = verify.wirtinger_hessian(
+        lambda v: su3flag.kahler_potential_flag(FlagCoords(v[..., 0], v[..., 1], v[..., 2])), z.as_vector()
+    )
+    worst_flag_fd = float(np.max(np.abs(fd - su3flag.flag_metric(z))))
     report(6, "flag metric vs potential Hessian (finite differences)", worst_flag_fd, 1e-5)
 
     worst_proj_fd = 0.0

@@ -119,6 +119,11 @@ class TestPlanarModel:
         sys = VortexSystem.plane([0.0 + 0.0j], [1.0])
         assert planar_conserved(sys) == (0.0, 0.0, 0.0)
 
+    def test_conserved_rejects_cpn_system(self):
+        sys = VortexSystem.cpn([ProjectivePoint([1, 0])], [1.0])
+        with pytest.raises(ConfigurationError, match="planar_conserved needs a planar system"):
+            planar_conserved(sys)
+
     def test_hamiltonian_unit_distance(self):
         sys = VortexSystem.plane([0.0, 1.0], [1.0, 1.0])
         assert planar_hamiltonian(sys) == 0.0
@@ -182,6 +187,20 @@ class TestGradient:
         with pytest.raises(ChartDegenerateError):
             grad_hamiltonian(sys, charts=[1, 0])
 
+    @pytest.mark.parametrize("charts", [[0], [0, 5]])
+    def test_bad_charts_rejected(self, charts):
+        sys = VortexSystem.cpn([ProjectivePoint([1, 0]), ProjectivePoint([0.6, 0.8])], [1.0, 1.0])
+        with pytest.raises(ConfigurationError, match="chart index"):
+            grad_hamiltonian(sys, charts=charts)
+
+    def test_orthogonal_pair_zero(self):
+        # rho = 0 is a critical point of the pair energy: d(rho) vanishes in every direction
+        sys = VortexSystem.cpn([ProjectivePoint([1, 0]), ProjectivePoint([0, 1])], [1.0, -2.0])
+        grads = grad_hamiltonian(sys)
+        assert [c for c, _ in grads] == [0, 1]
+        for _, g in grads:
+            assert np.isfinite(g).all() and (g == 0.0).all()
+
     def test_symmetric_pair_gradients_opposite(self):
         a = 0.37
         p = from_chart(AffineChart(0, np.array([a + 0.0j])))
@@ -229,11 +248,21 @@ class TestVectorField:
             assert ch1 == ch2
             assert np.allclose(b, c * a, rtol=1e-12)
 
+    def test_orthogonal_pair_zero_velocity(self):
+        sys = VortexSystem.cpn([ProjectivePoint([1, 0]), ProjectivePoint([0, 1])], [1.0, -2.0])
+        for _, v in hamiltonian_vector_field(sys):
+            assert np.isfinite(v).all() and (v == 0.0).all()
+
     def test_omega_identity(self):
         rng = np.random.default_rng(3)
         for n in (1, 2):
             sys = _random_cpn_system(rng, n, 3)
             assert omega_identity_defect(sys, rng) < 1e-6
+
+    def test_omega_identity_rejects_planar_system(self):
+        sys = VortexSystem.plane([0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ConfigurationError, match="omega_identity_defect needs a cpn system"):
+            omega_identity_defect(sys)
 
 
 class TestHomogeneousField:

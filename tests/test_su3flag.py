@@ -232,12 +232,11 @@ class TestInfinitesimalVF:
 
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(3)
+        z = _random_flag(rng, 1.5, (100,))
         worst = 0.0
-        for _ in range(100):
-            z = _random_flag(rng)
-            for k in range(1, 9):
-                fd = vf_finite_difference(k, z)
-                worst = max(worst, float(np.max(np.abs(fd - infinitesimal_vf(k, z)))))
+        for k in range(1, 9):
+            fd = vf_finite_difference(k, z)
+            worst = max(worst, float(np.max(np.abs(fd - infinitesimal_vf(k, z)))))
         assert worst < 1e-6
 
 
