@@ -16,6 +16,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -144,14 +145,19 @@ def load_config(path: str):
             raise ConfigurationError("integrator needs 'steps' or 't_end'")
         if steps < 0:
             raise ConfigurationError(f"integrator needs a nonnegative number of steps, got {steps}")
+        if not math.isfinite(dt * steps):
+            raise ConfigurationError(f"integrator horizon dt * steps = {dt!r} * {steps} is not finite")
         outputs = _object(doc.get("outputs", {}), "outputs")
+        paths = [_output_path(outputs.get(key), f"outputs.{key}") for key in ("trajectory_path", "monitor_path")]
+        if None not in paths and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+            raise ConfigurationError(f"outputs.trajectory_path and outputs.monitor_path name the same file {paths[0]!r}")
         return {
             "system": system,
             "method": method,
             "dt": dt,
             "steps": steps,
-            "trajectory_path": _output_path(outputs.get("trajectory_path"), "outputs.trajectory_path"),
-            "monitor_path": _output_path(outputs.get("monitor_path"), "outputs.monitor_path"),
+            "trajectory_path": paths[0],
+            "monitor_path": paths[1],
             "seed": _integer(doc.get("seed", 0), "seed"),
         }
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -143,6 +143,11 @@ class VortexSystem:
     def size(self) -> int:
         return len(self.positions)
 
+    def require(self, manifold: str, caller: str) -> None:
+        """Raise ConfigurationError unless the system lives on the given manifold."""
+        if self.manifold != manifold:
+            raise ConfigurationError(f"{caller} needs a {'planar' if manifold == 'plane' else manifold} system")
+
 
 # ---------------------------------------------------------------------------
 # array kernels.  A state is the complex array of planar positions (N,) or
@@ -217,12 +222,6 @@ def _energy(system: VortexSystem) -> float:
     return float(_pair_energy(system.n, system.strengths, i, j, _separations(system.positions, system.n, i, j)))
 
 
-def _require(system: VortexSystem, manifold: str, caller: str) -> None:
-    """Raise ConfigurationError unless the system lives on the given manifold."""
-    if system.manifold != manifold:
-        raise ConfigurationError(f"{caller} needs a {'planar' if manifold == 'plane' else manifold} system")
-
-
 def min_pairwise_distance(system: VortexSystem) -> float:
     """Smallest pairwise separation (Euclidean or geodesic); inf for N = 1."""
     r = _separations(system.positions, system.n, *_pairs(system.size))
@@ -235,19 +234,19 @@ def min_pairwise_distance(system: VortexSystem) -> float:
 
 def planar_rhs(system: VortexSystem) -> np.ndarray:
     """Velocities dz_j/dt of the planar model (conjugated pair sum)."""
-    _require(system, "plane", "planar_rhs")
+    system.require("plane", "planar_rhs")
     return _planar_rhs(system.positions, system.strengths)
 
 
 def planar_conserved(system: VortexSystem):
     """The three planar invariants (p_x, p_y, m)."""
-    _require(system, "plane", "planar_conserved")
+    system.require("plane", "planar_conserved")
     return tuple(float(p) for p in _planar_impulses(system.positions, system.strengths))
 
 
 def planar_hamiltonian(system: VortexSystem) -> float:
     """Planar vortex energy -1/(4 pi) sum_{k != j} G_j G_k log r_jk."""
-    _require(system, "plane", "planar_hamiltonian")
+    system.require("plane", "planar_hamiltonian")
     return _energy(system)
 
 
@@ -258,7 +257,7 @@ def planar_hamiltonian(system: VortexSystem) -> float:
 
 def hamiltonian_cpn(system: VortexSystem) -> float:
     """Vortex Hamiltonian on CP^n (pair sum over the radial Green profile)."""
-    _require(system, "cpn", "hamiltonian_cpn")
+    system.require("cpn", "hamiltonian_cpn")
     return _energy(system)
 
 
@@ -321,7 +320,7 @@ def grad_hamiltonian(system: VortexSystem, charts=None):
     vortex's affine chart.  Matches central finite differences of
     hamiltonian_cpn to about 1e-6 relative.
     """
-    _require(system, "cpn", "grad_hamiltonian")
+    system.require("cpn", "grad_hamiltonian")
     charts = _default_charts(system.positions) if charts is None else np.asarray(charts)
     _, grads = _chart_gradients(system, charts)
     return list(zip(charts.tolist(), grads))
@@ -343,7 +342,7 @@ def hamiltonian_vector_field(system: VortexSystem, charts=None):
     with the chart's Fubini-Study symplectic matrix, so the weighted form
     Omega = sum Gamma_alpha omega_alpha satisfies Omega(X, Y) = dH(Y).
     """
-    _require(system, "cpn", "hamiltonian_vector_field")
+    system.require("cpn", "hamiltonian_vector_field")
     charts = _default_charts(system.positions) if charts is None else np.asarray(charts)
     _, _, vels = _sharp(system, charts)
     return list(zip(charts.tolist(), vels))
@@ -356,7 +355,7 @@ def omega_identity_defect(system: VortexSystem, rng=None) -> float:
     out near machine precision, otherwise the symplectic solve is wired
     with the wrong sign or scaling.
     """
-    _require(system, "cpn", "omega_identity_defect")
+    system.require("cpn", "omega_identity_defect")
     rng = np.random.default_rng(0) if rng is None else rng
     W, grads, vels = _sharp(system, _default_charts(system.positions))
     y = rng.standard_normal((system.size, _OMEGA_SAMPLES, 2 * system.n))

@@ -80,13 +80,17 @@ def volume_density_cpn(n: int, r: float) -> float:
 
 
 def _distances(n: int, r, what: str) -> np.ndarray:
-    """r as a float array, after checking n and that every element lies in (0, pi/2]."""
+    """r as a float array, after checking n and that every element lies in (0, pi/2].
+
+    One fused range check; only when it fails is the error chosen: r <= 0
+    first (SingularityError), then r > pi/2 or NaN (DomainError).
+    """
     _check_n(n)
     r = np.asarray(r, dtype=float)
-    if (r <= 0.0).any():
-        raise SingularityError(f"{what} diverges as r -> 0+, got r = {r[r <= 0.0].min()}")
-    if (r > DIAMETER).any():
-        raise DomainError(f"r must lie in (0, pi/2], got {r[r > DIAMETER].max()}")
+    if not ((r > 0.0) & (r <= DIAMETER)).all():
+        if (r <= 0.0).any():
+            raise SingularityError(f"{what} diverges as r -> 0+, got r = {r[r <= 0.0].min()}")
+        raise DomainError(f"r must lie in (0, pi/2], got {r[~(r <= DIAMETER)].max()}")
     return r
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .geom import ProjectivePoint
 from .su3flag import FlagCoords, _matrix, flag_symplectic_matrix, gell_mann, infinitesimal_vf
 
@@ -261,8 +261,5 @@ def _momentum_sum(lifts: np.ndarray, strengths: np.ndarray) -> np.ndarray:
 
 def weighted_momentum(system) -> MomentumValue:
     """Strength-weighted total momentum sum_k Gamma_k mu(p_k) of a vortex system."""
-    if system.manifold != "cpn":
-        raise ConfigurationError(
-            f"weighted momentum needs a projective-space system, got manifold {system.manifold!r}"
-        )
+    system.require("cpn", "weighted_momentum")
     return MomentumValue(_momentum_sum(system.positions, system.strengths), "hermitian_cp2")

@@ -70,15 +70,23 @@ def _random_flag(rng: np.random.Generator, radius: float = 1.5, shape: tuple = (
     return FlagCoords(z[..., 0], z[..., 1], z[..., 2])
 
 
-def _random_lifts(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """Unit lifts (count, n+1) of ``count`` draws of geom.random_point(n, rng), in the same stream.
+def _unit_lifts(g: np.ndarray) -> np.ndarray:
+    """Unit lifts (..., n+1) of Gaussian pairs g (..., 2, n+1), normed as ProjectivePoint norms them, bit for bit."""
+    v = g[..., 0, :] + 1j * g[..., 1, :]
+    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
 
-    The norm is taken as ProjectivePoint takes it (the dot products of the
-    real and imaginary parts), so the lifts agree bit for bit.
-    """
-    g = rng.standard_normal((count, 2, n + 1))
-    v = g[:, 0] + 1j * g[:, 1]
-    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
+
+def _random_lifts(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """Unit lifts (count, n+1) of ``count`` draws of geom.random_point(n, rng), in the same stream."""
+    return _unit_lifts(rng.standard_normal((count, 2, n + 1)))
+
+
+def _equivariance_draws(rng: np.random.Generator, count: int) -> tuple:
+    """Unit lifts (count, 3) and factors (count, F, 2) of ``count`` draws of
+    (geom.random_point(2, rng), _unitary_factors(rng)), in the same stream."""
+    draws = [(rng.standard_normal((2, 3)), _unitary_factors(rng)) for _ in range(count)]
+    g, factors = (np.array(x) for x in zip(*draws))
+    return _unit_lifts(g), factors
 
 
 def _unitary_factors(rng: np.random.Generator) -> list:
@@ -87,20 +95,16 @@ def _unitary_factors(rng: np.random.Generator) -> list:
 
 
 def _unitary_products(factors) -> np.ndarray:
-    """The products of factors (..., F, 2) of (k, t) pairs, left to right: shape (..., 3, 3)."""
+    """Products of factors (..., F, 2) of (k, t) pairs, left to right, one exp_su3 call per generator: (..., 3, 3)."""
     factors = np.asarray(factors, dtype=float)
-    u = np.broadcast_to(np.eye(3, dtype=complex), factors.shape[:-2] + (3, 3))
-    for f in range(factors.shape[-2]):
-        ks, ts = factors[..., f, 0].astype(int), factors[..., f, 1]
-        step = np.empty_like(u)
-        for k in np.unique(ks):
-            step[ks == k] = su3flag.exp_su3(int(k), ts[ks == k]).entries
-        u = u @ step
+    ks, ts = factors[..., 0].astype(int), factors[..., 1]
+    steps = np.empty(ks.shape + (3, 3), dtype=complex)
+    for k in np.unique(ks):
+        steps[ks == k] = su3flag.exp_su3(int(k), ts[ks == k]).entries
+    u = np.broadcast_to(np.eye(3, dtype=complex), steps.shape[:-3] + (3, 3))
+    for f in range(steps.shape[-3]):
+        u = u @ steps[..., f, :, :]
     return u
-
-
-def _product_unitary(rng: np.random.Generator) -> np.ndarray:
-    return _unitary_products(_unitary_factors(rng))
 
 
 def _worst(defects: np.ndarray, where) -> tuple:
@@ -116,38 +120,34 @@ def _flag_label(z: FlagCoords, i: int) -> str:
 def wirtinger_hessian(f, z: np.ndarray) -> np.ndarray:
     """Mixed second derivatives d_{z_i} d_{zbar_j} f by nested central differences.
 
-    ``z`` is one point (m,) or a batch (..., m); ``f`` maps points of z's
-    shape to values of its leading shape, and the Hessians have shape
-    (..., m, m).  Each of the 16 m^2 evaluations of f takes the whole batch.
+    ``z`` is one point (m,) or a batch (..., m), and the Hessians have shape
+    (..., m, m).  ``f`` maps points (..., m) to values (...) and must
+    broadcast over leading axes: it is called once, on the 16 m^2 shifted
+    copies (z + a) + b stacked on two new leading axes of 4m shifts each.
     """
     m = z.shape[-1]
     h = _HESSIAN_STEP
-
-    def dbar(j, zz):
-        ex = np.zeros(m, complex)
-        ex[j] = h
-        ey = np.zeros(m, complex)
-        ey[j] = 1j * h
-        dx = (f(zz + ex) - f(zz - ex)) / (2.0 * h)
-        dy = (f(zz + ey) - f(zz - ey)) / (2.0 * h)
-        return 0.5 * (dx + 1j * dy)
-
-    out = np.zeros(z.shape[:-1] + (m, m), dtype=complex)
-    for i in range(m):
-        ex = np.zeros(m, complex)
-        ex[i] = h
-        ey = np.zeros(m, complex)
-        ey[i] = 1j * h
-        for j in range(m):
-            dx = (dbar(j, z + ex) - dbar(j, z - ex)) / (2.0 * h)
-            dy = (dbar(j, z + ey) - dbar(j, z - ey)) / (2.0 * h)
-            out[..., i, j] = 0.5 * (dx - 1j * dy)
-    return out
+    ex = h * np.eye(m, dtype=complex)
+    ey = 1j * ex
+    shifts = np.stack([ex, -ex, ey, -ey]).reshape((4 * m,) + (1,) * (z.ndim - 1) + (m,))
+    values = f((z + shifts[:, None]) + shifts).reshape((4, m, 4, m) + z.shape[:-1])
+    # values[s, i, t, j]: outer shift s along z_i, inner shift t along z_j, s and t in (+x, -x, +y, -y)
+    d = 2.0 * h
+    dbar = 0.5 * ((values[:, :, 0] - values[:, :, 1]) / d + 1j * ((values[:, :, 2] - values[:, :, 3]) / d))
+    out = 0.5 * ((dbar[0] - dbar[1]) / d - 1j * ((dbar[2] - dbar[3]) / d))
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-def vf_finite_difference(k: int, z: FlagCoords) -> np.ndarray:
-    """Group-action oracle for the generator fields: LU-normalize exp(+-h lambda_k) Z, shape z.shape + (3,)."""
-    steps = su3flag.exp_su3(k, np.array([_VF_STEP, -_VF_STEP])).entries.reshape((2,) + (1,) * len(z.shape) + (3, 3))
+def vf_finite_difference(k, z: FlagCoords) -> np.ndarray:
+    """Group-action oracle for the generator fields: LU-normalize exp(+-h lambda_k) Z.
+
+    ``k`` is a generator index 1..8 or an array of them; the fields have
+    shape np.shape(k) + z.shape + (3,), from one z.matrix() and one
+    bruhat_normalize call.
+    """
+    ks = np.asarray(k)
+    steps = np.stack([su3flag.exp_su3(int(j), (_VF_STEP, -_VF_STEP)).entries for j in ks.ravel()], axis=1)
+    steps = steps.reshape((2,) + ks.shape + (1,) * len(z.shape) + (3, 3))
     plus, minus = su3flag.bruhat_normalize(steps @ z.matrix().entries).as_vector()
     return (plus - minus) / (2.0 * _VF_STEP)
 
@@ -214,8 +214,7 @@ def verify_momentum(seed: int = 0) -> list:
     worst = float(np.max(np.abs(np.sort(ev, axis=-1) - target)))
     checks.append(CheckResult("cp2 momentum spectrum {-1/3,-1/3,2/3} (1000 points)", worst, 1e-10))
 
-    pairs = [(geom.random_point(2, rng).coords, _unitary_factors(rng)) for _ in range(100)]
-    lifts, factors = (np.array(x) for x in zip(*pairs))
+    lifts, factors = _equivariance_draws(rng, 100)
     worst = float(np.max(momentum.momentum_cp2_equivariance_check(lifts, _unitary_products(factors))))
     checks.append(CheckResult("cp2 momentum equivariance (100 pairs)", worst, 1e-10))
 
@@ -277,19 +276,14 @@ def verify_vectorfields(seed: int = 0) -> list:
     checks = []
 
     z = _random_flag(rng, shape=(100,))
-    defects = np.array(
-        [np.max(np.abs(su3flag.infinitesimal_vf(k, z) - vf_finite_difference(k, z)), axis=-1) for k in range(1, 9)]
-    )
+    fd = vf_finite_difference(np.arange(1, 9), z)  # (8, 100, 3)
+    defects = np.array([np.max(np.abs(su3flag.infinitesimal_vf(k, z) - fd[k - 1]), axis=-1) for k in range(1, 9)])
     worst, worst_at = _worst(defects.T, lambda i, k: f"k={k + 1}, {_flag_label(z, i)}")
     checks.append(CheckResult("generator fields vs LU finite differences, k=1..8", worst, 1e-6, worst_at=worst_at))
 
     st = rng.uniform(-3.0, 3.0, size=(8, 10, 2))
-    worst = 0.0
-    for k in range(1, 9):
-        s, t = st[k - 1, :, 0], st[k - 1, :, 1]
-        lhs = su3flag.exp_su3(k, s).entries @ su3flag.exp_su3(k, t).entries
-        rhs = su3flag.exp_su3(k, s + t).entries
-        worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=(-2, -1)))))
+    e = np.array([su3flag.exp_su3(k, [s, t, s + t]).entries for k, (s, t) in enumerate(st.transpose(0, 2, 1), start=1)])
+    worst = float(np.max(np.linalg.norm(e[:, 0] @ e[:, 1] - e[:, 2], axis=(-2, -1))))
     checks.append(CheckResult("one-parameter subgroup law exp(s)exp(t)=exp(s+t)", worst, 1e-12))
 
     times = rng.uniform(-3.0, 3.0, size=(8, 10))

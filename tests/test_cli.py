@@ -343,6 +343,22 @@ class TestConfigValidation:
         assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
         assert_one_error_line(capsys, f"outputs.{key} must be a nonempty string or null")
 
+    def test_non_finite_horizon(self, tmp_path, capsys):
+        # a config defect (exit 2), not a numeric failure of the run (exit 4)
+        assert self.run(tmp_path, {"method": "rk4", "dt": 1e308, "steps": 2}) == 2
+        assert_one_error_line(capsys, "integrator horizon", "is not finite")
+
+    @pytest.mark.parametrize("monitor_path", ["out.csv", "./sub/../out.csv", "link.csv"])
+    def test_outputs_must_name_two_files(self, tmp_path, capsys, monkeypatch, monitor_path):
+        # one file for both outputs kept only the trajectory: the monitor CSV was lost
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(tmp_path / "out.csv")
+        doc = dict(CP1_PAIR, outputs={"trajectory_path": "out.csv", "monitor_path": monitor_path})
+        assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
+        assert_one_error_line(capsys, "name the same file")
+        assert not (tmp_path / "out.csv").exists()  # rejected before any output is opened
+
     @pytest.mark.parametrize("field", ["integrator", "outputs"])
     def test_sections_must_be_objects(self, tmp_path, capsys, field):
         doc = dict(CP1_PAIR, **{field: []})

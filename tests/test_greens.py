@@ -79,6 +79,17 @@ class TestGreensCpn:
         with pytest.raises(DomainError):
             greens_cpn(2, 1.6)
 
+    @pytest.mark.parametrize("f", [greens_cpn, greens_cpn_derivative])
+    @pytest.mark.parametrize("r", [math.nan, [0.5, math.nan, 1.0]])
+    def test_nan_distance_is_a_domain_error(self, f, r):
+        # NaN fails both r > 0 and r <= pi/2; it used to pass both one-sided checks and return NaN
+        with pytest.raises(DomainError, match="nan"):
+            f(2, r)
+
+    def test_singularity_is_reported_before_the_domain(self):
+        with pytest.raises(SingularityError):
+            greens_cpn(2, [1.6, math.nan, 0.0])
+
     def test_blows_up_towards_zero(self):
         for n in (1, 2, 3, 4):
             assert greens_cpn(n, 1e-6) > greens_cpn(n, 1e-3) > greens_cpn(n, 0.1)

@@ -18,7 +18,7 @@ from cpvortex.momentum import (
     weighted_momentum,
 )
 from cpvortex.su3flag import FlagCoords, exp_su3
-from cpvortex.verify import _product_unitary, _random_flag
+from cpvortex.verify import _random_flag, _unitary_factors, _unitary_products
 
 
 class TestMomentumValue:
@@ -81,7 +81,7 @@ class TestEquivariance:
         rng = np.random.default_rng(3)
         for _ in range(100):
             p = random_point(2, rng)
-            assert momentum_cp2_equivariance_check(p, _product_unitary(rng)) < 1e-10
+            assert momentum_cp2_equivariance_check(p, _unitary_products(_unitary_factors(rng))) < 1e-10
 
     def test_torus_fixes_basis_point(self):
         # diagonal conjugation fixes the diagonal momentum value
@@ -238,7 +238,8 @@ class TestWeightedMomentum:
 
     def test_plane_rejected(self):
         sys = VortexSystem.plane([0.0, 1.0], [1.0, 1.0])
-        with pytest.raises(ConfigurationError):
+        # the same guard and wording as every dynamics entry point
+        with pytest.raises(ConfigurationError, match="^weighted_momentum needs a cpn system$"):
             weighted_momentum(sys)
 
 

@@ -283,7 +283,7 @@ class TestPotentialAndMetric:
         for _ in range(20):
             z = _random_flag(rng)
             fd = wirtinger_hessian(
-                lambda v: kahler_potential_flag(FlagCoords(v[0], v[1], v[2])), z.as_vector()
+                lambda v: kahler_potential_flag(FlagCoords(v[..., 0], v[..., 1], v[..., 2])), z.as_vector()
             )
             assert np.max(np.abs(fd - flag_metric(z))) < 1e-5
 
