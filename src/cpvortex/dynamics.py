@@ -37,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDegenerateError, CollisionError, ConfigurationError, NumericError
-from .geom import MIN_PIVOT, AffineChart, ProjectivePoint, _lift_distance, fubini_study_metric, pivot_threshold
+from .errors import CollisionError, ConfigurationError, NumericError
+from .geom import (AffineChart, ProjectivePoint, _chart_lifts, _chart_values, _default_charts, _lift_distance,
+                   _off_pivot, fubini_study_metric, pivot_threshold)
 from .greens import PLANE_CONSTANT, greens_constant, greens_radial_part, greens_radial_slope
 from .momentum import _momentum_sum
 
@@ -49,7 +50,6 @@ __all__ = [
     "VortexSystem",
     "grad_hamiltonian",
     "hamiltonian_cpn",
-    "hamiltonian_prefactor",
     "hamiltonian_vector_field",
     "integrate",
     "min_pairwise_distance",
@@ -73,10 +73,6 @@ _MONITOR_PAIRS = 256
 
 # random unit test vectors per vortex in omega_identity_defect
 _OMEGA_SAMPLES = 10
-
-
-# the coupling constant of H is the Green's normalization C_n
-hamiltonian_prefactor = greens_constant
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,29 +257,6 @@ def hamiltonian_cpn(system: VortexSystem) -> float:
     return _energy(system)
 
 
-def _default_charts(lifts: np.ndarray) -> np.ndarray:
-    """Per lift, the index of its largest-magnitude coordinate."""
-    return np.abs(lifts).argmax(axis=-1)
-
-
-def _chart_values(lifts: np.ndarray, charts) -> np.ndarray:
-    """Affine chart values (..., n) of lifts (..., n+1): each lift without its pivot
-    coordinate charts[...], divided by the pivot.  Raises ConfigurationError unless
-    charts holds one integer in [0, n] per lift, and ChartDegenerateError when a
-    pivot is numerically unusable (|pivot| <= MIN_PIVOT), as to_chart does."""
-    charts = np.asarray(charts)
-    size = lifts.shape[-1]
-    if charts.shape != lifts.shape[:-1] or charts.dtype.kind not in "iu" or np.any((charts < 0) | (charts >= size)):
-        raise ConfigurationError(f"need an integer chart index in [0, {size - 1}] per lift, got {charts.shape} for {lifts.shape}")
-    rest = np.array([[i for i in range(size) if i != c] for c in range(size)])
-    pivots = np.take_along_axis(lifts, charts[..., None], axis=-1)
-    if np.any(np.abs(pivots) <= MIN_PIVOT):
-        raise ChartDegenerateError(
-            f"pivot magnitude {np.abs(pivots).min():.3e} below {MIN_PIVOT}; pick another chart"
-        )
-    return np.take_along_axis(lifts, rest[charts], axis=-1) / pivots
-
-
 def _chart_gradients(system: VortexSystem, charts):
     """Chart values (N, n) and real gradients (N, 2n) of H, (dH/dx_1..dx_n, dH/dy_1..dy_n) per vortex.
 
@@ -297,9 +270,7 @@ def _chart_gradients(system: VortexSystem, charts):
     """
     n, N = system.n, system.size
     ws = _chart_values(system.positions, charts)
-    rest = np.arange(n + 1) != charts[:, None]
-    a = np.ones((N, n + 1), dtype=complex)
-    a[rest] = ws.ravel()
+    a = _chart_lifts(ws, charts)
     gram = a @ a.conj().T
     norms2 = gram.diagonal().real
     inv = 1.0 / np.outer(norms2, norms2)
@@ -308,7 +279,7 @@ def _chart_gradients(system: VortexSystem, charts):
     c = greens_constant(n) * np.outer(system.strengths, system.strengths) * greens_radial_slope(n, 1.0 - rho)
     c.ravel()[:: N + 1] = 0.0
     wirt = ((c * inv * gram) @ a - ((c * rho).sum(axis=1) / norms2)[:, None] * a).conj()
-    d = wirt[rest].reshape(N, n)
+    d = wirt[_off_pivot(charts, wirt.shape)].reshape(N, n)
     return ws, np.concatenate([2.0 * d.real, -2.0 * d.imag], axis=1)
 
 

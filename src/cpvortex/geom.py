@@ -6,8 +6,9 @@ the geodesic distance
 
     r(u, v) = arccos sqrt( <u,v><v,u> / (<u,u><v,v>) )   in [0, pi/2]
 
-are provided on top of that representation.  All values are immutable and
-all functions are pure.
+are provided on top of that representation.  The chart map works on arrays
+of lifts, one chart index per lift; to_chart and from_chart are its
+single-point cases.  All values are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChartDegenerateError, DimensionMismatchError
+from .errors import ChartDegenerateError, ConfigurationError, DimensionMismatchError
 
 __all__ = [
     "AffineChart",
     "ProjectivePoint",
-    "best_chart_index",
     "from_chart",
     "fubini_study_metric",
     "fubini_study_potential",
@@ -61,8 +61,9 @@ class ProjectivePoint:
         if coords.ndim != 1 or coords.size < 2:
             raise DimensionMismatchError("homogeneous coordinates need length n+1 >= 2")
         norm = np.linalg.norm(coords)
-        if norm == 0.0 or not np.all(np.isfinite(coords)):
-            raise ValueError("homogeneous coordinates must be finite and nonzero")
+        # dividing by a norm that overflowed to inf would silently give the zero vector
+        if not (0.0 < norm < np.inf) or not np.all(np.isfinite(coords)):
+            raise ValueError("homogeneous coordinates must be finite and nonzero, with a finite norm")
         coords = coords / norm
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
@@ -79,9 +80,10 @@ class ProjectivePoint:
 class AffineChart:
     """Affine chart values of a projective point, or of a batch of points in one chart.
 
-    ``chart_index`` is the pivot coordinate that was scaled to 1; ``values``
-    are the remaining n coordinates in ascending index order along the last
-    axis (shape (n,) for one point, (..., n) for a batch).
+    ``chart_index`` is the pivot coordinate that was scaled to 1, an integer
+    in [0, n] (else ConfigurationError); ``values`` are the remaining n
+    coordinates in ascending index order along the last axis (shape (n,)
+    for one point, (..., n) for a batch).
     """
 
     chart_index: int
@@ -93,9 +95,9 @@ class AffineChart:
             raise DimensionMismatchError("chart values need length n >= 1")
         if not np.all(np.isfinite(values)):
             raise ValueError("chart values must be finite")
-        if not 0 <= self.chart_index <= values.shape[-1]:
-            raise ValueError(f"chart_index {self.chart_index} out of range [0, {values.shape[-1]}]")
+        _off_pivot(self.chart_index, (values.shape[-1] + 1,))
         values.flags.writeable = False
+        object.__setattr__(self, "chart_index", int(self.chart_index))
         object.__setattr__(self, "values", values)
 
     @property
@@ -118,36 +120,63 @@ def pivot_threshold(n: int) -> float:
 MIN_PIVOT = 1e-8
 
 
+def _off_pivot(charts, shape: tuple) -> np.ndarray:
+    """Boolean mask of the given lift shape (..., n+1), False at the pivot charts[...] of each lift.
+
+    Raises ConfigurationError unless charts holds one integer in [0, n] per lift.
+    """
+    charts, size = np.asarray(charts), shape[-1]
+    if charts.shape != shape[:-1] or charts.dtype.kind not in "iu" or np.any((charts < 0) | (charts >= size)):
+        raise ConfigurationError(
+            f"need an integer chart index in [0, {size - 1}] per point, got {charts.dtype} charts {charts.shape} for {shape[:-1]}"
+        )
+    return np.arange(size) != charts[..., None]
+
+
+def _chart_values(lifts: np.ndarray, charts) -> np.ndarray:
+    """Affine chart values (..., n) of lifts (..., n+1): each lift without its pivot
+    coordinate charts[...], divided by the pivot.  Raises ConfigurationError unless
+    charts holds one integer in [0, n] per lift, and ChartDegenerateError when a
+    pivot is numerically unusable (|pivot| <= MIN_PIVOT)."""
+    rest = _off_pivot(charts, lifts.shape)
+    pivots = lifts[~rest].reshape(lifts.shape[:-1] + (1,))
+    if np.any(np.abs(pivots) <= MIN_PIVOT):
+        raise ChartDegenerateError(
+            f"pivot magnitude {np.abs(pivots).min():.3e} below {MIN_PIVOT}; pick another chart"
+        )
+    return lifts[rest].reshape(lifts.shape[:-1] + (-1,)) / pivots
+
+
+def _chart_lifts(values: np.ndarray, charts) -> np.ndarray:
+    """Chart lifts (..., n+1) of chart values (..., n): 1 at the pivot charts[...] and
+    the values elsewhere, not normalized; _chart_values inverts it."""
+    lifts = np.ones(values.shape[:-1] + (values.shape[-1] + 1,), dtype=complex)
+    lifts[_off_pivot(charts, lifts.shape)] = values.ravel()
+    return lifts
+
+
+def _default_charts(lifts: np.ndarray) -> np.ndarray:
+    """Per lift, the index of its largest-magnitude coordinate: a pivot of magnitude >= 1/sqrt(n+1) times the norm."""
+    return np.abs(lifts).argmax(axis=-1)
+
+
 def to_chart(p: ProjectivePoint, chart_index: int) -> AffineChart:
     """Divide out the pivot coordinate.
 
-    Fails with ChartDegenerateError once the pivot is numerically unusable
-    (|pivot| <= MIN_PIVOT); the caller must pick another chart.  Callers
-    that need a guaranteed well-conditioned chart should test the pivot
-    against pivot_threshold(n) instead.
+    Fails with ConfigurationError unless chart_index is an integer in
+    [0, n], and with ChartDegenerateError once the pivot is numerically
+    unusable (|pivot| <= MIN_PIVOT); the caller must pick another chart.
+    Callers that need a guaranteed well-conditioned chart should test the
+    pivot against pivot_threshold(n) instead.
     """
-    if not 0 <= chart_index <= p.n:
-        raise ValueError(f"chart_index {chart_index} out of range [0, {p.n}]")
-    pivot = p.coords[chart_index]
-    if abs(pivot) <= MIN_PIVOT:
-        raise ChartDegenerateError(
-            f"pivot |coords[{chart_index}]| = {abs(pivot):.3e} below {MIN_PIVOT}; pick another chart"
-        )
-    rest = np.delete(p.coords, chart_index)
-    return AffineChart(chart_index, rest / pivot)
+    return AffineChart(chart_index, _chart_values(p.coords, chart_index))
 
 
 def from_chart(chart: AffineChart) -> ProjectivePoint:
     """Insert 1 at the pivot slot and renormalize; the chart holds one point."""
     if chart.values.ndim != 1:
         raise DimensionMismatchError(f"from_chart takes the chart of one point, got values of shape {chart.values.shape}")
-    coords = np.insert(chart.values, chart.chart_index, 1.0 + 0.0j)
-    return ProjectivePoint(coords)
-
-
-def best_chart_index(p: ProjectivePoint) -> int:
-    """Index of the largest-magnitude homogeneous coordinate."""
-    return int(np.argmax(np.abs(p.coords)))
+    return ProjectivePoint(_chart_lifts(chart.values, chart.chart_index))
 
 
 def geodesic_distance_cpn(xi: ProjectivePoint, eta: ProjectivePoint) -> float:

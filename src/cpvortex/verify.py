@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, geom, greens, momentum, su3flag
-from .errors import CollisionError
 from .su3flag import FlagCoords
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
@@ -70,15 +69,15 @@ def _random_flag(rng: np.random.Generator, radius: float = 1.5, shape: tuple = (
     return FlagCoords(z[..., 0], z[..., 1], z[..., 2])
 
 
-def _unit_lifts(g: np.ndarray) -> np.ndarray:
-    """Unit lifts (..., n+1) of Gaussian pairs g (..., 2, n+1), normed as ProjectivePoint norms them, bit for bit."""
-    v = g[..., 0, :] + 1j * g[..., 1, :]
+def _unit_lifts(v: np.ndarray) -> np.ndarray:
+    """Unit lifts (..., n+1) of complex vectors v (..., n+1), normed as ProjectivePoint norms them, bit for bit."""
     return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
 
 
 def _random_lifts(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """Unit lifts (count, n+1) of ``count`` draws of geom.random_point(n, rng), in the same stream."""
-    return _unit_lifts(rng.standard_normal((count, 2, n + 1)))
+    g = rng.standard_normal((count, 2, n + 1))
+    return _unit_lifts(g[:, 0] + 1j * g[:, 1])
 
 
 def _equivariance_draws(rng: np.random.Generator, count: int) -> tuple:
@@ -86,7 +85,7 @@ def _equivariance_draws(rng: np.random.Generator, count: int) -> tuple:
     (geom.random_point(2, rng), _unitary_factors(rng)), in the same stream."""
     draws = [(rng.standard_normal((2, 3)), _unitary_factors(rng)) for _ in range(count)]
     g, factors = (np.array(x) for x in zip(*draws))
-    return _unit_lifts(g), factors
+    return _unit_lifts(g[:, 0] + 1j * g[:, 1]), factors
 
 
 def _unitary_factors(rng: np.random.Generator) -> list:
@@ -434,51 +433,47 @@ def verify_metric(seed: int = 0) -> list:
 # dynamics suite
 
 
-def _random_system(rng, make, draw, N, min_sep, gamma_range):
-    """Redraw positions and signed strengths until no pair is closer than min_sep."""
+def _random_system(rng, make, draw, n, N, min_sep, gamma_range):
+    """Redraw positions, each try in one draw(), and signed strengths until no pair is closer than min_sep."""
+    pairs = dynamics._pairs(N)
     while True:
-        positions = [draw() for _ in range(N)]
+        x = draw()
         gam = rng.uniform(*gamma_range, N) * rng.choice([-1.0, 1.0], N)
-        try:
-            system = make(positions, gam)
-        except CollisionError:
-            continue
-        if dynamics.min_pairwise_distance(system) >= min_sep:
-            return system
+        # the constructor's collision check, made first: a try it would reject is redrawn here
+        if np.all(dynamics._separations(x, n, *pairs) >= max(min_sep, dynamics.COLLISION_THRESHOLD)):
+            return make(x, gam)
 
 
 def _random_cpn_system(rng, n, N, min_sep=0.3, gamma_range=(0.5, 2.0)):
-    return _random_system(rng, dynamics.VortexSystem.cpn, lambda: geom.random_point(n, rng), N, min_sep, gamma_range)
+    return _random_system(rng, dynamics.VortexSystem.cpn, lambda: _random_lifts(rng, n, N), n, N, min_sep, gamma_range)
 
 
 def _random_planar_system(rng, N, min_sep=0.3, gamma_range=(0.5, 1.5)):
-    draw = lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return _random_system(rng, dynamics.VortexSystem.plane, draw, N, min_sep, gamma_range)
+    draw = lambda: rng.uniform(-1, 1, (N, 2)).view(complex)[:, 0]  # each row (x, y) read as x + iy
+    return _random_system(rng, dynamics.VortexSystem.plane, draw, 0, N, min_sep, gamma_range)
 
 
 def _relative_gradient_error(system):
-    h = _GRADIENT_STEP
-    grads = dynamics.grad_hamiltonian(system)
-    ws = dynamics._chart_values(system.positions, [c for c, _ in grads])
-    n = system.n
-    worst = 0.0
-    for alpha, ((c, grad), w0) in enumerate(zip(grads, ws)):
+    """Largest relative defect, over the vortices, of grad_hamiltonian against central differences of H.
 
-        def h_at(w):
-            lifts = system.positions.copy()  # the other vortices keep their exact lifts
-            lifts[alpha] = geom.from_chart(geom.AffineChart(c, w)).coords
-            return dynamics.hamiltonian_cpn(dynamics.VortexSystem.cpn(lifts, system.strengths))
-
-        fd = np.zeros(2 * n)
-        for i in range(n):
-            e = np.zeros(n, complex)
-            e[i] = h
-            fd[i] = (h_at(w0 + e) - h_at(w0 - e)) / (2.0 * h)
-            e[i] = 1j * h
-            fd[n + i] = (h_at(w0 + e) - h_at(w0 - e)) / (2.0 * h)
-        scale = max(float(np.linalg.norm(grad)), 1e-8)
-        worst = max(worst, float(np.linalg.norm(fd - grad)) / scale)
-    return worst
+    All 4 N n perturbed states (N, 2, 2n, N, n+1) are stacked: vortex alpha moved
+    by +-h along one real coordinate of its chart, the others at their exact lifts,
+    and H takes one evaluation of the energy kernel over the stack.
+    """
+    h, n, N = _GRADIENT_STEP, system.n, system.size
+    charts, grads = (np.array(x) for x in zip(*dynamics.grad_hamiltonian(system)))
+    w0 = geom._chart_values(system.positions, charts)
+    e = h * np.concatenate([np.eye(n), 1j * np.eye(n)])  # (2n, n)
+    w = w0[:, None, None, :] + np.stack([e, -e])  # (N, 2, 2n, n)
+    moved = _unit_lifts(geom._chart_lifts(w, np.broadcast_to(charts[:, None, None], w.shape[:-1])))
+    states = np.broadcast_to(system.positions, (N, 2, 2 * n, N, n + 1)).copy()
+    alpha = np.arange(N)
+    states[alpha, :, :, alpha] = moved
+    i, j = dynamics._pairs(N)
+    energy = dynamics._pair_energy(n, system.strengths, i, j, dynamics._separations(states, n, i, j))
+    fd = (energy[:, 0] - energy[:, 1]) / (2.0 * h)
+    scale = np.maximum(np.linalg.norm(grads, axis=1), 1e-8)
+    return float((np.linalg.norm(fd - grads, axis=1) / scale).max())
 
 
 def _planar_period_error():
@@ -513,9 +508,7 @@ def verify_dynamics(seed: int = 0) -> list:
         for _ in range(50):
             sys = _random_cpn_system(rng, n, 3)
             u = geom.random_unitary(n + 1, rng)
-            moved = dynamics.VortexSystem.cpn(
-                [geom.ProjectivePoint(u @ p) for p in sys.positions], sys.strengths
-            )
+            moved = dynamics.VortexSystem.cpn(sys.positions @ u.T, sys.strengths)
             worst = max(worst, abs(dynamics.hamiltonian_cpn(moved) - dynamics.hamiltonian_cpn(sys)))
     checks.append(CheckResult("Hamiltonian invariance under common unitaries (n=1,2,3)", worst, 1e-10))
 

@@ -10,7 +10,6 @@ from cpvortex.dynamics import (
     VortexSystem,
     grad_hamiltonian,
     hamiltonian_cpn,
-    hamiltonian_prefactor,
     hamiltonian_vector_field,
     integrate,
     min_pairwise_distance,
@@ -155,10 +154,10 @@ class TestHamiltonianCpn:
         assert hamiltonian_cpn(sys) == pytest.approx(math.log(2.0) / (4.0 * math.pi), rel=1e-12)
 
     def test_prefactor_matches_pairwise_green_for_low_n(self):
-        from cpvortex.greens import cpn_volume
+        from cpvortex.greens import cpn_volume, greens_constant
 
         for n in (1, 2, 3, 4, 5, 6):
-            assert hamiltonian_prefactor(n) == pytest.approx(-1.0 / (2.0 * n * cpn_volume(n)), rel=1e-15)
+            assert greens_constant(n) == pytest.approx(-1.0 / (2.0 * n * cpn_volume(n)), rel=1e-15)
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(0)

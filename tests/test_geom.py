@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpvortex.errors import ChartDegenerateError, DimensionMismatchError
+from cpvortex.errors import ChartDegenerateError, ConfigurationError, DimensionMismatchError
 from cpvortex.geom import (
     AffineChart,
     ProjectivePoint,
-    best_chart_index,
+    _chart_lifts,
+    _chart_values,
+    _default_charts,
     from_chart,
     fubini_study_metric,
     fubini_study_potential,
@@ -56,6 +58,14 @@ class TestProjectivePoint:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             ProjectivePoint([0, 0, 0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_norm_rejected(self):
+        # the norm overflows to inf; dividing by it used to give the zero vector
+        with pytest.raises(ValueError, match="finite norm"):
+            ProjectivePoint([1e200, 1])
+        with pytest.raises(ValueError, match="finite norm"):
+            from_chart(AffineChart(0, [1e200]))
 
 
 class TestDistance:
@@ -136,19 +146,69 @@ class TestCharts:
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            p = random_point(3, rng)
-            c = best_chart_index(p)
-            again = from_chart(to_chart(p, c))
-            assert p.same_point(again, tol=1e-12)
+        lifts = np.array([random_point(3, rng).coords for _ in range(50)])
+        charts = _default_charts(lifts)
+        a = _chart_lifts(_chart_values(lifts, charts), charts)
+        overlap = np.abs(np.sum(a * lifts.conj(), axis=-1)) / np.linalg.norm(a, axis=-1)
+        np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
+        for p, c in zip(lifts, charts):
+            assert ProjectivePoint(p).same_point(from_chart(to_chart(ProjectivePoint(p), c)), tol=1e-12)
 
     def test_every_point_has_a_chart(self):
         rng = np.random.default_rng(4)
         for n in (1, 2, 3, 4):
-            thr = pivot_threshold(n)
-            for _ in range(200):
-                p = random_point(n, rng)
-                assert abs(p.coords[best_chart_index(p)]) > thr
+            lifts = np.array([random_point(n, rng).coords for _ in range(200)])
+            pivots = np.take_along_axis(lifts, _default_charts(lifts)[:, None], axis=1)
+            assert np.all(np.abs(pivots) > pivot_threshold(n))
+
+
+class TestOneChartMap:
+    """to_chart and from_chart are the single-point cases of the array chart map."""
+
+    def test_hand_values(self):
+        p = ProjectivePoint([1, 2, 3])
+        np.testing.assert_allclose(to_chart(p, 1).values, [1 / 2, 3 / 2], rtol=1e-15)
+        np.testing.assert_allclose(to_chart(p, 2).values, [1 / 3, 2 / 3], rtol=1e-15)
+        assert to_chart(p, 1).chart_index == 1 and type(to_chart(p, np.int64(2)).chart_index) is int
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_single_point_and_batch_agree_for_every_pivot(self, n):
+        rng = np.random.default_rng(n)
+        points = [random_point(n, rng) for _ in range(12)]
+        lifts = np.array([p.coords for p in points]).reshape(3, 4, n + 1)
+        for c in range(n + 1):
+            charts = np.full((3, 4), c)
+            values = _chart_values(lifts, charts)
+            np.testing.assert_array_equal(_chart_lifts(values, charts)[..., c], 1.0)
+            for p, w in zip(points, values.reshape(12, n)):
+                chart = to_chart(p, c)
+                np.testing.assert_array_equal(chart.values, w)
+                np.testing.assert_array_equal(from_chart(chart).coords, ProjectivePoint(_chart_lifts(w, c)).coords)
+                assert from_chart(chart).same_point(p, tol=1e-12)
+
+    def test_batch_round_trip(self):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3))
+        charts = rng.integers(0, 4, (6, 5))
+        np.testing.assert_allclose(_chart_values(_chart_lifts(values, charts), charts), values, rtol=1e-15)
+
+    def test_degenerate_pivot_on_both_paths(self):
+        with pytest.raises(ChartDegenerateError):
+            to_chart(ProjectivePoint([1, 0, 1]), 1)
+        with pytest.raises(ChartDegenerateError):
+            _chart_values(np.array([[0.6, 0.8, 0.0], [1.0, 0.0, 0.0]]), [2, 0])
+
+    @pytest.mark.parametrize("index", [-1, 3, True, False, 1.0, None])
+    def test_bad_index_is_a_configuration_error_on_both_paths(self, index):
+        p = ProjectivePoint([1, 2, 3])
+        with pytest.raises(ConfigurationError, match="chart index"):
+            to_chart(p, index)
+        with pytest.raises(ConfigurationError, match="chart index"):
+            _chart_values(np.array([p.coords, p.coords]), [index, index])
+        with pytest.raises(ConfigurationError, match="chart index"):
+            _chart_lifts(np.ones((2, 2)), [index, index])
+        with pytest.raises(ConfigurationError, match="chart index"):
+            AffineChart(index, [0.5, 1.5])
 
 
 class TestFubiniStudyMetric:

@@ -31,18 +31,121 @@ class TestOnlyCollisionsAreSkipped:
             verify._random_cpn_system(np.random.default_rng(0), 2, 3)
 
     def test_random_planar_system_redraws_after_a_collision(self, monkeypatch):
-        plane, calls = dynamics.VortexSystem.plane, []
-
-        def collide_once(positions, strengths):
-            calls.append(1)
-            if len(calls) == 1:
-                raise CollisionError("minimum pairwise separation below collision threshold")
-            return plane(positions, strengths)
-
-        monkeypatch.setattr(dynamics.VortexSystem, "plane", staticmethod(collide_once))
-        system = verify._random_planar_system(np.random.default_rng(0), 3)
-        assert len(calls) >= 2
+        # the first position draw puts all three vortices on one point: a collision that the
+        # sampler rejects by its separations, so the constructor only sees the accepted redraw
+        plane, built = dynamics.VortexSystem.plane, []
+        monkeypatch.setattr(dynamics.VortexSystem, "plane", staticmethod(lambda x, g: built.append(x) or plane(x, g)))
+        rng = FirstPositionsCoincide(0)
+        system = verify._random_planar_system(rng, 3)
+        assert rng.position_draws >= 2 and len(built) == 1
         assert dynamics.min_pairwise_distance(system) >= 0.3
+
+
+class FirstPositionsCoincide:
+    """A generator whose first (N, 2) uniform draw, a planar position draw, puts every vortex on its first point."""
+
+    def __init__(self, seed):
+        self.rng, self.position_draws = np.random.default_rng(seed), 0
+
+    def uniform(self, low, high, size=None):
+        out = self.rng.uniform(low, high, size)
+        if np.ndim(out) == 2:
+            self.position_draws += 1
+            if self.position_draws == 1:
+                out[:] = out[0]
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def one_point_at_a_time(rng, make, draw, N, min_sep, gamma_range):
+    """The sampler as scalar draws: N single points per try, and a system built before the separation test."""
+    tries = 0
+    while True:
+        tries += 1
+        positions = [draw() for _ in range(N)]
+        gam = rng.uniform(*gamma_range, N) * rng.choice([-1.0, 1.0], N)
+        try:
+            system = make(positions, gam)
+        except CollisionError:
+            continue
+        if dynamics.min_pairwise_distance(system) >= min_sep:
+            return system, tries
+
+
+def per_coordinate_energies(system):
+    """H (N, 2, 2n) of the gradient oracle's perturbed states, one chart coordinate and one hamiltonian_cpn call at a time."""
+    h, n = verify._GRADIENT_STEP, system.n
+    charts = geom._default_charts(system.positions)
+    out = np.zeros((system.size, 2, 2 * n))
+    for alpha, (c, w0) in enumerate(zip(charts.tolist(), geom._chart_values(system.positions, charts))):
+        for k in range(2 * n):
+            e = np.zeros(n, complex)
+            e[k % n] = h if k < n else 1j * h
+            for sign, w in enumerate((w0 + e, w0 - e)):
+                lifts = system.positions.copy()
+                lifts[alpha] = geom.from_chart(geom.AffineChart(c, w)).coords
+                out[alpha, sign, k] = dynamics.hamiltonian_cpn(dynamics.VortexSystem.cpn(lifts, system.strengths))
+    return out
+
+
+class TestArrayDynamicsChecks:
+    """The dynamics suite draws each try in one call and stacks the gradient oracle's perturbed states."""
+
+    @pytest.mark.parametrize("n, N, min_sep", [(0, 3, 0.3), (0, 5, 0.5), (1, 3, 0.3), (2, 4, 0.5), (3, 1, 0.3)])
+    def test_samplers_follow_the_one_point_stream(self, n, N, min_sep):
+        redraws = 0
+        for seed in range(50):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            if n:
+                system = verify._random_cpn_system(rng, n, N, min_sep)
+                make, draw, gamma_range = dynamics.VortexSystem.cpn, lambda: geom.random_point(n, ref), (0.5, 2.0)
+            else:
+                system = verify._random_planar_system(rng, N, min_sep)
+                make, gamma_range = dynamics.VortexSystem.plane, (0.5, 1.5)
+                draw = lambda: complex(ref.uniform(-1, 1), ref.uniform(-1, 1))
+            expected, tries = one_point_at_a_time(ref, make, draw, N, min_sep, gamma_range)
+            redraws += tries - 1
+            assert np.array_equal(system.positions, expected.positions)
+            assert np.array_equal(system.strengths, expected.strengths)
+            assert rng.random() == ref.random()  # both streams stop at the same draw
+        assert redraws > 0 or N == 1
+
+    def test_gradient_oracle_matches_the_per_coordinate_loop(self, monkeypatch):
+        h = verify._GRADIENT_STEP
+        pair_energy, stacked = dynamics._pair_energy, []
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n, N = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            system = verify._random_cpn_system(rng, n, N)
+            loop = per_coordinate_energies(system)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_pair_energy", lambda *a: stacked.append(pair_energy(*a)) or stacked[-1])
+                defect = verify._relative_gradient_error(system)
+            np.testing.assert_allclose(stacked[-1], loop, rtol=1e-12, atol=0)
+            # energies within 1e-12 relative move each difference quotient by at most 1e-12 max|H| / h
+            fd = (loop[:, 0] - loop[:, 1]) / (2.0 * h)
+            grads = np.array([g for _, g in dynamics.grad_hamiltonian(system)])
+            scale = np.maximum(np.linalg.norm(grads, axis=1), 1e-8)
+            expected = (np.linalg.norm(fd - grads, axis=1) / scale).max()
+            bound = np.sqrt(2 * n) * 1e-12 * np.abs(loop).max() / h / scale.min()
+            assert abs(defect - expected) <= bound
+        assert len(stacked) == 10
+
+    def test_energy_kernel_runs_once_per_config(self, monkeypatch):
+        counts = {"_separations": 0, "_pair_energy": 0, "hamiltonian_cpn": 0, "VortexSystem": 0}
+        system = verify._random_cpn_system(np.random.default_rng(3), 2, 4)
+        for name in counts:
+            original = getattr(dynamics, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(dynamics, name, counted)
+        assert verify._relative_gradient_error(system) < 1e-6
+        assert counts == {"_separations": 1, "_pair_energy": 1, "hamiltonian_cpn": 0, "VortexSystem": 0}
 
 
 class TestStackedOracles:
