@@ -119,13 +119,16 @@ def load_config(path: str):
         if not isinstance(vortices, list) or not vortices:
             raise ConfigurationError("'vortices' must be a nonempty list")
         positions, strengths = [], []
-        for i, entry in enumerate(vortices):
-            positions.append(_parse_position(manifold, n, entry["position"], i))
-            strengths.append(_number(entry["strength"], f"vortex {i}: strength"))
-        if manifold == "plane":
-            system = dynamics.VortexSystem.plane(positions, strengths)
-        else:
-            system = dynamics.VortexSystem.cpn(positions, strengths)
+        # an overflowing CP^n norm is rejected by ProjectivePoint and an overflowing planar
+        # separation reads inf; NumPy's warnings would only repeat what the checks report
+        with np.errstate(over="ignore"):
+            for i, entry in enumerate(vortices):
+                positions.append(_parse_position(manifold, n, entry["position"], i))
+                strengths.append(_number(entry["strength"], f"vortex {i}: strength"))
+            if manifold == "plane":
+                system = dynamics.VortexSystem.plane(positions, strengths)
+            else:
+                system = dynamics.VortexSystem.cpn(positions, strengths)
 
         integ = _object(doc["integrator"], "integrator")
         method = integ.get("method", "rk4")
@@ -145,6 +148,8 @@ def load_config(path: str):
             raise ConfigurationError("integrator needs 'steps' or 't_end'")
         if steps < 0:
             raise ConfigurationError(f"integrator needs a nonnegative number of steps, got {steps}")
+        if method == "rk4" and steps > dynamics.MAX_RECORDED_STEPS:
+            raise ConfigurationError(f"rk4 run of {steps} steps exceeds the cap of {dynamics.MAX_RECORDED_STEPS} recorded steps")
         if not math.isfinite(dt * steps):
             raise ConfigurationError(f"integrator horizon dt * steps = {dt!r} * {steps} is not finite")
         outputs = _object(doc.get("outputs", {}), "outputs")

@@ -20,7 +20,16 @@ c_ab = C_n Gamma_a Gamma_b df_n/drho(rho_ab),
 
     dv_a/dt = -(2i/Gamma_a) (I - v_a v_a*) sum_{b != a} c_ab G_ab v_b,
 
-the horizontal lift of the Hamiltonian vector field.  The chart-side field
+the horizontal lift of the Hamiltonian vector field.  integrate evaluates
+it with every constant folded into the vortex weights w_b = C_n h Gamma_b
+of a step h: df_n/drho = -(1/s2 + ... + 1/s2^n)/2 at s2 = 1 - rho, so
+
+    h dv_a/dt = i (I - v_a v_a*) sum_{b != a} w_b (1/s2_ab + ... + 1/s2_ab^n) G_ab v_b,
+
+the geometric sum built up from w in n - 1 steps.  RK4 takes its weights
+pre-scaled by dt/2 and dt once per run; per step only the retraction to
+unit lifts follows, and charts, finiteness and monitors are checked once
+per batch of recorded states.  The chart-side field
 is kept as the independent oracle of that formula: grad_hamiltonian takes
 dH from one Gram matrix of the chart lifts (pivot coordinate 1), and
 hamiltonian_vector_field solves omega X = dH for all vortices in one
@@ -45,6 +54,7 @@ from .momentum import _momentum_sum
 
 __all__ = [
     "COLLISION_THRESHOLD",
+    "MAX_RECORDED_STEPS",
     "METHODS",
     "Trajectory",
     "VortexSystem",
@@ -66,9 +76,15 @@ COLLISION_THRESHOLD = 1e-4
 
 METHODS = ("rk4", "rk45_adaptive")
 
-# integrate computes monitors for a batch of states at once, the batch
-# holding about this many vortex pairs: it amortizes the per-call cost of
-# the pair sweep for small N, and a collision stops the run within a batch
+# a run records at most this many steps after its initial state, which
+# bounds its time and memory whatever dt, steps or t_end ask for
+MAX_RECORDED_STEPS = 1_000_000
+
+# integrate checks a batch of recorded states at once, the batch holding
+# about this many vortex pairs: their monitors come from one pair sweep,
+# their finiteness from one pass and their charts from one hysteresis loop,
+# which amortizes the per-call cost of all three for small N; a failure
+# stops the run within a batch of steps
 _MONITOR_PAIRS = 256
 
 # random unit test vectors per vortex in omega_identity_defect
@@ -192,25 +208,34 @@ def _monitors(x: np.ndarray, g: np.ndarray, n: int, i, j):
     return _pair_energy(n, g, i, j, r), mom, r
 
 
-def _planar_rhs(z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """dz_j/dt = conj( sum_{k != j} Gamma_k / (z_j - z_k) / (2 pi i) )."""
+def _planar_rhs(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """h dz_j/dt = conj( sum_{k != j} w_k / (z_j - z_k) ) for the weights w = i PLANE_CONSTANT h Gamma."""
     diff = z[:, None] - z[None, :]
     diff.ravel()[:: len(z) + 1] = 1.0
     inv = 1.0 / diff
     inv.ravel()[:: len(z) + 1] = 0.0
-    return (inv @ g).conj() * (-1.0j * PLANE_CONSTANT)
+    return (inv @ w).conj()
 
 
-def _cpn_rhs(v: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """dv_a/dt = -(2i/Gamma_a) (I - v_a v_a*) sum_{b != a} c_ab G_ab v_b for unit lifts v."""
+def _cpn_rhs(v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """h dv_a/dt = i (I - v_a v_a*) sum_{b != a} c_ab G_ab v_b for unit lifts v and the weights w = C_n h Gamma.
+
+    Here c_ab = w_b (1/s2 + ... + 1/s2^n), s2 = 1 - rho_ab: the geometric sum
+    of greens_radial_slope times -2 w_b, built up from w so that h and C_n
+    cost no call per evaluation.  The weights are real so that the N x N
+    coupling stays real; the one factor i multiplies the (N, n+1) result.
+    """
     gram = v @ v.conj().T
     rho = np.abs(gram) ** 2
     rho.ravel()[:: len(v) + 1] = 0.0  # keeps the coupling finite; the diagonal of m is set below
-    c = g * greens_radial_slope(n, 1.0 - rho)  # c_ab / (C_n Gamma_a)
+    s2 = 1.0 - rho
+    c = w / s2
+    for _ in range(n - 1):
+        c = (c + w) / s2
     m = c * gram
     # v_a* sum_b c_ab G_ab v_b = sum_b c_ab rho_ab: the projection only shifts the diagonal
-    m.ravel()[:: len(v) + 1] = -np.add.reduce(c * rho, axis=1)
-    return (-2.0j * greens_constant(n)) * (m @ v)
+    m.ravel()[:: len(v) + 1] = -np.vecdot(c, rho)
+    return 1j * (m @ v)
 
 
 def _energy(system: VortexSystem) -> float:
@@ -231,7 +256,7 @@ def min_pairwise_distance(system: VortexSystem) -> float:
 def planar_rhs(system: VortexSystem) -> np.ndarray:
     """Velocities dz_j/dt of the planar model (conjugated pair sum)."""
     system.require("plane", "planar_rhs")
-    return _planar_rhs(system.positions, system.strengths)
+    return _planar_rhs(system.positions, (1j * PLANE_CONSTANT) * system.strengths)
 
 
 def planar_conserved(system: VortexSystem):
@@ -345,8 +370,8 @@ class Trajectory:
 
     ``positions`` holds the planar positions (T, N) or the unit lifts
     (T, N, n+1) of every recorded step; row 0 is ``system.positions``.
-    ``charts`` is the active affine chart per step and vortex, picked at
-    record time (zeros on the plane).
+    ``charts`` is the active affine chart per step and vortex, picked from
+    the recorded lifts with hysteresis (zeros on the plane).
     """
 
     system: VortexSystem
@@ -356,12 +381,19 @@ class Trajectory:
     charts: np.ndarray
 
 
-def _rk4_step(rhs, y, dt):
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(rhs, y, half, full):
+    """One classical RK4 step for a right-hand side linear in its weights, given them pre-scaled by dt/2 and dt.
+
+    With a_1 = f(y; half), a_2 = f(y + a_1; half), a_3 = f(y + a_2; full),
+    a_4 = f(y + a_3; half), the stages are a_i = (dt/2) k_i for i = 1, 2, 4
+    and a_3 = dt k_3, so y + (dt/6)(k_1 + 2 k_2 + 2 k_3 + k_4) is the return value.
+    """
+    a1 = rhs(y, half)
+    a2 = rhs(y + a1, half)
+    a3 = rhs(y + a2, full)
+    a4 = rhs(y + a3, half)
+    return y + (a1 + 2.0 * a2 + a3 + a4) / 3.0
+
 
 # Dormand-Prince 5(4) embedded pair (autonomous system, no c-nodes needed)
 _DP_A = [
@@ -377,14 +409,38 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def _dp_step(rhs, y, dt):
-    ks = [rhs(y)]
+def _dp_step(rhs, y, dt, w):
+    ks = [rhs(y, w)]
     for i in range(1, 7):
         acc = sum(a * k for a, k in zip(_DP_A[i], ks))
-        ks.append(rhs(y + dt * acc))
+        ks.append(rhs(y + dt * acc, w))
     y5 = y + dt * sum(b * k for b, k in zip(_DP_B5, ks))
     y4 = y + dt * sum(b * k for b, k in zip(_DP_B4, ks))
     return y5, y5 - y4
+
+
+def _pick_charts(mags: np.ndarray, charts: np.ndarray, threshold: float) -> np.ndarray:
+    """Active charts (T, N) of T consecutive states, from their coordinate magnitudes (T, N, n+1).
+
+    Hysteresis, step by step: a vortex keeps its chart until the pivot
+    magnitude drops to ``threshold``, then takes its largest coordinate.
+    ``charts`` are those of the state before the first.  Each pass of the
+    loop finds the next switch over the rest of the states at once.
+    """
+    rows = np.arange(mags.shape[1])
+    out = np.empty(mags.shape[:2], dtype=int)
+    start = 0
+    while True:
+        weak = mags[start:, rows, charts] <= threshold
+        switches = np.flatnonzero(weak.any(axis=1))
+        if not switches.size:
+            out[start:] = charts
+            return out
+        k = start + int(switches[0])
+        out[start:k] = charts
+        charts = np.where(weak[switches[0]], mags[k].argmax(axis=1), charts)
+        out[k] = charts
+        start = k + 1
 
 
 def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") -> Trajectory:
@@ -392,67 +448,83 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
 
     "rk4" takes fixed steps; "rk45_adaptive" integrates to t_end = dt*steps
     with an embedded Dormand-Prince pair (atol 1e-10, rtol 1e-9, safety
-    0.9), recording every accepted step.  On CP^n the state is the array of
-    unit lifts, renormalized after each step; each recorded step gets its
-    charts (switched when a pivot weakens) and its monitors from one sweep
-    over the pairs.  The run stops with CollisionError, carrying the index
-    of the first step that brought two vortices within COLLISION_THRESHOLD,
-    or with NumericError at the first non-finite state, adaptive error
-    estimate, H or momentum norm.
+    0.9), recording every accepted step.  The right-hand sides are linear
+    in the vortex weights w (C_n Gamma on CP^n, i PLANE_CONSTANT Gamma on
+    the plane) and return h times the velocity for the weights h w; RK4
+    builds w dt/2 and w dt once per run, so a stage costs no scalar
+    multiply, and a step is four right-hand sides and nine array operations.  On
+    CP^n the state is the array of unit lifts, renormalized after each
+    step; that is all the per-step work besides the stages.  The recorded
+    states are checked in batches of about _MONITOR_PAIRS vortex pairs:
+    one sweep over the pairs gives their monitors, one pass their
+    finiteness, and the chart hysteresis (a chart is switched when its
+    pivot weakens) runs once per switch.  The run stops at the first
+    failure by step index: CollisionError, carrying the index of the first
+    step that brought two vortices within COLLISION_THRESHOLD, or
+    NumericError at the first non-finite H or momentum norm, state or
+    adaptive error estimate.  A run records at most MAX_RECORDED_STEPS
+    steps: more rk4 steps raise ConfigurationError, and an adaptive run
+    that reaches the cap before t_end stops with NumericError.
     """
     if dt <= 0.0 or steps < 0 or not np.isfinite(dt * steps):
         raise ConfigurationError(f"need dt > 0 and steps >= 0 with finite horizon, got {dt}, {steps}")
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}")
+    if method == "rk4" and steps > MAX_RECORDED_STEPS:
+        raise ConfigurationError(f"{steps} rk4 steps exceed the cap of {MAX_RECORDED_STEPS} recorded steps")
 
     y, g = system.positions, system.strengths
     n = system.n
     pairs = _pairs(system.size)
     batch = max(1, _MONITOR_PAIRS // max(1, len(pairs[0])))
     if n == 0:
-        rhs = functools.partial(_planar_rhs, g=g)
-        charts = np.zeros(system.size, dtype=int)
+        rhs = _planar_rhs
+        weights = (1j * PLANE_CONSTANT) * g
     else:
-        rhs = functools.partial(_cpn_rhs, g=g, n=n)
-        rows = np.arange(system.size)
+        rhs = functools.partial(_cpn_rhs, n=n)
+        weights = greens_constant(n) * g
         charts = _default_charts(y)
         thr = pivot_threshold(n)
 
-    times, positions, chart_rows, monitors = [0.0], [y], [charts], []
+    times, positions, chart_rows, monitors = [0.0], [y], [], []
     checked = 0  # recorded states whose monitors are computed
 
     def flush():
-        """Monitors of the states recorded since the last flush; raises at the first collided one."""
-        nonlocal checked
-        h, mom, r = _monitors(np.array(positions[checked:]), g, n, *pairs)
+        """Check the states recorded since the last flush; raises at the first failure by step index."""
+        nonlocal checked, charts
+        x = np.array(positions[checked:])
+        h, mom, r = _monitors(x, g, n, *pairs)
         dmin = r.min(axis=1) if r.shape[1] else np.full(len(h), math.inf)
-        hit = np.flatnonzero(dmin < COLLISION_THRESHOLD)
+        finite = np.isfinite(x).reshape(len(x), -1).all(axis=1)
+        stop = len(x) if finite.all() else int(finite.argmin())  # the states after a non-finite one are not run
+        hit = np.flatnonzero(dmin[:stop] < COLLISION_THRESHOLD)
         if hit.size:
             k = int(hit[0])
             raise _collision(pairs, r[k], step_index=checked + k)
-        bad = np.flatnonzero(~(np.isfinite(h) & np.isfinite(mom)))  # min_dist is inf for N = 1
+        bad = np.flatnonzero(~(np.isfinite(h[:stop]) & np.isfinite(mom[:stop])))  # min_dist is inf for N = 1
         if bad.size:
             raise NumericError(f"non-finite energy or momentum norm at step {checked + int(bad[0])}")
+        if stop < len(x):
+            raise NumericError(f"non-finite state at step {checked + stop} (t = {times[checked + stop]})")
+        if n:
+            chart_rows.append(_pick_charts(np.abs(x), charts, thr))
+            charts = chart_rows[-1][-1]
+        else:
+            chart_rows.append(np.zeros(x.shape, dtype=int))
         monitors.append(np.column_stack([h, mom, dmin]))
         checked = len(positions)
 
     def fail(message):
-        flush()  # a collision among the queued states is the better diagnosis
+        if checked < len(positions):
+            flush()  # a failure among the queued states comes first
         raise NumericError(message)
 
     def record(t, x):
-        """Retract the new state, pick its charts and queue it for the monitors; returns it."""
-        nonlocal charts
-        if not np.isfinite(x).all():
-            fail(f"non-finite state at step {len(times)} (t = {t})")
+        """Retract the new state and queue it for the batched checks; returns it."""
         if n:
-            mag = np.abs(x)
-            norms = np.sqrt((mag**2).sum(axis=1))
-            x = x / norms[:, None]
-            charts = np.where(mag[rows, charts] <= thr * norms, mag.argmax(axis=1), charts)
+            x /= np.sqrt(np.vecdot(x, x).real)[:, None]
         times.append(t)
         positions.append(x)
-        chart_rows.append(charts)
         if len(positions) - checked >= batch:
             flush()
         return x
@@ -460,8 +532,9 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
     # overflow surfaces as the non-finite values checked here; NumPy's warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method == "rk4":
+            half, full = weights * (0.5 * dt), weights * dt
             for k in range(steps):
-                y = record((k + 1) * dt, _rk4_step(rhs, y, dt))
+                y = record((k + 1) * dt, _rk4_step(rhs, y, half, full))
         else:
             t_end = dt * steps
             t = 0.0
@@ -471,7 +544,9 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
                 h = min(h, t_end - t)
                 if h < 1e-14 * t_end:
                     fail(f"adaptive step size underflow at t = {t}")
-                y5, err_vec = _dp_step(rhs, y, h)
+                if len(times) > MAX_RECORDED_STEPS:
+                    fail(f"adaptive run reached the cap of {MAX_RECORDED_STEPS} recorded steps at t = {t} < t_end = {t_end}")
+                y5, err_vec = _dp_step(rhs, y, h, weights)
                 scale = 1e-10 + 1e-9 * np.maximum(np.abs(y), np.abs(y5))
                 err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
                 if not math.isfinite(err):
@@ -484,7 +559,7 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
         if checked < len(positions):
             flush()
 
-    return Trajectory(system, np.asarray(times), np.array(positions), np.concatenate(monitors), np.array(chart_rows))
+    return Trajectory(system, np.asarray(times), np.array(positions), np.concatenate(monitors), np.concatenate(chart_rows))
 
 
 def planar_pair_period(traj: Trajectory) -> float | None:

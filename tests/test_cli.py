@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cpvortex
-from cpvortex import cli, momentum, su3flag
+from cpvortex import cli, dynamics, momentum, su3flag
 
 
 def write_config(path, doc):
@@ -241,6 +241,13 @@ class TestNonFiniteRuns:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: non-finite") and proc.stderr.count("\n") == 1, proc.stderr
 
+    def test_overflowing_step(self, tmp_path):
+        # H ~ Gamma^2 = 1e300 stays finite at step 0; the first step overflows the lifts
+        proc = simulate_in_subprocess(tmp_path, 1e150, 1e160, 3, "rk4")
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == "error: non-finite state at step 1 (t = 1e+160)\n"
+
     @pytest.mark.parametrize("method", ["rk4", "rk45_adaptive"])
     def test_finite_state_overflowing_monitors(self, tmp_path, method):
         # the lifts stay finite, but H ~ Gamma^2 = 1e310 and the momentum norm overflow
@@ -248,6 +255,30 @@ class TestNonFiniteRuns:
         assert proc.returncode == 4
         assert proc.stdout == ""
         assert proc.stderr == "error: non-finite energy or momentum norm at step 0\n"
+
+
+PLANE_PAIR_AT_THE_RANGE = {
+    "manifold": "plane",
+    "vortices": [{"position": [1e308, 0.0], "strength": 1.0}, {"position": [-1e308, 0.0], "strength": 1.0}],
+    "integrator": {"method": "rk4", "dt": 0.001, "steps": 10},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        # the norm of [1e200, 1] overflows and ProjectivePoint rejects the position
+        (dict(CP1_PAIR, vortices=[{"position": [[1e200, 0.0], [1.0, 0.0]], "strength": 1.0}] + CP1_PAIR["vortices"][1:]), 2),
+        # the separation overflows to inf, and then the energy of the initial state
+        (PLANE_PAIR_AT_THE_RANGE, 4),
+    ],
+)
+def test_overflowing_position_prints_one_error_line(tmp_path, doc, code):
+    # NumPy's overflow warnings used to precede the error line
+    proc = run_python("-m", "cpvortex.cli", "simulate", write_config(tmp_path / "cfg.json", doc))
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def assert_one_error_line(capsys, *fragments):
@@ -358,6 +389,24 @@ class TestConfigValidation:
         assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
         assert_one_error_line(capsys, "name the same file")
         assert not (tmp_path / "out.csv").exists()  # rejected before any output is opened
+
+    def test_rk4_steps_over_the_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_RECORDED_STEPS", 10)
+        out = tmp_path / "t.csv"
+        doc = dict(CP1_PAIR, integrator={"method": "rk4", "dt": 0.001, "steps": 11}, outputs={"trajectory_path": str(out)})
+        assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
+        assert_one_error_line(capsys, "11 steps exceeds the cap of 10 recorded steps")
+        assert not out.exists()  # rejected before any output is opened
+        doc["integrator"]["steps"] = 10
+        assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 0
+        assert len(out.read_text().splitlines()) == 12  # header, initial state and 10 steps
+
+    def test_adaptive_run_stops_at_the_cap(self, tmp_path, capsys, monkeypatch):
+        # dt 1e10 and steps 1 ran for over a minute with a growing trajectory before the cap
+        monkeypatch.setattr(dynamics, "MAX_RECORDED_STEPS", 50)
+        doc = dict(CP1_PAIR, integrator={"method": "rk45_adaptive", "dt": 1e10, "steps": 1})
+        assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 4
+        assert_one_error_line(capsys, "adaptive run reached the cap of 50 recorded steps")
 
     @pytest.mark.parametrize("field", ["integrator", "outputs"])
     def test_sections_must_be_objects(self, tmp_path, capsys, field):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cpvortex import dynamics
 from cpvortex.dynamics import (
     COLLISION_THRESHOLD,
     _cpn_rhs,
@@ -19,8 +20,10 @@ from cpvortex.dynamics import (
     planar_rhs,
     write_trajectory_csv,
 )
-from cpvortex.errors import ChartDegenerateError, CollisionError, ConfigurationError
-from cpvortex.geom import ProjectivePoint, from_chart, AffineChart, random_point, random_unitary, to_chart
+from cpvortex.errors import ChartDegenerateError, CollisionError, ConfigurationError, NumericError
+from cpvortex.geom import (ProjectivePoint, from_chart, AffineChart, _lift_distance, pivot_threshold, random_point,
+                           random_unitary, to_chart)
+from cpvortex.greens import greens_constant, greens_cpn_derivative
 from cpvortex.verify import _random_cpn_system, _relative_gradient_error
 
 
@@ -154,7 +157,7 @@ class TestHamiltonianCpn:
         assert hamiltonian_cpn(sys) == pytest.approx(math.log(2.0) / (4.0 * math.pi), rel=1e-12)
 
     def test_prefactor_matches_pairwise_green_for_low_n(self):
-        from cpvortex.greens import cpn_volume, greens_constant
+        from cpvortex.greens import cpn_volume
 
         for n in (1, 2, 3, 4, 5, 6):
             assert greens_constant(n) == pytest.approx(-1.0 / (2.0 * n * cpn_volume(n)), rel=1e-15)
@@ -273,7 +276,7 @@ class TestHomogeneousField:
         rng = np.random.default_rng(100 * n + N)
         sys = _random_cpn_system(rng, n, N)
         lifts = sys.positions
-        dlifts = _cpn_rhs(lifts, sys.strengths, n)
+        dlifts = _cpn_rhs(lifts, greens_constant(n) * sys.strengths, n)
         errors, scale = [], 0.0
         for v, dv, (c, vel) in zip(lifts, dlifts, hamiltonian_vector_field(sys)):
             # push dv through the chart map w = v_rest / v_c
@@ -388,6 +391,159 @@ class TestIntegrate:
     def test_times_strictly_increasing(self):
         traj = integrate(cp1_pair(0.5), 1e-3, 50)
         assert np.all(np.diff(traj.times) > 0)
+
+
+class TestPairRotationPeriod:
+    """A CP^n vortex pair turns rigidly on its projective line in a closed-form period.
+
+    The line is a round sphere of radius 1/2 on which the separation r is
+    the angle 2r; the pair turns about its centre of vorticity
+    M = G1 x1 + G2 x2 with period T = pi sin 2r / (|phi'(r)| |M|),
+    |M|^2 = G1^2 + G2^2 + 2 G1 G2 cos 2r, and a vortex at the angle alpha
+    from M is at the distance d(t) from its start with
+    cos 2d = cos^2 alpha + sin^2 alpha cos(2 pi t / T).  Energy, momentum
+    and separation are blind to a constant factor in the field; this
+    motion is not.  phi' is pinned by the flux and quadrature oracles of
+    the Green's function.  The sign of the field, which d(t) cannot see,
+    is pinned by TestHomogeneousField.
+
+    Tolerance, fixed by RK4's order: its error after one period in M steps
+    is 2^-4 of the error in M/2 steps, so the return distance in M steps
+    may be at most twice that, e(M/2) / 8.  A field off by a factor c near 1
+    misses the start by about 2 pi |c - 1| times the orbit radius at both
+    step counts, so it fails the ratio.  For the distance curve,
+    |delta cos 2d| <= 2 sin(alpha) |delta d| bounds the deviation by twice
+    the same tolerance; the curve also sees an integer c, after which the
+    pair is back at its start.  With these steps and separations the
+    errors lie between about 1e-10 and 2e-5, far above round-off.
+    """
+
+    STEPS = 400
+
+    @pytest.mark.parametrize(
+        "n, r, g1, g2",
+        [
+            (1, 0.4, 1.3, -0.7),
+            (1, 1.1, 1.0, 0.6),
+            (2, 0.4, 0.8, -0.8),
+            (2, 1.1, 1.3, -0.7),
+            (3, 0.4, 1.0, 0.6),
+            (3, 1.1, 0.8, -0.8),
+            (4, 0.4, 1.3, -0.7),
+            (4, 1.1, 0.8, -0.8),
+        ],
+    )
+    def test_pair_turns_in_the_closed_form_period(self, n, r, g1, g2):
+        rng = np.random.default_rng(10 * n + round(10 * r))
+        lifts = np.zeros((2, n + 1), dtype=complex)
+        lifts[0, 0], lifts[1, 0], lifts[1, 1] = 1.0, math.cos(r), math.sin(r)
+        sys = VortexSystem.cpn(lifts @ random_unitary(n + 1, rng).T, [g1, g2])
+        m = math.sqrt(g1 * g1 + g2 * g2 + 2.0 * g1 * g2 * math.cos(2.0 * r))
+        period = math.pi * math.sin(2.0 * r) / (abs(greens_cpn_derivative(n, r)) * m)
+        cos_alpha = np.array([g1 + g2 * math.cos(2.0 * r), g2 + g1 * math.cos(2.0 * r)]) / m
+
+        returns = []
+        for steps in (self.STEPS // 2, self.STEPS):
+            traj = integrate(sys, period / steps, steps)
+            d = _lift_distance(traj.positions, traj.positions[0])
+            returns.append(d[-1].max())
+        tol = returns[0] / 2**4 * 2.0
+        assert returns[1] <= tol
+
+        expected = cos_alpha**2 + (1.0 - cos_alpha**2) * np.cos(2.0 * math.pi * traj.times / period)[:, None]
+        assert np.abs(np.cos(2.0 * d) - expected).max() <= 2.0 * tol
+
+
+def per_step_charts(positions: np.ndarray, n: int) -> np.ndarray:
+    """The chart hysteresis one recorded state at a time: a chart is kept until its pivot drops to the threshold."""
+    mags = np.abs(positions)
+    rows = np.arange(mags.shape[1])
+    charts = [mags[0].argmax(axis=1)]
+    for mag in mags[1:]:
+        charts.append(np.where(mag[rows, charts[-1]] <= pivot_threshold(n), mag.argmax(axis=1), charts[-1]))
+    return np.array(charts)
+
+
+class TestBatchedChecks:
+    """integrate checks charts, finiteness and monitors once per batch of states; the outcome is the per-step one."""
+
+    @pytest.mark.parametrize("monitor_pairs", [1, 7, 256])
+    def test_charts_match_the_per_step_hysteresis(self, monkeypatch, monitor_pairs):
+        monkeypatch.setattr(dynamics, "_MONITOR_PAIRS", monitor_pairs)
+        # the CP^1 pair turns about an equatorial axis, so each vortex crosses both pivot thresholds
+        a = math.pi / 4 - 0.5
+        pair = VortexSystem.cpn([[math.cos(a), math.sin(a)], [math.cos(a + 1.0), math.sin(a + 1.0)]], [1.0, 1.0])
+        trio = _random_cpn_system(np.random.default_rng(2), 2, 3)
+        for sys, dt in [(pair, 5e-2), (trio, 2e-2)]:
+            traj = integrate(sys, dt, 500)
+            expected = per_step_charts(traj.positions, sys.n)
+            assert np.count_nonzero(np.any(expected[1:] != expected[:-1], axis=1)) >= 2  # chart switches happen
+            assert np.array_equal(traj.charts, expected)
+
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            # strengths whose products stay finite, so the monitors of the initial state are finite
+            VortexSystem.plane([0.5, -0.5], [1e150, -1e150]),
+            VortexSystem.cpn([[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)]], [1e150, 1e150]),
+        ],
+    )
+    def test_overflowing_run_reports_the_first_non_finite_state(self, monkeypatch, sys):
+        dt = 1e160
+        assert np.isfinite(integrate(sys, dt, 0).monitors).all()
+        messages = []
+        for monitor_pairs in (1, 256):  # with 1, every state is checked as it is recorded
+            monkeypatch.setattr(dynamics, "_MONITOR_PAIRS", monitor_pairs)
+            with pytest.raises(NumericError) as err:
+                integrate(sys, dt, 10)
+            messages.append(str(err.value))
+        assert messages == [f"non-finite state at step 1 (t = {dt})"] * 2
+
+    @pytest.mark.parametrize("monitor_pairs", [1, 256])
+    @pytest.mark.parametrize("collided, non_finite", [(3, 5), (4, 2)])
+    def test_first_failure_by_step_index(self, monkeypatch, monitor_pairs, collided, non_finite):
+        monkeypatch.setattr(dynamics, "_MONITOR_PAIRS", monitor_pairs)
+        start = np.array([0.0, 1.0, 2.0j])
+        states = [start + 0.01 * k for k in range(1, 8)]
+        states[collided - 1] = np.array([0.0, 0.5 * COLLISION_THRESHOLD, 2.0j])
+        states[non_finite - 1] = np.array([0.0, np.nan, 2.0j])
+        steps = iter(states)
+        monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: np.array(next(steps)))  # each RK4 step returns the next state
+        sys = VortexSystem.plane(start, [1.0, 1.0, 1.0])
+        if collided < non_finite:
+            with pytest.raises(CollisionError) as err:
+                integrate(sys, 0.1, 7)
+            assert err.value.step_index == collided
+        else:
+            with pytest.raises(NumericError) as err:
+                integrate(sys, 0.1, 7)
+            assert str(err.value) == f"non-finite state at step {non_finite} (t = {non_finite * 0.1})"
+
+    @pytest.mark.parametrize("monitor_pairs", [1, 256])
+    def test_adaptive_failure_right_after_a_batch(self, monkeypatch, monitor_pairs):
+        # with every queued state already checked, the stop used to fail with an IndexError
+        monkeypatch.setattr(dynamics, "_MONITOR_PAIRS", monitor_pairs)
+        sys = cp1_pair(0.8)
+        accepted, non_finite = np.zeros_like(sys.positions), np.full(sys.positions.shape, np.nan)
+        steps = iter([(sys.positions.copy(), accepted), (sys.positions.copy(), non_finite)])
+        monkeypatch.setattr(dynamics, "_dp_step", lambda *args: next(steps))
+        with pytest.raises(NumericError, match="non-finite error estimate at step 2 "):
+            integrate(sys, 0.1, 5, method="rk45_adaptive")
+
+
+class TestRecordedStepCap:
+    def test_rk4_steps_over_the_cap(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_RECORDED_STEPS", 10)
+        assert integrate(cp1_pair(0.5), 1e-3, 10).times.size == 11
+        with pytest.raises(ConfigurationError, match="exceed the cap of 10"):
+            integrate(cp1_pair(0.5), 1e-3, 11)
+
+    def test_adaptive_run_stops_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_RECORDED_STEPS", 30)
+        with pytest.raises(NumericError, match="reached the cap of 30 recorded steps"):
+            integrate(cp1_pair(0.8), 1e10, 1, method="rk45_adaptive")
+        traj = integrate(cp1_pair(0.8), 1e-3, 3, method="rk45_adaptive")
+        assert 2 <= traj.times.size <= 31
 
 
 class TestTrajectoryStates:
