@@ -23,15 +23,7 @@ import time
 import numpy as np
 
 from . import dynamics, greens, momentum, verify
-from .errors import (
-    CollisionError,
-    ConfigurationError,
-    CpvortexError,
-    DomainError,
-    NumericError,
-    OracleError,
-    SingularityError,
-)
+from .errors import CollisionError, ConfigurationError, CpvortexError, DomainError
 from .geom import ProjectivePoint
 from .su3flag import FlagCoords
 
@@ -119,8 +111,8 @@ def load_config(path: str):
         if not isinstance(vortices, list) or not vortices:
             raise ConfigurationError("'vortices' must be a nonempty list")
         positions, strengths = [], []
-        # an overflowing CP^n norm is rejected by ProjectivePoint and an overflowing planar
-        # separation reads inf; NumPy's warnings would only repeat what the checks report
+        # only a planar separation can overflow here: it reads inf, and the run then stops
+        # at its non-finite energy; NumPy's warning would only repeat that
         with np.errstate(over="ignore"):
             for i, entry in enumerate(vortices):
                 positions.append(_parse_position(manifold, n, entry["position"], i))
@@ -176,7 +168,7 @@ def load_config(path: str):
 def cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
-    except (ConfigurationError, CpvortexError) as exc:
+    except CpvortexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -197,9 +189,6 @@ def cmd_simulate(args) -> int:
         except CollisionError as exc:
             print(f"error: collision at step {exc.step_index}: {exc}", file=sys.stderr)
             return EXIT_COLLISION
-        except (NumericError, DomainError, OracleError, ConfigurationError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
         wall = time.perf_counter() - t0
 
         if traj_fh:
@@ -238,14 +227,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tabulate_greens(args) -> int:
-    try:
-        if args.samples < 1:
-            raise DomainError("need at least one sample")
-        rs = np.linspace(args.rmin, args.rmax, args.samples)
-        rows = zip(rs, greens.greens_cpn(args.n, rs), greens.greens_cpn_derivative(args.n, rs))
-    except (DomainError, SingularityError, OracleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    if args.samples < 1:
+        raise DomainError("need at least one sample")
+    rs = np.linspace(args.rmin, args.rmax, args.samples)
+    rows = zip(rs, greens.greens_cpn(args.n, rs), greens.greens_cpn_derivative(args.n, rs))
     print("r,G,phi_prime")
     for r, g, dg in rows:
         print(",".join(_fmt(v) for v in (r, g, dg)))
@@ -256,7 +241,7 @@ def cmd_tabulate_momentum(args) -> int:
     try:
         z = FlagCoords(complex(args.z1), complex(args.z2), complex(args.z3))
         m = momentum.momentum_flag(z).matrix
-    except (DomainError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     print(f"momentum value at z1={z.z1}, z2={z.z2}, z3={z.z3}:")

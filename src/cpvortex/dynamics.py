@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, ConfigurationError, NumericError
-from .geom import (AffineChart, ProjectivePoint, _chart_lifts, _chart_values, _default_charts, _lift_distance,
-                   _off_pivot, fubini_study_metric, pivot_threshold)
+from .geom import (ProjectivePoint, _chart_lifts, _chart_values, _default_charts, _lift_distance, _off_pivot,
+                   fubini_study_metric, pivot_threshold)
 from .greens import PLANE_CONSTANT, greens_constant, greens_radial_part, greens_radial_slope
 from .momentum import _momentum_sum
 
@@ -325,8 +325,7 @@ def grad_hamiltonian(system: VortexSystem, charts=None):
 def _sharp(system: VortexSystem, charts):
     """Symplectic matrices W (N, 2n, 2n), gradients (N, 2n) and velocities (N, 2n), Gamma W velocity = gradient."""
     ws, grads = _chart_gradients(system, charts)
-    # the Fubini-Study metric of a chart depends only on the chart values, not on the pivot index
-    h = fubini_study_metric(AffineChart(0, ws))
+    h = fubini_study_metric(ws)
     W = np.block([[h.imag, -h.real], [h.real, h.imag]])
     return W, grads, np.linalg.solve(W, grads[..., None])[..., 0] / system.strengths[:, None]
 

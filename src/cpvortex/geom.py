@@ -8,7 +8,10 @@ the geodesic distance
 
 are provided on top of that representation.  The chart map works on arrays
 of lifts, one chart index per lift; to_chart and from_chart are its
-single-point cases.  All values are immutable and all functions are pure.
+single-point cases.  Likewise the one normalizer of homogeneous coordinates
+and the one Haar sampler of unitaries work on batches; ProjectivePoint and
+random_unitary are their single cases.  All values are immutable and all
+functions are pure.
 """
 
 from __future__ import annotations
@@ -49,6 +52,22 @@ def hermitian_inner(u, v) -> complex:
     return complex(np.dot(u, v.conj()))
 
 
+def _unit_lifts(v: np.ndarray) -> np.ndarray:
+    """Unit lifts (..., n+1) of finite nonzero complex vectors v (..., n+1).
+
+    Each vector is first scaled by the power of two that brings its largest
+    real or imaginary part into [0.5, 1), so its squared norm neither
+    overflows nor underflows.  The scaling is exact: wherever |v|^2 stays
+    in range the lifts equal v / np.linalg.norm(v) bit for bit.
+    """
+    _, e = np.frexp(np.maximum(np.abs(v.real), np.abs(v.imag)).max(axis=-1, keepdims=True))
+    w = np.empty(v.shape, dtype=complex)
+    w.real, w.imag = np.ldexp(v.real, -e), np.ldexp(v.imag, -e)
+    # the strided views sum in the order np.linalg.norm uses; contiguous copies would not
+    re, im = w.real, w.imag
+    return w / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
+
+
 @dataclass(frozen=True)
 class ProjectivePoint:
     """A point of CP^n: a unit homogeneous coordinate vector modulo phase."""
@@ -60,11 +79,9 @@ class ProjectivePoint:
         coords = np.asarray(self.coords, dtype=complex)
         if coords.ndim != 1 or coords.size < 2:
             raise DimensionMismatchError("homogeneous coordinates need length n+1 >= 2")
-        norm = np.linalg.norm(coords)
-        # dividing by a norm that overflowed to inf would silently give the zero vector
-        if not (0.0 < norm < np.inf) or not np.all(np.isfinite(coords)):
-            raise ValueError("homogeneous coordinates must be finite and nonzero, with a finite norm")
-        coords = coords / norm
+        if not (np.all(np.isfinite(coords)) and np.any(coords)):
+            raise ValueError("homogeneous coordinates must be finite and nonzero")
+        coords = _unit_lifts(coords)
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "n", coords.size - 1)
@@ -205,13 +222,17 @@ def fubini_study_potential(values: np.ndarray):
     return np.log1p(np.sum(np.abs(z) ** 2, axis=-1))
 
 
-def fubini_study_metric(chart: AffineChart) -> np.ndarray:
-    """Fubini-Study Hermitian metric h_ij in an affine chart, shape (..., n, n) for values (..., n).
+def fubini_study_metric(values: np.ndarray) -> np.ndarray:
+    """Fubini-Study Hermitian metric h_ij in an affine chart, shape (..., n, n) for chart values (n,) or (..., n).
 
     h_ij = ((1 + |z|^2) delta_ij - conj(z_i) z_j) / (1 + |z|^2)^2,
-    Hermitian positive definite with det h = (1 + |z|^2)^-(n+1).
+    Hermitian positive definite with det h = (1 + |z|^2)^-(n+1).  It depends
+    only on the chart values, not on which coordinate is the pivot.  Raises
+    ValueError on non-finite values.
     """
-    z = chart.values
+    z = np.asarray(values, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("chart values must be finite")
     s = (1.0 + np.sum(np.abs(z) ** 2, axis=-1))[..., None, None]
     return (s * np.eye(z.shape[-1]) - z.conj()[..., :, None] * z[..., None, :]) / s**2
 
@@ -222,8 +243,14 @@ def random_point(n: int, rng: np.random.Generator) -> ProjectivePoint:
     return ProjectivePoint(v)
 
 
+def _random_unitaries(m: int, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed m x m unitaries of the given batch shape (QR of complex Gaussians): shape + (m, m)."""
+    a = rng.standard_normal((*shape, m, m)) + 1j * rng.standard_normal((*shape, m, m))
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed m x m unitary (QR of a complex Gaussian)."""
-    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return _random_unitaries(m, (), rng)

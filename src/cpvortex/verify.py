@@ -20,12 +20,10 @@ from .su3flag import FlagCoords
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
-# finite-difference steps of the Hessian, gradient and generator-field
-# oracles, and the number of subgroup factors in a random unitary
+# finite-difference steps of the Hessian, gradient and generator-field oracles
 _HESSIAN_STEP = 1e-4
 _GRADIENT_STEP = 1e-5
 _VF_STEP = 1e-5
-_UNITARY_FACTORS = 5
 
 
 @dataclass
@@ -69,41 +67,16 @@ def _random_flag(rng: np.random.Generator, radius: float = 1.5, shape: tuple = (
     return FlagCoords(z[..., 0], z[..., 1], z[..., 2])
 
 
-def _unit_lifts(v: np.ndarray) -> np.ndarray:
-    """Unit lifts (..., n+1) of complex vectors v (..., n+1), normed as ProjectivePoint norms them, bit for bit."""
-    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
-
-
 def _random_lifts(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """Unit lifts (count, n+1) of ``count`` draws of geom.random_point(n, rng), in the same stream."""
     g = rng.standard_normal((count, 2, n + 1))
-    return _unit_lifts(g[:, 0] + 1j * g[:, 1])
+    return geom._unit_lifts(g[:, 0] + 1j * g[:, 1])
 
 
-def _equivariance_draws(rng: np.random.Generator, count: int) -> tuple:
-    """Unit lifts (count, 3) and factors (count, F, 2) of ``count`` draws of
-    (geom.random_point(2, rng), _unitary_factors(rng)), in the same stream."""
-    draws = [(rng.standard_normal((2, 3)), _unitary_factors(rng)) for _ in range(count)]
-    g, factors = (np.array(x) for x in zip(*draws))
-    return _unit_lifts(g[:, 0] + 1j * g[:, 1]), factors
-
-
-def _unitary_factors(rng: np.random.Generator) -> list:
-    """(k, t) of the subgroup factors exp(t lambda_k) of one random unitary, t uniform in [-2, 2]."""
-    return [(int(rng.integers(1, 9)), float(rng.uniform(-2.0, 2.0))) for _ in range(_UNITARY_FACTORS)]
-
-
-def _unitary_products(factors) -> np.ndarray:
-    """Products of factors (..., F, 2) of (k, t) pairs, left to right, one exp_su3 call per generator: (..., 3, 3)."""
-    factors = np.asarray(factors, dtype=float)
-    ks, ts = factors[..., 0].astype(int), factors[..., 1]
-    steps = np.empty(ks.shape + (3, 3), dtype=complex)
-    for k in np.unique(ks):
-        steps[ks == k] = su3flag.exp_su3(int(k), ts[ks == k]).entries
-    u = np.broadcast_to(np.eye(3, dtype=complex), steps.shape[:-3] + (3, 3))
-    for f in range(steps.shape[-3]):
-        u = u @ steps[..., f, :, :]
-    return u
+def _random_special_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` Haar unitaries (count, 3, 3), each divided by a cube root of its determinant: elements of SU(3)."""
+    u = geom._random_unitaries(3, (count,), rng)
+    return u / (np.linalg.det(u) ** (1.0 / 3.0))[:, None, None]
 
 
 def _worst(defects: np.ndarray, where) -> tuple:
@@ -213,8 +186,8 @@ def verify_momentum(seed: int = 0) -> list:
     worst = float(np.max(np.abs(np.sort(ev, axis=-1) - target)))
     checks.append(CheckResult("cp2 momentum spectrum {-1/3,-1/3,2/3} (1000 points)", worst, 1e-10))
 
-    lifts, factors = _equivariance_draws(rng, 100)
-    worst = float(np.max(momentum.momentum_cp2_equivariance_check(lifts, _unitary_products(factors))))
+    lifts = _random_lifts(rng, 2, 100)
+    worst = float(np.max(momentum.momentum_cp2_equivariance_check(lifts, _random_special_unitaries(rng, 100))))
     checks.append(CheckResult("cp2 momentum equivariance (100 pairs)", worst, 1e-10))
 
     z = _random_flag(rng, shape=(100,))
@@ -222,8 +195,8 @@ def verify_momentum(seed: int = 0) -> list:
     worst, worst_at = _worst(defects.T, lambda i, k: f"k={k + 1}, {_flag_label(z, i)}")
     checks.append(CheckResult("flag momentum defining equation, k=1..8 (100 points)", worst, 1e-6, worst_at=worst_at))
 
-    draws = [(_random_lifts(rng, 2, 3), rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0)) for _ in range(20)]
-    lifts, gam, c = (np.array(x) for x in zip(*draws))
+    lifts = _random_lifts(rng, 2, 60).reshape(20, 3, 3)
+    gam, c = rng.uniform(0.5, 2.0, (20, 3)), rng.uniform(0.5, 2.0, 20)
     lhs = momentum._momentum_sum(lifts, c[:, None] * gam)
     rhs = c[:, None, None] * momentum._momentum_sum(lifts, gam)
     worst = float(np.max(np.linalg.norm(lhs - rhs, axis=(-2, -1))))
@@ -359,7 +332,7 @@ def verify_metric(seed: int = 0) -> list:
     worst = 0.0
     for n in (1, 2, 3, 4):
         vals = _disk(rng, 2.0, (250, n))
-        det = np.linalg.det(geom.fubini_study_metric(geom.AffineChart(0, vals))).real
+        det = np.linalg.det(geom.fubini_study_metric(vals)).real
         expected = (1.0 + np.sum(np.abs(vals) ** 2, axis=-1)) ** -(n + 1)
         worst = max(worst, float(np.max(np.abs(det - expected) / expected)))
     checks.append(CheckResult("projective metric determinant (1+|z|^2)^-(n+1) (relative, 1000 points)", worst, 1e-10))
@@ -371,16 +344,11 @@ def verify_metric(seed: int = 0) -> list:
     worst = float(np.max(np.abs(fd - su3flag.flag_metric(z))))
     checks.append(CheckResult("flag metric vs potential Hessian (finite differences)", worst, 1e-5))
 
-    by_dim = {1: [], 2: [], 3: []}
-    for _ in range(100):
-        n = int(rng.integers(1, 4))
-        by_dim[n].append(_disk(rng, 2.0 / math.sqrt(n), (n,)))
     worst = 0.0
-    for n, points in by_dim.items():
-        if points:
-            vals = np.array(points)
-            fd = wirtinger_hessian(geom.fubini_study_potential, vals)
-            worst = max(worst, float(np.max(np.abs(fd - geom.fubini_study_metric(geom.AffineChart(0, vals))))))
+    for n, count in ((1, 34), (2, 33), (3, 33)):
+        vals = _disk(rng, 2.0 / math.sqrt(n), (count, n))
+        fd = wirtinger_hessian(geom.fubini_study_potential, vals)
+        worst = max(worst, float(np.max(np.abs(fd - geom.fubini_study_metric(vals)))))
     checks.append(CheckResult("projective metric vs potential Hessian (finite differences)", worst, 1e-5))
 
     z = _random_flag(rng, radius=3.0, shape=(1000,))
@@ -465,7 +433,7 @@ def _relative_gradient_error(system):
     w0 = geom._chart_values(system.positions, charts)
     e = h * np.concatenate([np.eye(n), 1j * np.eye(n)])  # (2n, n)
     w = w0[:, None, None, :] + np.stack([e, -e])  # (N, 2, 2n, n)
-    moved = _unit_lifts(geom._chart_lifts(w, np.broadcast_to(charts[:, None, None], w.shape[:-1])))
+    moved = geom._unit_lifts(geom._chart_lifts(w, np.broadcast_to(charts[:, None, None], w.shape[:-1])))
     states = np.broadcast_to(system.positions, (N, 2, 2 * n, N, n + 1)).copy()
     alpha = np.arange(N)
     states[alpha, :, :, alpha] = moved

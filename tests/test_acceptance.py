@@ -89,7 +89,7 @@ def test_criterion_06_metric_identities():
     worst_proj_det = 0.0
     for n in (1, 2, 3, 4):
         vals = verify._disk(rng, 2.0, (250, n))
-        det = np.linalg.det(geom.fubini_study_metric(geom.AffineChart(0, vals))).real
+        det = np.linalg.det(geom.fubini_study_metric(vals)).real
         expected = (1.0 + np.sum(np.abs(vals) ** 2, axis=-1)) ** -(n + 1)
         worst_proj_det = max(worst_proj_det, float(np.max(np.abs(det - expected) / expected)))
     report(6, "projective metric determinant (1+|z|^2)^-(n+1), relative", worst_proj_det, 1e-10)
@@ -106,7 +106,7 @@ def test_criterion_06_metric_identities():
         n = int(rng.integers(1, 4))
         vals = np.array([verify._disk(rng, 2.0 / math.sqrt(n)) for _ in range(n)])
         fd = verify.wirtinger_hessian(geom.fubini_study_potential, vals)
-        h = geom.fubini_study_metric(geom.AffineChart(0, vals))
+        h = geom.fubini_study_metric(vals)
         worst_proj_fd = max(worst_proj_fd, float(np.max(np.abs(fd - h))))
     report(6, "projective metric vs potential Hessian (finite differences)", worst_proj_fd, 1e-5)
 

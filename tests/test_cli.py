@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cpvortex
 from cpvortex import cli, dynamics, momentum, su3flag
@@ -267,8 +272,8 @@ PLANE_PAIR_AT_THE_RANGE = {
 @pytest.mark.parametrize(
     "doc, code",
     [
-        # the norm of [1e200, 1] overflows and ProjectivePoint rejects the position
-        (dict(CP1_PAIR, vortices=[{"position": [[1e200, 0.0], [1.0, 0.0]], "strength": 1.0}] + CP1_PAIR["vortices"][1:]), 2),
+        # a coordinate written as JSON Infinity is not finite, and ProjectivePoint rejects the position
+        (dict(CP1_PAIR, vortices=[{"position": [[math.inf, 0.0], [1.0, 0.0]], "strength": 1.0}] + CP1_PAIR["vortices"][1:]), 2),
         # the separation overflows to inf, and then the energy of the initial state
         (PLANE_PAIR_AT_THE_RANGE, 4),
     ],
@@ -523,3 +528,109 @@ class TestVerify:
         out = capsys.readouterr().out
         assert [ln for ln in out.splitlines() if ln.startswith("FAIL") and "flag metric vs potential Hessian" in ln]
 
+
+
+# ---------------------------------------------------------------------------
+# fuzz of the exit-code contract: a mutated config exits 0, 2, 3 or 4, a failure prints one
+# error line and nothing else, and no exception or NumPy warning escapes cli.main
+
+FUZZ_BASES = [
+    dict(CP1_PAIR, integrator={"method": "rk4", "dt": 0.01, "steps": 3}),
+    {
+        "manifold": "cpn",
+        "n": 2,
+        "vortices": [
+            {"position": [[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]], "strength": 1.0},
+            {"position": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]], "strength": -0.5},
+        ],
+        "integrator": {"method": "rk45_adaptive", "dt": 0.01, "t_end": 0.03},
+        "seed": 1,
+    },
+    {
+        "manifold": "plane",
+        "vortices": [{"position": [0.5, 0.0], "strength": 1.0}, {"position": [-0.5, 0.0], "strength": 1.0}],
+        "integrator": {"method": "rk4", "dt": 0.01, "steps": 2},
+    },
+]
+FUZZ_KEYS = ["manifold", "n", "vortices", "position", "strength", "integrator", "method", "dt", "steps", "t_end",
+             "outputs", "trajectory_path", "monitor_path", "seed"]
+# drawn strings hold no path separator, so every output path stays inside the test's directory
+FUZZ_STRINGS = st.sampled_from(["", "cpn", "plane", "rk4", "rk45_adaptive", ".", "..", "t.csv", "cfg.json", "outdir"])
+FUZZ_NUMBERS = st.one_of(
+    st.integers(-3, 5),  # no run is asked for more than 5 steps; 10**400 steps are rejected before a run
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e-160, 1e155, 1e160, 1e308, -1e308, 10**400]),
+)
+FUZZ_LEAVES = st.one_of(st.none(), st.booleans(), FUZZ_NUMBERS, FUZZ_STRINGS | st.text(alphabet="abxyz.-_ ", max_size=4))
+FUZZ_VALUES = st.recursive(
+    FUZZ_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(FUZZ_KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def node_paths(node, prefix=()):
+    """The key paths of every dict entry and list item of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from node_paths(value, prefix + (key,))
+
+
+def mutate(data, doc):
+    """One mutation of the document: delete, replace or nest a node, or point an output path elsewhere."""
+    kind = data.draw(st.sampled_from(["delete", "replace", "number", "number", "nest", "output", "root"]))
+    if kind == "root":
+        return data.draw(FUZZ_VALUES)
+    if kind == "output":
+        outputs = doc.setdefault("outputs", {}) if isinstance(doc, dict) else {}
+        if isinstance(outputs, dict):
+            key = data.draw(st.sampled_from(["trajectory_path", "monitor_path"]))
+            outputs[key] = data.draw(st.sampled_from(["t.csv", "m.csv", "./t.csv", "outdir", ".", "cfg.json", "nodir/t.csv", None]))
+        return doc
+    paths = list(node_paths(doc))
+    if kind == "number":  # a number stays a number, mostly out of its range
+        paths = [p for p in paths if type(node_at(doc, p)) in (int, float)]
+    if not paths:
+        return doc
+    *parents, key = data.draw(st.sampled_from(paths))
+    parent = node_at(doc, parents)
+    if kind == "delete":
+        del parent[key]
+    elif kind == "replace":
+        parent[key] = data.draw(FUZZ_VALUES)
+    elif kind == "number":
+        parent[key] = data.draw(FUZZ_NUMBERS)
+    else:
+        parent[key] = data.draw(st.sampled_from([[parent[key]], {"value": parent[key]}]))
+    return doc
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_configs_keep_the_exit_contract(tmp_path, monkeypatch, data):
+    monkeypatch.chdir(tmp_path)  # relative output paths land in the test's directory
+    monkeypatch.setattr(dynamics, "MAX_RECORDED_STEPS", 50)  # caps the adaptive runs too
+    (tmp_path / "outdir").mkdir(exist_ok=True)
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))
+    doc["outputs"] = {"trajectory_path": "t.csv", "monitor_path": "m.csv"}
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = mutate(data, doc)
+    config = write_config(tmp_path / "cfg.json", doc)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(["simulate", config])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().startswith("summary:")
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, err.getvalue()

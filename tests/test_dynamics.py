@@ -235,7 +235,7 @@ class TestVectorField:
 
         speeds = []
         for p, (_, v) in zip(sys.positions, hamiltonian_vector_field(sys, charts=[0, 0])):
-            h = fubini_study_metric(to_chart(ProjectivePoint(p), 0)).real[0, 0]
+            h = fubini_study_metric(to_chart(ProjectivePoint(p), 0).values).real[0, 0]
             speeds.append(h * (v[0] ** 2 + v[1] ** 2))
         assert speeds[0] == pytest.approx(speeds[1], rel=1e-10)
 

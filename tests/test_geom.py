@@ -10,6 +10,8 @@ from cpvortex.geom import (
     _chart_lifts,
     _chart_values,
     _default_charts,
+    _random_unitaries,
+    _unit_lifts,
     from_chart,
     fubini_study_metric,
     fubini_study_potential,
@@ -59,13 +61,46 @@ class TestProjectivePoint:
         with pytest.raises(ValueError):
             ProjectivePoint([0, 0, 0])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_norm_rejected(self):
-        # the norm overflows to inf; dividing by it used to give the zero vector
-        with pytest.raises(ValueError, match="finite norm"):
-            ProjectivePoint([1e200, 1])
-        with pytest.raises(ValueError, match="finite norm"):
-            from_chart(AffineChart(0, [1e200]))
+        # |v|^2 overflows (or underflows) in floating point, but the normalizer scales it first,
+        # so such coordinates are no longer rejected: they give their exact unit lifts
+        assert np.array_equal(ProjectivePoint([1e200, 1]).coords, [1.0, 1e-200])
+        assert np.array_equal(from_chart(AffineChart(0, [1e200])).coords, [1e-200, 1.0])
+        for tiny in (1e-160, 1e-200, 5e-324):
+            # within rounding of (1, 1) / sqrt 2; the squared norm 2e-320 used to lose most of its digits
+            assert np.max(np.abs(ProjectivePoint([tiny, tiny]).coords - 1.0 / np.sqrt(2.0))) <= 2e-16
+        assert np.max(np.abs(ProjectivePoint([1e-320, 0]).coords - [1.0, 0.0])) <= 2e-16
+
+    @pytest.mark.parametrize("coords", [[np.inf, 1], [1, np.nan], [1j * np.inf, 0], [0.0, 0.0]])
+    def test_non_finite_or_zero_rejected(self, coords):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            ProjectivePoint(coords)
+
+
+class TestUnitLifts:
+    """geom._unit_lifts is the one normalizer of homogeneous coordinates."""
+
+    def test_bit_identical_to_dividing_by_the_norm(self):
+        rng = np.random.default_rng(21)
+        for _ in range(500):
+            m = int(rng.integers(2, 7))
+            v = 10.0 ** rng.uniform(-100, 100) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            assert np.array_equal(_unit_lifts(v), v / np.linalg.norm(v))
+
+    def test_a_batch_equals_its_rows(self):
+        rng = np.random.default_rng(22)
+        v = rng.standard_normal((40, 3, 5)) + 1j * rng.standard_normal((40, 3, 5))
+        lifts = _unit_lifts(v)
+        assert lifts.shape == v.shape
+        assert np.array_equal(lifts.reshape(-1, 5), np.array([_unit_lifts(row) for row in v.reshape(-1, 5)]))
+        assert np.array_equal(lifts[3, 1], ProjectivePoint(v[3, 1]).coords)
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-310, 1e-170, 1e170, 1e308])
+    def test_unit_and_finite_at_the_ends_of_the_range(self, scale):
+        v = scale * np.array([[1.0, 1.0j, -1.0], [1.0, 0.0, 0.0], [1.0 + 1.0j, 1.0 - 1.0j, 1.0]])
+        lifts = _unit_lifts(v)
+        assert np.all(np.isfinite(lifts))
+        assert np.max(np.abs(np.linalg.norm(lifts, axis=-1) - 1.0)) < 1e-15
 
 
 class TestDistance:
@@ -212,19 +247,24 @@ class TestOneChartMap:
 
 
 class TestFubiniStudyMetric:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1j * np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fubini_study_metric(np.array([[0.5, 0.5], [bad, 0.0]]))
+
     def test_identity_at_origin(self):
-        h = fubini_study_metric(AffineChart(0, np.zeros(2)))
+        h = fubini_study_metric(np.zeros(2))
         assert np.allclose(h, np.eye(2))
 
     def test_det_at_unit_point(self):
-        h = fubini_study_metric(AffineChart(0, np.array([1.0, 0.0])))
+        h = fubini_study_metric(np.array([1.0, 0.0]))
         assert np.linalg.det(h).real == pytest.approx(1.0 / 8.0, rel=1e-12)
 
     def test_det_identity_n3(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            h = fubini_study_metric(AffineChart(0, z))
+            h = fubini_study_metric(z)
             expected = (1.0 + np.sum(np.abs(z) ** 2)) ** -4
             assert np.linalg.det(h).real == pytest.approx(expected, rel=1e-10)
 
@@ -232,7 +272,7 @@ class TestFubiniStudyMetric:
         rng = np.random.default_rng(6)
         for _ in range(50):
             z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            h = fubini_study_metric(AffineChart(0, z))
+            h = fubini_study_metric(z)
             assert np.allclose(h, h.conj().T)
             assert np.min(np.linalg.eigvalsh(h)) > 0
 
@@ -240,6 +280,23 @@ class TestFubiniStudyMetric:
         rng = np.random.default_rng(7)
         for _ in range(10):
             z = 0.9 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            h = fubini_study_metric(AffineChart(0, z))
+            h = fubini_study_metric(z)
             fd = wirtinger_hessian(fubini_study_potential, z)
             assert np.max(np.abs(fd - h)) < 1e-5
+
+
+class TestRandomUnitaries:
+    def test_random_unitary_is_the_haar_qr_of_one_gaussian(self):
+        # the QR formula of the one-matrix sampler, for a fixed seed: equal bit for bit
+        for m in (2, 3, 4):
+            rng, ref = np.random.default_rng(m), np.random.default_rng(m)
+            a = ref.standard_normal((m, m)) + 1j * ref.standard_normal((m, m))
+            q, r = np.linalg.qr(a)
+            assert np.array_equal(random_unitary(m, rng), q * (np.diag(r) / np.abs(np.diag(r))))
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("m, shape", [(2, (7,)), (3, (4, 5)), (4, ())])
+    def test_stacks_are_unitary(self, m, shape):
+        u = _random_unitaries(m, shape, np.random.default_rng(23))
+        assert u.shape == shape + (m, m)
+        assert np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(m))) < 1e-12

@@ -167,7 +167,7 @@ class TestLaplaceBeltrami:
     @staticmethod
     def metric(basis, w):
         # g_ab = Re(e_a^T h conj(e_b)) for the complex directions e_a of the real coordinates
-        return (basis @ fubini_study_metric(AffineChart(0, w)) @ basis.conj().T).real
+        return (basis @ fubini_study_metric(w) @ basis.conj().T).real
 
     def laplacian(self, f, w0):
         h = self.STEP

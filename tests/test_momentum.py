@@ -18,7 +18,7 @@ from cpvortex.momentum import (
     weighted_momentum,
 )
 from cpvortex.su3flag import FlagCoords, exp_su3
-from cpvortex.verify import _random_flag, _unitary_factors, _unitary_products
+from cpvortex.verify import _random_flag
 
 
 class TestMomentumValue:
@@ -78,10 +78,14 @@ class TestEquivariance:
         assert momentum_cp2_equivariance_check(random_point(2, rng), np.eye(3)) == 0.0
 
     def test_exponential_factors(self):
+        # products of five subgroup factors exp(t lambda_k), k in 1..8 and t uniform in [-2, 2]
         rng = np.random.default_rng(3)
         for _ in range(100):
             p = random_point(2, rng)
-            assert momentum_cp2_equivariance_check(p, _unitary_products(_unitary_factors(rng))) < 1e-10
+            u = np.eye(3, dtype=complex)
+            for _ in range(5):
+                u = u @ exp_su3(int(rng.integers(1, 9)), float(rng.uniform(-2.0, 2.0))).entries
+            assert momentum_cp2_equivariance_check(p, u) < 1e-10
 
     def test_torus_fixes_basis_point(self):
         # diagonal conjugation fixes the diagonal momentum value

@@ -191,18 +191,6 @@ class TestStackedOracles:
                 ref[:, i, j] = 0.5 * (diff(dbar, z, unit[i]) - 1j * diff(dbar, z, 1j * unit[i]))
         assert np.array_equal(verify.wirtinger_hessian(f, z), ref)
 
-    def test_unitary_products_equal_the_factor_loop(self):
-        rng = np.random.default_rng(14)
-        factors = np.array([verify._unitary_factors(rng) for _ in range(40)])
-        ref = np.broadcast_to(np.eye(3, dtype=complex), (40, 3, 3))
-        for f in range(factors.shape[1]):
-            ks, ts = factors[:, f, 0].astype(int), factors[:, f, 1]
-            step = np.empty((40, 3, 3), dtype=complex)
-            for k in np.unique(ks):
-                step[ks == k] = su3flag.exp_su3(int(k), ts[ks == k]).entries
-            ref = ref @ step
-        assert np.array_equal(verify._unitary_products(factors), ref)
-
     def test_vf_finite_difference_stacks_the_generators(self, monkeypatch):
         z = verify._random_flag(np.random.default_rng(12), shape=(7,))
         normalize, calls = su3flag.bruhat_normalize, []
@@ -212,12 +200,10 @@ class TestStackedOracles:
         for k in range(1, 9):
             assert np.array_equal(fd[k - 1], verify.vf_finite_difference(k, z))
 
-    def test_equivariance_draws_follow_the_point_stream(self):
-        for seed in range(50):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            lifts, factors = verify._equivariance_draws(rng, 100)
-            draws = [(geom.random_point(2, ref).coords, verify._unitary_factors(ref)) for _ in range(100)]
-            points, ref_factors = zip(*draws)
-            assert np.array_equal(lifts, np.array(points))
-            assert np.array_equal(factors, np.array(ref_factors))
-            assert rng.random() == ref.random()  # both streams stop at the same draw
+
+class TestSamplers:
+    def test_special_unitaries_have_determinant_one(self):
+        u = verify._random_special_unitaries(np.random.default_rng(15), 200)
+        assert u.shape == (200, 3, 3)
+        assert np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(3))) < 1e-12
+        assert np.max(np.abs(np.linalg.det(u) - 1.0)) < 1e-12
