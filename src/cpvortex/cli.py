@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import dynamics, greens, momentum, verify
-from .errors import CollisionError, ConfigurationError, CpvortexError, DomainError
+from .errors import CollisionError, ConfigurationError, CpvortexError, DomainError, NumericError
 from .geom import ProjectivePoint
 from .su3flag import FlagCoords
 
@@ -32,6 +32,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_PARSE = 2
 EXIT_COLLISION = 3
 EXIT_NUMERIC = 4
+
+# most rows `tabulate greens` writes; a larger --samples is rejected before anything is allocated
+MAX_SAMPLES = 1_000_000
 
 
 def _fmt(v: float) -> str:
@@ -105,8 +108,8 @@ def load_config(path: str):
         if manifold not in ("plane", "cpn"):
             raise ConfigurationError(f"manifold must be 'plane' or 'cpn', got {manifold!r}")
         n = _integer(doc.get("n", 0), "n")
-        if manifold == "cpn" and n < 1:
-            raise ConfigurationError("cpn runs need a field 'n' >= 1")
+        if manifold == "cpn" and not 1 <= n <= greens.MAX_N:
+            raise ConfigurationError(f"cpn runs need a field 'n' in 1..{greens.MAX_N}, got {n}")
         vortices = doc["vortices"]
         if not isinstance(vortices, list) or not vortices:
             raise ConfigurationError("'vortices' must be a nonempty list")
@@ -212,11 +215,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = verify.run_suite(args.suite, seed=args.seed)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    results = verify.run_suite(args.suite, seed=args.seed)
     failed = False
     for res in results:
         print(res.line())
@@ -227,12 +226,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tabulate_greens(args) -> int:
-    if args.samples < 1:
-        raise DomainError("need at least one sample")
-    rs = np.linspace(args.rmin, args.rmax, args.samples)
-    rows = zip(rs, greens.greens_cpn(args.n, rs), greens.greens_cpn_derivative(args.n, rs))
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise DomainError(f"--samples must lie in 1..{MAX_SAMPLES}, got {args.samples}")
+    # G and phi' overflow near r = 0 and for large n; the finiteness check below reports that
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rs = np.linspace(args.rmin, args.rmax, args.samples)
+        gs, dgs = greens.greens_cpn(args.n, rs), greens.greens_cpn_derivative(args.n, rs)
+    bad = ~(np.isfinite(gs) & np.isfinite(dgs))
+    if bad.any():
+        raise NumericError(f"G or phi' is not finite at r = {float(rs[bad][0])!r}")
     print("r,G,phi_prime")
-    for r, g, dg in rows:
+    for r, g, dg in zip(rs, gs, dgs):
         print(",".join(_fmt(v) for v in (r, g, dg)))
     return EXIT_OK
 
@@ -248,6 +252,13 @@ def cmd_tabulate_momentum(args) -> int:
     for row in m:
         print("  [" + "  ".join(f"{v.real:+.12f}{v.imag:+.12f}j" for v in row) + "]")
     return EXIT_OK
+
+
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as np.random.default_rng takes."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 @functools.cache
@@ -267,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     p_ver.set_defaults(handler="cmd_verify")
 
     p_tab = sub.add_parser("tabulate", help="emit tabulated values as CSV / text")
@@ -290,7 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # argparse of some Python versions (3.11 among them) parses `--n=--` to an empty list, not to an error
+    if [] in vars(args).values():
+        parser.error("an option value cannot be '--'")
     try:
         return globals()[args.handler](args)
     except CpvortexError as exc:

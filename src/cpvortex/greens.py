@@ -51,6 +51,10 @@ DIAMETER = math.pi / 2.0
 PLANE_CONSTANT = -1.0 / (2.0 * math.pi)
 
 
+# The largest n whose C_n the formula below gives as a finite double: 171! exceeds the double range.
+MAX_N = 170
+
+
 def cpn_volume(n: int) -> float:
     """Riemannian volume of CP^n, pi^n / n!."""
     return math.pi**n / math.factorial(n)
@@ -58,7 +62,9 @@ def cpn_volume(n: int) -> float:
 
 @functools.cache
 def greens_constant(n: int) -> float:
-    """Normalization C_n = -1/(2n vol(CP^n)) of the CP^n Green's function."""
+    """Normalization C_n = -1/(2n vol(CP^n)) of the CP^n Green's function, for n <= MAX_N."""
+    if n > MAX_N:
+        raise DomainError(f"n must be at most {MAX_N}: above it, n! in vol(CP^n) = pi^n/n! overflows a double; got {n}")
     return -1.0 / (2.0 * n * cpn_volume(n))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geom import ProjectivePoint
-from .su3flag import FlagCoords, _matrix, flag_symplectic_matrix, gell_mann, infinitesimal_vf
+from .su3flag import _LAMBDA, FlagCoords, _generator_row, _matrix, flag_symplectic_matrix, infinitesimal_vf
 
 __all__ = [
     "MomentumValue",
@@ -209,9 +209,9 @@ def momentum_flag_pairing(k, z: FlagCoords):
     ``k`` is a generator index 1..8 or an array of them; the pairings have
     shape np.shape(k) + z.shape, all from one evaluation of momentum_flag.
     """
-    ks = np.asarray(k)
-    lam = np.array([gell_mann(int(j)).entries for j in ks.ravel()])
-    t = np.einsum("...ij,kji->k...", momentum_flag(z).matrix, lam).reshape(ks.shape + z.shape)
+    lam = _LAMBDA[_generator_row(k)]
+    t = np.einsum("...ij,kji->k...", momentum_flag(z).matrix, lam.reshape(-1, 3, 3))
+    t = t.reshape(lam.shape[:-2] + z.shape)
     residue = np.abs(t.imag)
     if np.any(residue > 1e-9):
         raise DomainError(f"pairing picked up an imaginary residue {residue.max():.3e}")

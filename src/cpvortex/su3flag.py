@@ -70,8 +70,6 @@ def _matrix(rows) -> np.ndarray:
     """Square matrices from a nested list of entries that broadcast together: shape S + (m, m)."""
     entries = [e for row in rows for e in row]
     shape = np.broadcast(*entries).shape
-    if not shape:
-        return np.array(rows)
     out = np.empty(shape + (len(rows), len(rows)), np.result_type(*entries))
     for i, row in enumerate(rows):
         for j, e in enumerate(row):
@@ -82,8 +80,6 @@ def _matrix(rows) -> np.ndarray:
 def _vector(*entries) -> np.ndarray:
     """Vectors from entries that broadcast together: shape S + (len(entries),)."""
     shape = np.broadcast(*entries).shape
-    if not shape:
-        return np.array(entries)
     out = np.empty(shape + (len(entries),), np.result_type(*entries))
     for i, e in enumerate(entries):
         out[..., i] = e
@@ -134,33 +130,30 @@ class Su3Matrix:
             raise DomainError(f"unknown role {self.role!r}")
 
 
-def _entries(m) -> np.ndarray:
-    if isinstance(m, Su3Matrix):
-        return m.entries
-    m = np.asarray(m, dtype=complex)
-    if m.shape[-2:] != (3, 3):
-        raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
-    return m
+_GENERATOR_INDICES = frozenset(range(1, 9))
+
+
+def _generator_row(k) -> np.ndarray:
+    """The rows k - 1 of _TILDE and _LAMBDA for a generator index k in 1..8, or an array of them."""
+    k = np.asarray(k)
+    if k.dtype.kind not in "iu" or not _GENERATOR_INDICES.issuperset(k.flat):
+        raise IndexError(f"k must be an integer in 1..8, got {k.tolist()!r}")
+    return k[()] - 1
 
 
 def gell_mann_tilde(k: int) -> np.ndarray:
     """The k-th traceless Hermitian basis matrix (k in 1..8)."""
-    if not 1 <= k <= 8:
-        raise IndexError(f"k must lie in 1..8, got {k}")
-    return _TILDE[k - 1]
+    return _TILDE[_generator_row(k)]
 
 
 def gell_mann(k: int) -> Su3Matrix:
     """The k-th su(3) basis element lambda_k = (i/2) * gell_mann_tilde(k)."""
-    if not 1 <= k <= 8:
-        raise IndexError(f"k must lie in 1..8, got {k}")
-    return Su3Matrix(_LAMBDA[k - 1], role="antihermitian_traceless")
+    return Su3Matrix(_LAMBDA[_generator_row(k)], role="antihermitian_traceless")
 
 
 def exp_su3(k: int, t) -> Su3Matrix:
     """One-parameter subgroup exp(t lambda_k) in closed form, for a time or an array of times."""
-    if not 1 <= k <= 8:
-        raise IndexError(f"k must lie in 1..8, got {k}")
+    _generator_row(k)
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise DomainError(f"t must be finite, got {t}")
@@ -191,8 +184,9 @@ class FlagCoords:
 
     The coordinates are broadcast to one shape S; a batch has S != () and
     holds read-only complex arrays, a single point has S = () and holds
-    complex scalars.  K1 and K2 have the same shape.  Validation covers the
-    whole batch: one non-finite coordinate rejects it.
+    NumPy complex scalars.  K1 and K2 have the same shape.  Validation
+    covers the whole batch: one non-finite coordinate, or one point whose
+    K1 or K2 overflows, rejects it.
     """
 
     z1: complex
@@ -212,17 +206,16 @@ class FlagCoords:
             for name, z in zip(("z1", "z2", "z3"), coords):
                 if not np.isfinite(z).all():
                     raise DomainError(f"{name} must be finite, got {z[~np.isfinite(z)][0]}")
-        if coords[0].ndim:
-            for z in coords:
-                z.flags.writeable = False
-            z1, z2, z3 = coords
-        else:
-            z1, z2, z3 = (complex(z) for z in coords)
-        object.__setattr__(self, "z1", z1)
-        object.__setattr__(self, "z2", z2)
-        object.__setattr__(self, "z3", z3)
-        object.__setattr__(self, "K1", 1.0 + abs(z1) ** 2 + abs(z2) ** 2)
-        object.__setattr__(self, "K2", 1.0 + abs(z3) ** 2 + abs(z1 * z3 - z2) ** 2)
+        for z in coords:
+            z.flags.writeable = False
+        z1, z2, z3 = (z[()] for z in coords)
+        with np.errstate(over="ignore", invalid="ignore"):
+            K1 = 1.0 + abs(z1) ** 2 + abs(z2) ** 2
+            K2 = 1.0 + abs(z3) ** 2 + abs(z1 * z3 - z2) ** 2
+        if not (np.isfinite(K1) & np.isfinite(K2)).all():
+            raise DomainError("flag coordinates too large: K1 or K2 overflows")
+        for name, value in (("z1", z1), ("z2", z2), ("z3", z3), ("K1", K1), ("K2", K2)):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple:
@@ -256,7 +249,7 @@ def bruhat_normalize(m) -> FlagCoords:
     principal minor of any matrix vanishes: such flags lie in a lower
     Bruhat cell.
     """
-    a = _entries(m)
+    a = m.entries if isinstance(m, Su3Matrix) else Su3Matrix(m).entries
     minor1 = a[..., 0, 0]
     minor2 = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     outside = (np.abs(minor1) <= BIG_CELL_MINOR_THRESHOLD) | (np.abs(minor2) <= BIG_CELL_MINOR_THRESHOLD)
@@ -280,8 +273,7 @@ def infinitesimal_vf(k: int, z: FlagCoords) -> np.ndarray:
     last axis, i.e. the t-derivative at 0 of the normalized left translate
     of Z: shape S + (3,).
     """
-    if not 1 <= k <= 8:
-        raise IndexError(f"k must lie in 1..8, got {k}")
+    _generator_row(k)
     z1, z2, z3 = z.z1, z.z2, z.z3
     if k == 1:
         return 0.5j * _vector(1 - z1**2, -z1 * z2, z1 * z3 - z2)

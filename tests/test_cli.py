@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cpvortex
-from cpvortex import cli, dynamics, momentum, su3flag
+from cpvortex import cli, dynamics, momentum, su3flag, verify
 
 
 def write_config(path, doc):
@@ -295,6 +295,24 @@ def assert_one_error_line(capsys, *fragments):
         assert fragment in err
 
 
+def run_cli(argv):
+    """(exit code, stdout, stderr) of cli.main(argv), with warnings as errors.
+
+    An argparse rejection must raise SystemExit(2) after its usage and one
+    error line; it is returned as exit code 2.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            return cli.main(argv), out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            lines = err.getvalue().splitlines()
+            assert exc.code == 2 and out.getvalue() == "" and lines[0].startswith("usage: cpvortex"), lines
+            assert [ln for ln in lines if "error:" in ln] == lines[-1:], lines
+            return exc.code, "", err.getvalue()
+
+
 class TestConfigValidation:
     def run(self, tmp_path, integrator):
         doc = dict(CP1_PAIR)
@@ -413,6 +431,15 @@ class TestConfigValidation:
         assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 4
         assert_one_error_line(capsys, "adaptive run reached the cap of 50 recorded steps")
 
+    def test_cpn_dimension_over_the_bound(self, tmp_path, capsys):
+        # C_n of CP^200 is no double; the config is rejected before an output file is opened
+        point = [[1.0, 0.0]] + [[0.0, 0.0]] * 200
+        doc = dict(CP1_PAIR, n=200, vortices=[{"position": point, "strength": 1.0}, {"position": point[::-1], "strength": 1.0}])
+        doc["outputs"] = {"trajectory_path": str(tmp_path / "t.csv"), "monitor_path": None}
+        assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
+        assert_one_error_line(capsys, "cpn runs need a field 'n' in 1..170, got 200")
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("field", ["integrator", "outputs"])
     def test_sections_must_be_objects(self, tmp_path, capsys, field):
         doc = dict(CP1_PAIR, **{field: []})
@@ -456,6 +483,24 @@ class TestTabulate:
     def test_momentum_bad_argument(self, capsys):
         assert cli.main(["tabulate", "momentum", "--z1", "spam"]) == 4
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["momentum", "--z1", "1e308"], "flag coordinates too large"),
+            (["momentum", "--z2", "1e155"], "flag coordinates too large"),
+            (["momentum", "--z1", "1e200", "--z3", "1e200"], "flag coordinates too large"),
+            (["greens", "--n", "200", "--samples", "2"], "n must be at most 170"),
+            (["greens", "--n", "170", "--samples", "2"], "not finite at r = 0.1"),
+            (["greens", "--n", "2", "--rmin", "1e-300", "--rmax", "0.5", "--samples", "2"], "not finite at r = 1e-300"),
+            (["greens", "--n", "2", "--samples", str(cli.MAX_SAMPLES + 1)], f"--samples must lie in 1..{cli.MAX_SAMPLES}"),
+            (["greens", "--n", "2", "--samples", "100000000000"], "--samples must lie in"),
+        ],
+    )
+    def test_overflow_and_size_exit_4_with_one_error_line(self, argv, message):
+        code, out, err = run_cli(["tabulate", *argv])
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
 
 class TestVerify:
     def test_greens_suite_passes(self, capsys):
@@ -472,6 +517,19 @@ class TestVerify:
         assert "inverse-metric table proportionality factor" in out
         assert "Laplacian coefficient table" in out
         assert "report only" in out
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        code, out, err = run_cli(["verify", "all", f"--seed={seed}"])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --seed: must be a non-negative integer, got {seed!r}\n")
+
+    @pytest.mark.parametrize("argv", [["verify", "all", "--seed=--"], ["tabulate", "greens", "--n=--"]])
+    def test_double_dash_option_value_is_a_usage_error(self, argv):
+        # argparse gives such an option the value [], which no handler expects
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: an option value cannot be '--'\n")
 
     def test_failure_exit_code_and_diagnostics(self, capsys, monkeypatch):
         # a generator field off by 0.1 must fail its gate and name the worst
@@ -634,3 +692,61 @@ def test_mutated_configs_keep_the_exit_contract(tmp_path, monkeypatch, data):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# fuzz of the exit-code contract of `tabulate` and `verify` argv: exit 0, 2 or 4, no traceback
+# and no NumPy warning; a failure prints nothing on stdout and one error line (after the usage,
+# for an argparse rejection)
+
+ARGV_JUNK = st.sampled_from(["", "x", "spam", "1+", "0x10", "1_0", "+3", " 7", "1.5", "(1+2j)", "j", "--"])
+ARGV_INTEGERS = st.one_of(st.integers(), st.integers(-2, 200)).map(str) | ARGV_JUNK
+ARGV_FLOATS = st.floats().map(repr) | st.sampled_from(["nan", "-inf", "1e999", "1e-320", "1e-300", "0.1", "1.5"]) | ARGV_JUNK
+# decimal literals of magnitude 1e-320 to 9e308 (the last overflow to inf), or zero
+ARGV_REALS = st.builds("{}e{}".format, st.integers(0, 9), st.integers(-320, 308))
+ARGV_COMPLEX = st.one_of(
+    st.builds("{}{}".format, st.sampled_from(["", "-"]), ARGV_REALS),
+    st.builds("{}{}j".format, st.sampled_from(["", "-"]), ARGV_REALS),
+    st.builds("{}{}{}{}j".format, st.sampled_from(["", "-"]), ARGV_REALS, st.sampled_from(["+", "-"]), ARGV_REALS),
+    st.sampled_from(["nan", "inf", "-inf", "nanj", "infj", "1e308+1e308j"]),
+    ARGV_JUNK,
+)
+
+
+def greens_argv(data):
+    argv = ["tabulate", "greens", f"--n={data.draw(ARGV_INTEGERS)}", f"--samples={data.draw(ARGV_INTEGERS)}"]
+    for option in ("--rmin", "--rmax"):
+        if data.draw(st.booleans()):
+            argv.append(f"{option}={data.draw(ARGV_FLOATS)}")
+    return argv, "r,G,phi_prime\n"
+
+
+def momentum_argv(data):
+    coords = [z for z in ("z1", "z2", "z3") if data.draw(st.booleans())]
+    return ["tabulate", "momentum"] + [f"--{z}={data.draw(ARGV_COMPLEX)}" for z in coords], "momentum value at "
+
+
+def verify_argv(data):
+    suite = data.draw(st.sampled_from(sorted(verify.SUITES) + ["all", "bogus"]))
+    return ["verify", suite, f"--seed={data.draw(ARGV_INTEGERS)}"], "OK: 0/0 checks passed\n"
+
+
+def seeded_stub(seed):
+    """A suite that checks nothing but seeds its generator, as every suite does first."""
+    np.random.default_rng(seed)
+    return []
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_tabulate_and_verify_argv_keep_the_exit_contract(monkeypatch, data):
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 20)
+    monkeypatch.setattr(verify, "SUITES", dict.fromkeys(verify.SUITES, seeded_stub))
+    argv, header = data.draw(st.sampled_from([greens_argv, momentum_argv, verify_argv]))(data)
+    code, out, err = run_cli(argv)
+    assert code in (0, 2, 4)
+    if code == 0:
+        assert err == "" and out.startswith(header)
+    elif not err.startswith("usage:"):
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, err

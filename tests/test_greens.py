@@ -62,6 +62,15 @@ class TestGreensCpn:
         with pytest.raises(DomainError):
             greens_cpn(0, 1.0)
 
+    def test_largest_n(self):
+        # MAX_N is the last n whose normalization is a double; above it, DomainError instead of OverflowError
+        assert math.isfinite(greens.greens_constant(greens.MAX_N))
+        with pytest.raises(OverflowError):
+            cpn_volume(greens.MAX_N + 1)
+        for f in (greens_cpn, greens_cpn_derivative):
+            with pytest.raises(DomainError, match=f"n must be at most {greens.MAX_N}"):
+                f(greens.MAX_N + 1, 1.0)
+
     def test_n1_at_diameter(self):
         assert greens_cpn(1, math.pi / 2) == 0.0
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cpvortex.errors import DomainError, OutsideBigCellError
+from cpvortex.momentum import momentum_flag_pairing
 from cpvortex.su3flag import (
     FlagCoords,
     Su3Matrix,
@@ -61,9 +62,20 @@ class TestGellMann:
             assert np.allclose(m, -m.conj().T)
             assert abs(np.trace(m)) < 1e-15
 
-    def test_index_error(self):
-        with pytest.raises(IndexError):
-            gell_mann(9)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gell_mann(9),
+            lambda: gell_mann_tilde(0),
+            lambda: exp_su3(9, 0.1),
+            lambda: exp_su3(1.5, 0.1),  # a float index used to select the k = 8 subgroup
+            lambda: infinitesimal_vf(0, FlagCoords(0, 0, 0)),
+            lambda: momentum_flag_pairing([1, 9, 2], FlagCoords(0, 0, 0)),
+        ],
+    )
+    def test_index_error(self, call):
+        with pytest.raises(IndexError, match=r"k must be an integer in 1\.\.8, got "):
+            call()
 
     def test_tilde_hermitian(self):
         for k in range(1, 9):
@@ -75,6 +87,11 @@ class TestSu3Matrix:
     def test_unitary_role_rejects(self):
         with pytest.raises(DomainError):
             Su3Matrix(np.diag([2.0, 1.0, 1.0]), role="unitary")
+
+    @pytest.mark.parametrize("build", [Su3Matrix, bruhat_normalize])
+    def test_shape_rule(self, build):
+        with pytest.raises(DomainError, match=r"expected a 3x3 matrix, got shape \(4, 2, 2\)"):
+            build(np.ones((4, 2, 2)))
 
     def test_unit_lower_triangular_role(self):
         m = np.array([[1, 0, 0], [2j, 1, 0], [1, -3, 1]], dtype=complex)
@@ -422,6 +439,17 @@ class TestBatches:
         z2[117] = complex(np.nan, 0.0)
         with pytest.raises(DomainError):
             FlagCoords(batch.z1, z2, batch.z3)
+
+    @pytest.mark.parametrize("point", [(1e308, 0, 0), (0, 1e155, 0), (1e200, 0, 1e200)])
+    def test_overflowing_K_rejects_point_and_batch(self, batch, point):
+        # K1 or K2 overflows although every coordinate is finite; no NumPy warning escapes
+        with pytest.raises(DomainError, match="flag coordinates too large"):
+            FlagCoords(*point)
+        coords = [np.array(z) for z in (batch.z1, batch.z2, batch.z3)]
+        for z, value in zip(coords, point):
+            z[57] = value
+        with pytest.raises(DomainError, match="flag coordinates too large"):
+            FlagCoords(*coords)
 
     def test_point_outside_big_cell_rejects_batch(self, batch):
         m = np.array(batch.matrix().entries)
