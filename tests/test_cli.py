@@ -681,17 +681,13 @@ def test_mutated_configs_keep_the_exit_contract(tmp_path, monkeypatch, data):
     doc["outputs"] = {"trajectory_path": "t.csv", "monitor_path": "m.csv"}
     for _ in range(data.draw(st.integers(1, 3))):
         doc = mutate(data, doc)
-    config = write_config(tmp_path / "cfg.json", doc)
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        code = cli.main(["simulate", config])
+    code, out, err = run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)])
     assert code in (0, 2, 3, 4)
     if code == 0:
-        assert err.getvalue() == "" and out.getvalue().startswith("summary:")
+        assert err == "" and out.startswith("summary:")
     else:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, err.getvalue()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------
