@@ -62,20 +62,19 @@ class TestGellMann:
             assert np.allclose(m, -m.conj().T)
             assert abs(np.trace(m)) < 1e-15
 
-    @pytest.mark.parametrize(
-        "call",
-        [
+    def test_index_error(self):
+        origin = FlagCoords(0, 0, 0)
+        calls = [
             lambda: gell_mann(9),
             lambda: gell_mann_tilde(0),
             lambda: exp_su3(9, 0.1),
             lambda: exp_su3(1.5, 0.1),  # a float index used to select the k = 8 subgroup
-            lambda: infinitesimal_vf(0, FlagCoords(0, 0, 0)),
-            lambda: momentum_flag_pairing([1, 9, 2], FlagCoords(0, 0, 0)),
-        ],
-    )
-    def test_index_error(self, call):
-        with pytest.raises(IndexError, match=r"k must be an integer in 1\.\.8, got "):
-            call()
+            lambda: infinitesimal_vf(0, origin),
+            lambda: momentum_flag_pairing([1, 9, 2], origin),
+        ]
+        for call in calls:
+            with pytest.raises(IndexError, match=r"k must be an integer in 1\.\.8, got "):
+                call()
 
     def test_tilde_hermitian(self):
         for k in range(1, 9):
