@@ -1,9 +1,10 @@
 """Command line interface: simulate, verify, tabulate.
 
 Exit codes: 0 success, 1 failed verification, 2 unreadable or invalid
-configuration, 3 collision during integration (the step index is
-reported), 4 numeric or domain failure, including a run whose state,
-energy or momentum norm stops being finite.
+configuration, or an output file that cannot be opened, written or closed,
+3 collision during integration (the step index is reported), 4 numeric or
+domain failure, including a run whose state, energy or momentum norm stops
+being finite.
 
 Each verification check has a fixed tolerance, set in cpvortex.verify; no
 option or environment variable changes it.
@@ -127,26 +128,18 @@ def load_config(path: str):
 
         integ = _object(doc["integrator"], "integrator")
         method = integ.get("method", "rk4")
-        if method not in dynamics.METHODS:
-            raise ConfigurationError(f"integrator.method must be one of {list(dynamics.METHODS)}, got {method!r}")
         dt = _number(integ["dt"], "integrator.dt")
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ConfigurationError(f"integrator.dt must be finite and positive, got {dt!r}")
         if "steps" in integ:
             steps = _integer(integ["steps"], "integrator.steps")
         elif "t_end" in integ:
             t_end = _number(integ["t_end"], "integrator.t_end")
+            dynamics._check_run(dt, 0, method)  # the division below needs a positive, finite dt
             steps = round(t_end / dt)
             if not abs(t_end - steps * dt) <= 1e-9 * abs(t_end):
                 raise ConfigurationError(f"integrator.t_end {t_end!r} is not an integer multiple of dt {dt!r}")
         else:
             raise ConfigurationError("integrator needs 'steps' or 't_end'")
-        if steps < 0:
-            raise ConfigurationError(f"integrator needs a nonnegative number of steps, got {steps}")
-        if method == "rk4" and steps > dynamics.MAX_RECORDED_STEPS:
-            raise ConfigurationError(f"rk4 run of {steps} steps exceeds the cap of {dynamics.MAX_RECORDED_STEPS} recorded steps")
-        if not math.isfinite(dt * steps):
-            raise ConfigurationError(f"integrator horizon dt * steps = {dt!r} * {steps} is not finite")
+        dynamics._check_run(dt, steps, method)  # integrate's run rules, before any output file is opened
         outputs = _object(doc.get("outputs", {}), "outputs")
         paths = [_output_path(outputs.get(key), f"outputs.{key}") for key in ("trajectory_path", "monitor_path")]
         if None not in paths and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
@@ -175,38 +168,36 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    with contextlib.ExitStack() as outputs:
-        # open the outputs first, so that a bad path fails before the run
-        try:
+    try:
+        with contextlib.ExitStack() as outputs:
+            # open the outputs first, so that a bad path fails before the run
             traj_fh, mon_fh = (
                 outputs.enter_context(open(cfg[key], "w", encoding="utf-8")) if cfg[key] else None
                 for key in ("trajectory_path", "monitor_path")
             )
-        except OSError as exc:
-            print(f"error: cannot open output file: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            t0 = time.perf_counter()
+            try:
+                traj = dynamics.integrate(cfg["system"], cfg["dt"], cfg["steps"], method=cfg["method"])
+            except CollisionError as exc:
+                print(f"error: collision at step {exc.step_index}: {exc}", file=sys.stderr)
+                return EXIT_COLLISION
+            wall = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        try:
-            traj = dynamics.integrate(cfg["system"], cfg["dt"], cfg["steps"], method=cfg["method"])
-        except CollisionError as exc:
-            print(f"error: collision at step {exc.step_index}: {exc}", file=sys.stderr)
-            return EXIT_COLLISION
-        wall = time.perf_counter() - t0
+            if traj_fh:
+                dynamics.write_trajectory_csv(traj, traj_fh)
+            if mon_fh:
+                dynamics.write_monitor_csv(traj, mon_fh)
+    except OSError as exc:  # opening, writing, or the flush when a small output is closed
+        print(f"error: cannot write output file: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
-        if traj_fh:
-            dynamics.write_trajectory_csv(traj, traj_fh)
-        if mon_fh:
-            dynamics.write_monitor_csv(traj, mon_fh)
-
-    h = traj.monitors[:, 0]
-    mom = traj.monitors[:, 1]
+    h, mom, dmin = traj.monitors.T
     print("summary:")
     print(f"  steps_recorded: {traj.times.size - 1}")
     print(f"  final_time: {_fmt(traj.times[-1])}")
     print(f"  energy_drift: {_fmt(np.max(np.abs(h - h[0])))}")
     print(f"  momentum_norm_drift: {_fmt(np.max(np.abs(mom - mom[0])))}")
-    print(f"  min_separation: {_fmt(np.min(traj.monitors[:, 2]))}")
+    print(f"  min_separation: {_fmt(np.min(dmin))}")
     period = dynamics.planar_pair_period(traj)
     if period is not None:
         print(f"  estimated_period: {_fmt(period)}")

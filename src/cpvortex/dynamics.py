@@ -26,16 +26,15 @@ of a step h: df_n/drho = -(1/s2 + ... + 1/s2^n)/2 at s2 = 1 - rho, so
 
     h dv_a/dt = i (I - v_a v_a*) sum_{b != a} w_b (1/s2_ab + ... + 1/s2_ab^n) G_ab v_b,
 
-the geometric sum built up from w in n - 1 steps.  RK4 takes its weights
-pre-scaled by dt/2 and dt once per run; per step only the retraction to
-unit lifts follows, and charts, finiteness and monitors are checked once
-per batch of recorded states.  The chart-side field
-is kept as the independent oracle of that formula: grad_hamiltonian takes
-dH from one Gram matrix of the chart lifts (pivot coordinate 1), and
-hamiltonian_vector_field solves omega X = dH for all vortices in one
-batched solve with the Fubini-Study symplectic matrices of their affine
-charts.  Its sign convention is the one that makes Omega(X, Y) = dH(Y)
-hold with positive sign (checked by a self-test).
+the geometric sum built up from w in n - 1 steps.  A run is a stepper
+(_rk4_states or _dp45_states), which yields each state retracted to unit
+lifts, and one batch checker (_check_states) of monitors, finiteness and
+charts.  The chart-side field is kept as the independent oracle of that
+formula: grad_hamiltonian takes dH from one Gram matrix of the chart lifts
+(pivot coordinate 1), and hamiltonian_vector_field solves omega X = dH for
+all vortices in one batched solve with the Fubini-Study symplectic matrices
+of their affine charts.  Its sign convention is the one that makes
+Omega(X, Y) = dH(Y) hold with positive sign (checked by a self-test).
 """
 
 from __future__ import annotations
@@ -80,11 +79,8 @@ METHODS = ("rk4", "rk45_adaptive")
 # bounds its time and memory whatever dt, steps or t_end ask for
 MAX_RECORDED_STEPS = 1_000_000
 
-# integrate checks a batch of recorded states at once, the batch holding
-# about this many vortex pairs: their monitors come from one pair sweep,
-# their finiteness from one pass and their charts from one hysteresis loop,
-# which amortizes the per-call cost of all three for small N; a failure
-# stops the run within a batch of steps
+# integrate checks its states in batches of about this many vortex pairs, which amortizes
+# the per-call cost of the checks for small N; a failure stops the run within a batch
 _MONITOR_PAIRS = 256
 
 # random unit test vectors per vortex in omega_identity_defect
@@ -196,16 +192,6 @@ def _pair_energy(n: int, g: np.ndarray, i, j, r: np.ndarray):
     if n == 0:
         return (np.log(r) @ weights) * PLANE_CONSTANT
     return greens_constant(n) * (greens_radial_part(n, r) @ weights)
-
-
-def _monitors(x: np.ndarray, g: np.ndarray, n: int, i, j):
-    """H, momentum norm and pair separations, from one sweep over the pairs."""
-    r = _separations(x, n, i, j)
-    if n == 0:
-        mom = np.sqrt(sum(p**2 for p in _planar_impulses(x, g)))
-    else:
-        mom = np.sqrt((np.abs(_momentum_sum(x, g)) ** 2).sum(axis=(-2, -1)))
-    return _pair_energy(n, g, i, j, r), mom, r
 
 
 def _planar_rhs(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -442,123 +428,127 @@ def _pick_charts(mags: np.ndarray, charts: np.ndarray, threshold: float) -> np.n
         start = k + 1
 
 
+def _check_run(dt: float, steps: int, method: str) -> None:
+    """The run rules of integrate; each broken rule raises ConfigurationError with its own message."""
+    if method not in METHODS:
+        raise ConfigurationError(f"unknown method {method!r}; choose from {list(METHODS)}")
+    if not dt > 0.0:
+        raise ConfigurationError(f"dt must be positive, got {dt}")
+    if steps < 0:
+        raise ConfigurationError(f"steps must be nonnegative, got {steps}")
+    if method == "rk4" and steps > MAX_RECORDED_STEPS:
+        raise ConfigurationError(f"{steps} rk4 steps exceed the cap of {MAX_RECORDED_STEPS} recorded steps")
+    if not math.isfinite(dt * steps):
+        raise ConfigurationError(f"the horizon dt * steps = {dt} * {steps} is not finite")
+
+
+def _field(system: VortexSystem):
+    """The right-hand side that integrate steps the system with, and its vortex weights."""
+    if system.n:
+        return functools.partial(_cpn_rhs, n=system.n), greens_constant(system.n) * system.strengths
+    return _planar_rhs, (1j * PLANE_CONSTANT) * system.strengths
+
+
+def _retract(x: np.ndarray, n: int) -> np.ndarray:
+    """A new state, on CP^n with its lifts rescaled to unit norm."""
+    return x / np.sqrt(np.vecdot(x, x).real)[:, None] if n else x
+
+
+def _rk4_states(system: VortexSystem, dt: float, steps: int):
+    """(t, state) after each of ``steps`` fixed RK4 steps."""
+    rhs, weights = _field(system)
+    half, full = weights * (0.5 * dt), weights * dt
+    y = system.positions
+    for k in range(steps):
+        y = _retract(_rk4_step(rhs, y, half, full), system.n)
+        yield (k + 1) * dt, y
+
+
+def _dp45_states(system: VortexSystem, t_end: float, h: float):
+    """(t, state) after each accepted Dormand-Prince step to t_end, from a first trial step h (atol 1e-10, rtol 1e-9);
+    raises NumericError on step size underflow, a non-finite error estimate, or MAX_RECORDED_STEPS steps before t_end."""
+    rhs, weights = _field(system)
+    y, t, accepted = system.positions, 0.0, 0
+    # both guards scale with the horizon, so a horizon of any size is integrated
+    while t < t_end - 1e-15 * t_end:
+        h = min(h, t_end - t)
+        if h < 1e-14 * t_end:
+            raise NumericError(f"adaptive step size underflow at t = {t}")
+        if accepted >= MAX_RECORDED_STEPS:
+            raise NumericError(f"adaptive run reached the cap of {MAX_RECORDED_STEPS} recorded steps at t = {t} < t_end = {t_end}")
+        y5, err_vec = _dp_step(rhs, y, h, weights)
+        scale = 1e-10 + 1e-9 * np.maximum(np.abs(y), np.abs(y5))
+        err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
+        if not math.isfinite(err):
+            raise NumericError(f"non-finite error estimate at step {accepted + 1} (t = {t})")
+        if err <= 1.0:
+            t, accepted, y = t + h, accepted + 1, _retract(y5, system.n)
+            yield t, y
+        h *= min(5.0, max(0.2, 0.9 * (err if err > 0.0 else 1e-10) ** (-0.2)))
+
+
+def _check_states(system: VortexSystem, pairs, queue: list, times: list, charts):
+    """The last T recorded states as an array, their monitors (T, 3) and their charts (T, N).
+
+    ``times`` holds every time recorded so far, and ``charts`` those of the state before queue[0] (unused
+    on the plane).  Raises CollisionError, or NumericError at a non-finite H, momentum norm or state.
+    """
+    x = np.array(queue)
+    first, n, g = len(times) - len(x), system.n, system.strengths
+    r = _separations(x, n, *pairs)  # the one sweep over the pairs
+    h = _pair_energy(n, g, *pairs, r)
+    mom = np.sqrt((np.abs(_momentum_sum(x, g)) ** 2).sum(axis=(-2, -1)) if n else sum(p**2 for p in _planar_impulses(x, g)))
+    dmin = r.min(axis=1) if r.shape[1] else np.full(len(h), math.inf)
+    finite = np.isfinite(x).reshape(len(x), -1).all(axis=1)
+    stop = len(x) if finite.all() else int(finite.argmin())  # the states after a non-finite one are not run
+    hit = np.flatnonzero(dmin[:stop] < COLLISION_THRESHOLD)
+    if hit.size:
+        raise _collision(pairs, r[hit[0]], step_index=first + int(hit[0]))
+    bad = np.flatnonzero(~(np.isfinite(h[:stop]) & np.isfinite(mom[:stop])))  # min_dist is inf for N = 1
+    if bad.size:
+        raise NumericError(f"non-finite energy or momentum norm at step {first + int(bad[0])}")
+    if stop < len(x):
+        raise NumericError(f"non-finite state at step {first + stop} (t = {times[first + stop]})")
+    charts = _pick_charts(np.abs(x), charts, pivot_threshold(n)) if n else np.zeros(x.shape, dtype=int)
+    return x, np.column_stack([h, mom, dmin]), charts
+
+
 def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") -> Trajectory:
     """Advance the system for ``steps`` steps of nominal size ``dt``.
 
-    "rk4" takes fixed steps; "rk45_adaptive" integrates to t_end = dt*steps
-    with an embedded Dormand-Prince pair (atol 1e-10, rtol 1e-9, safety
-    0.9), recording every accepted step.  The right-hand sides are linear
-    in the vortex weights w (C_n Gamma on CP^n, i PLANE_CONSTANT Gamma on
-    the plane) and return h times the velocity for the weights h w; RK4
-    builds w dt/2 and w dt once per run, so a stage costs no scalar
-    multiply, and a step is four right-hand sides and nine array operations.  On
-    CP^n the state is the array of unit lifts, renormalized after each
-    step; that is all the per-step work besides the stages.  The recorded
-    states are checked in batches of about _MONITOR_PAIRS vortex pairs:
-    one sweep over the pairs gives their monitors, one pass their
-    finiteness, and the chart hysteresis (a chart is switched when its
-    pivot weakens) runs once per switch.  The run stops at the first
-    failure by step index: CollisionError, carrying the index of the first
-    step that brought two vortices within COLLISION_THRESHOLD, or
-    NumericError at the first non-finite H or momentum norm, state or
-    adaptive error estimate.  A run records at most MAX_RECORDED_STEPS
-    steps: more rk4 steps raise ConfigurationError, and an adaptive run
-    that reaches the cap before t_end stops with NumericError.
+    "rk4" takes fixed steps; "rk45_adaptive" integrates to t_end = dt*steps,
+    recording every accepted step.  The run rules (_check_run) ask for a
+    method of METHODS, dt > 0, steps >= 0, a finite horizon dt*steps and at
+    most MAX_RECORDED_STEPS rk4 steps.  The run stops at the first failure
+    by step index: CollisionError, carrying the index of the first step
+    that brought two vortices within COLLISION_THRESHOLD, or NumericError
+    at a non-finite state, H or momentum norm, or from the adaptive stepper
+    (see _dp45_states), after any failure among the states before it.
     """
-    if dt <= 0.0 or steps < 0 or not np.isfinite(dt * steps):
-        raise ConfigurationError(f"need dt > 0 and steps >= 0 with finite horizon, got {dt}, {steps}")
-    if method not in METHODS:
-        raise ConfigurationError(f"unknown method {method!r}")
-    if method == "rk4" and steps > MAX_RECORDED_STEPS:
-        raise ConfigurationError(f"{steps} rk4 steps exceed the cap of {MAX_RECORDED_STEPS} recorded steps")
-
-    y, g = system.positions, system.strengths
-    n = system.n
+    _check_run(dt, steps, method)
     pairs = _pairs(system.size)
     batch = max(1, _MONITOR_PAIRS // max(1, len(pairs[0])))
-    if n == 0:
-        rhs = _planar_rhs
-        weights = (1j * PLANE_CONSTANT) * g
-    else:
-        rhs = functools.partial(_cpn_rhs, n=n)
-        weights = greens_constant(n) * g
-        charts = _default_charts(y)
-        thr = pivot_threshold(n)
-
-    times, positions, chart_rows, monitors = [0.0], [y], [], []
-    checked = 0  # recorded states whose monitors are computed
-
-    def flush():
-        """Check the states recorded since the last flush; raises at the first failure by step index."""
-        nonlocal checked, charts
-        x = np.array(positions[checked:])
-        h, mom, r = _monitors(x, g, n, *pairs)
-        dmin = r.min(axis=1) if r.shape[1] else np.full(len(h), math.inf)
-        finite = np.isfinite(x).reshape(len(x), -1).all(axis=1)
-        stop = len(x) if finite.all() else int(finite.argmin())  # the states after a non-finite one are not run
-        hit = np.flatnonzero(dmin[:stop] < COLLISION_THRESHOLD)
-        if hit.size:
-            k = int(hit[0])
-            raise _collision(pairs, r[k], step_index=checked + k)
-        bad = np.flatnonzero(~(np.isfinite(h[:stop]) & np.isfinite(mom[:stop])))  # min_dist is inf for N = 1
-        if bad.size:
-            raise NumericError(f"non-finite energy or momentum norm at step {checked + int(bad[0])}")
-        if stop < len(x):
-            raise NumericError(f"non-finite state at step {checked + stop} (t = {times[checked + stop]})")
-        if n:
-            chart_rows.append(_pick_charts(np.abs(x), charts, thr))
-            charts = chart_rows[-1][-1]
-        else:
-            chart_rows.append(np.zeros(x.shape, dtype=int))
-        monitors.append(np.column_stack([h, mom, dmin]))
-        checked = len(positions)
-
-    def fail(message):
-        if checked < len(positions):
-            flush()  # a failure among the queued states comes first
-        raise NumericError(message)
-
-    def record(t, x):
-        """Retract the new state and queue it for the batched checks; returns it."""
-        if n:
-            x /= np.sqrt(np.vecdot(x, x).real)[:, None]
-        times.append(t)
-        positions.append(x)
-        if len(positions) - checked >= batch:
-            flush()
-        return x
-
+    stepper = _rk4_states(system, dt, steps) if method == "rk4" else _dp45_states(system, dt * steps, dt)
+    times, queue, checked, failure = [0.0], [system.positions], [], None
+    charts = _default_charts(system.positions) if system.n else None
     # overflow surfaces as the non-finite values checked here; NumPy's warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if method == "rk4":
-            half, full = weights * (0.5 * dt), weights * dt
-            for k in range(steps):
-                y = record((k + 1) * dt, _rk4_step(rhs, y, half, full))
-        else:
-            t_end = dt * steps
-            t = 0.0
-            h = dt
-            # both guards scale with the horizon, so a horizon of any size is integrated
-            while t < t_end - 1e-15 * t_end:
-                h = min(h, t_end - t)
-                if h < 1e-14 * t_end:
-                    fail(f"adaptive step size underflow at t = {t}")
-                if len(times) > MAX_RECORDED_STEPS:
-                    fail(f"adaptive run reached the cap of {MAX_RECORDED_STEPS} recorded steps at t = {t} < t_end = {t_end}")
-                y5, err_vec = _dp_step(rhs, y, h, weights)
-                scale = 1e-10 + 1e-9 * np.maximum(np.abs(y), np.abs(y5))
-                err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
-                if not math.isfinite(err):
-                    fail(f"non-finite error estimate at step {len(times)} (t = {t})")
-                if err <= 1.0:
-                    t += h
-                    y = record(t, y5)
-                factor = 0.9 * (err if err > 0.0 else 1e-10) ** (-0.2)
-                h *= min(5.0, max(0.2, factor))
-        if checked < len(positions):
-            flush()
-
-    return Trajectory(system, np.asarray(times), np.array(positions), np.concatenate(monitors), np.concatenate(chart_rows))
+        try:
+            for t, x in stepper:
+                times.append(t)
+                queue.append(x)
+                if len(queue) >= batch:
+                    states, queue = queue, []
+                    checked.append(_check_states(system, pairs, states, times, charts))
+                    charts = checked[-1][2][-1]
+        except NumericError as exc:
+            failure = exc  # raised once the queued states, whose failures come first, are checked
+        if queue:
+            checked.append(_check_states(system, pairs, queue, times, charts))
+    if failure is not None:
+        raise failure
+    positions, monitors, charts = (np.concatenate(parts) for parts in zip(*checked))
+    return Trajectory(system, np.asarray(times), positions, monitors, charts)
 
 
 def planar_pair_period(traj: Trajectory) -> float | None:

@@ -302,18 +302,18 @@ def kahler_potential_flag(z: FlagCoords):
 def flag_metric(z: FlagCoords) -> np.ndarray:
     """Hermitian metric h_ij = d_{z_i} d_{zbar_j} log(K1 K2), shape S + (3, 3).
 
-    Positive definite with det h = 2 / (K1^2 K2^2).
+    Positive definite with det h = 2 / (K1^2 K2^2).  K1 and K2 divide twice, never squared, so no term overflows.
     """
     z1, z2, z3 = z.z1, z.z2, z.z3
     c1, c2 = z1.conjugate(), z2.conjugate()
-    K1sq, K2sq = z.K1**2, z.K2**2
+    K1, K2 = z.K1, z.K2
     a3 = abs(z3) ** 2
-    h11 = (1 + abs(z2) ** 2) / K1sq + a3 * (1 + a3) / K2sq
-    h12 = -c1 * z2 / K1sq - z3 * (1 + a3) / K2sq
-    h13 = z3 * (c1 + c2 * z3) / K2sq
-    h22 = (1 + abs(z1) ** 2) / K1sq + (1 + a3) / K2sq
-    h23 = -(c1 + c2 * z3) / K2sq
-    h33 = z.K1 / K2sq
+    h11 = (1 + abs(z2) ** 2) / K1 / K1 + (a3 / K2) * ((1 + a3) / K2)
+    h12 = -c1 * z2 / K1 / K1 - z3 * ((1 + a3) / K2) / K2
+    h13 = z3 * ((c1 + c2 * z3) / K2) / K2
+    h22 = (1 + abs(z1) ** 2) / K1 / K1 + (1 + a3) / K2 / K2
+    h23 = -(c1 + c2 * z3) / K2 / K2
+    h33 = K1 / K2 / K2
     return _matrix(
         [
             [h11, h12, h13],

@@ -444,6 +444,19 @@ def _relative_gradient_error(system):
     return float((np.linalg.norm(fd - grads, axis=1) / scale).max())
 
 
+def _field_error(system):
+    """Largest defect of integrate's field (h = 1) against hamiltonian_vector_field, relative to its largest velocity;
+    each lift velocity dv is pushed through its chart map as dw = (dv_rest v_c - v_rest dv_c) / v_c^2."""
+    rhs, weights = dynamics._field(system)
+    v, n = system.positions, system.n
+    charts, vels = (np.array(x) for x in zip(*dynamics.hamiltonian_vector_field(system)))
+    rest, dv = geom._off_pivot(charts, v.shape), rhs(v, weights)
+    pivot, dpivot = v[~rest][:, None], dv[~rest][:, None]
+    dw = (dv[rest].reshape(-1, n) * pivot - v[rest].reshape(-1, n) * dpivot) / pivot**2
+    defects = np.linalg.norm(dw - (vels[:, :n] + 1j * vels[:, n:]), axis=1)
+    return float(defects.max() / np.linalg.norm(vels, axis=1).max())
+
+
 def _planar_period_error():
     """Two equal vortices at distance d rotate rigidly; compare the period."""
     d, gamma = 1.0, 1.0
@@ -507,6 +520,11 @@ def verify_dynamics(seed: int = 0) -> list:
     sep0 = traj.monitors[0, 2]
     sep_drift = float(np.max(np.abs(traj.monitors[:, 2] - sep0)))
     checks.append(CheckResult("CP^1 two-vortex separation constancy", sep_drift, 1e-8))
+
+    # the drift checks above cannot see a constant factor in the integrated field; this one can
+    systems = (_random_cpn_system(rng, int(rng.integers(1, 4)), int(rng.integers(2, 6))) for _ in range(20))
+    worst = max(map(_field_error, systems))
+    checks.append(CheckResult("integrator field vs chart-side vector field (relative, 20 systems)", worst, 1e-12))
     return checks
 
 

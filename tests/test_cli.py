@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import cpvortex
 from cpvortex import cli, dynamics, momentum, su3flag, verify
+from cpvortex.errors import ConfigurationError
 
 
 def write_config(path, doc):
@@ -400,7 +401,7 @@ class TestConfigValidation:
     def test_non_finite_horizon(self, tmp_path, capsys):
         # a config defect (exit 2), not a numeric failure of the run (exit 4)
         assert self.run(tmp_path, {"method": "rk4", "dt": 1e308, "steps": 2}) == 2
-        assert_one_error_line(capsys, "integrator horizon", "is not finite")
+        assert_one_error_line(capsys, "horizon dt * steps = 1e+308 * 2 is not finite")
 
     @pytest.mark.parametrize("monitor_path", ["out.csv", "./sub/../out.csv", "link.csv"])
     def test_outputs_must_name_two_files(self, tmp_path, capsys, monkeypatch, monitor_path):
@@ -418,11 +419,45 @@ class TestConfigValidation:
         out = tmp_path / "t.csv"
         doc = dict(CP1_PAIR, integrator={"method": "rk4", "dt": 0.001, "steps": 11}, outputs={"trajectory_path": str(out)})
         assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
-        assert_one_error_line(capsys, "11 steps exceeds the cap of 10 recorded steps")
+        assert_one_error_line(capsys, "11 rk4 steps exceed the cap of 10 recorded steps")
         assert not out.exists()  # rejected before any output is opened
         doc["integrator"]["steps"] = 10
         assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 0
         assert len(out.read_text().splitlines()) == 12  # header, initial state and 10 steps
+
+    @pytest.mark.parametrize(
+        "integrator, run",
+        [
+            ({"method": "euler", "dt": 0.001, "steps": 10}, (0.001, 10, "euler")),
+            ({"method": "rk4", "dt": 0.0, "steps": 10}, (0.0, 10, "rk4")),
+            ({"method": "rk4", "dt": -0.001, "t_end": 0.05}, (-0.001, 10, "rk4")),
+            ({"method": "rk4", "dt": 0.001, "steps": -1}, (0.001, -1, "rk4")),
+            ({"method": "rk4", "dt": 1e308, "steps": 2}, (1e308, 2, "rk4")),
+            ({"method": "rk4", "dt": 0.001, "steps": 11}, (0.001, 11, "rk4")),  # over the patched cap of 10
+        ],
+        ids=["method", "dt", "dt-with-t_end", "steps", "horizon", "rk4-cap"],
+    )
+    def test_one_rule_one_message(self, tmp_path, monkeypatch, integrator, run):
+        # integrate and simulate state each run rule in the same words
+        system = cli.load_config(write_config(tmp_path / "ok.json", CP1_PAIR))["system"]
+        monkeypatch.setattr(dynamics, "MAX_RECORDED_STEPS", 10)
+        dt, steps, method = run
+        with pytest.raises(ConfigurationError) as err:
+            dynamics.integrate(system, dt, steps, method=method)
+        out = tmp_path / "t.csv"
+        doc = dict(CP1_PAIR, integrator=integrator, outputs={"trajectory_path": str(out)})
+        assert run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)]) == (2, "", f"error: {err.value}\n")
+        assert not out.exists()  # rejected before any output is opened
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("key", ["trajectory_path", "monitor_path"])
+    @pytest.mark.parametrize("steps", [1, 2000])  # a small output fails when it is closed, a large one in a write
+    def test_output_that_cannot_be_written(self, tmp_path, key, steps):
+        doc = dict(CP1_PAIR, integrator={"method": "rk4", "dt": 1e-4, "steps": steps}, outputs={key: "/dev/full"})
+        code, out, err = run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write output file: ") and err.count("\n") == 1, err
+        assert "No space left on device" in err
 
     def test_adaptive_run_stops_at_the_cap(self, tmp_path, capsys, monkeypatch):
         # dt 1e10 and steps 1 ran for over a minute with a growing trajectory before the cap

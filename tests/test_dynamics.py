@@ -530,6 +530,18 @@ class TestBatchedChecks:
         with pytest.raises(NumericError, match="non-finite error estimate at step 2 "):
             integrate(sys, 0.1, 5, method="rk45_adaptive")
 
+    @pytest.mark.parametrize("monitor_pairs", [1, 256])
+    def test_queued_failure_precedes_the_stepper_error(self, monkeypatch, monitor_pairs):
+        # step 1 collides and is still queued when the stepper raises at step 2: the collision is reported
+        monkeypatch.setattr(dynamics, "_MONITOR_PAIRS", monitor_pairs)
+        sys = cp1_pair(0.8)
+        collided = np.array([sys.positions[0], sys.positions[0]])
+        steps = iter([(collided, np.zeros_like(collided)), (collided, np.full(collided.shape, np.nan))])
+        monkeypatch.setattr(dynamics, "_dp_step", lambda *args: next(steps))
+        with pytest.raises(CollisionError) as err:
+            integrate(sys, 0.1, 5, method="rk45_adaptive")
+        assert err.value.step_index == 1
+
 
 class TestRecordedStepCap:
     def test_rk4_steps_over_the_cap(self, monkeypatch):

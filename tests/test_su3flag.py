@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,54 @@ class TestPotentialAndMetric:
                 lambda v: kahler_potential_flag(FlagCoords(v[..., 0], v[..., 1], v[..., 2])), z.as_vector()
             )
             assert np.max(np.abs(fd - flag_metric(z))) < 1e-5
+
+
+def squared_k_metric(z):
+    """The reference formula of flag_metric over K1^2 and K2^2, which overflow once a coordinate nears 1e77."""
+    z1, z2, z3 = z.z1, z.z2, z.z3
+    c1, c2 = z1.conjugate(), z2.conjugate()
+    K1sq, K2sq = z.K1**2, z.K2**2
+    a3 = abs(z3) ** 2
+    h11 = (1 + abs(z2) ** 2) / K1sq + a3 * (1 + a3) / K2sq
+    h12 = -c1 * z2 / K1sq - z3 * (1 + a3) / K2sq
+    h13 = z3 * (c1 + c2 * z3) / K2sq
+    h22 = (1 + abs(z1) ** 2) / K1sq + (1 + a3) / K2sq
+    h23 = -(c1 + c2 * z3) / K2sq
+    h33 = z.K1 / K2sq
+    return np.moveaxis(np.array([[h11, h12, h13], [np.conj(h12), h22, h23], [np.conj(h13), np.conj(h23), h33]]), (0, 1), (-2, -1))
+
+
+class TestMetricWithoutSquaredK:
+    """flag_metric divides by K1 and K2 twice instead of by K1^2 and K2^2."""
+
+    def test_agrees_with_the_squared_k_formula(self):
+        z = _random_flag(np.random.default_rng(24), shape=(1000,))
+        h, ref = flag_metric(z), squared_k_metric(z)
+        assert np.all(np.linalg.norm(h - ref, axis=(-2, -1)) <= 1e-15 * np.linalg.norm(ref, axis=(-2, -1)))
+
+    def test_h12_of_a_large_point(self):
+        # K1^2 = 1e400 is no double, but h12 = -conj(z1) z2 / K1^2 = -1e-300 is
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = flag_metric(FlagCoords(1e100, 1, 0))
+        assert h[0, 1] == pytest.approx(-1e-300, rel=1e-15, abs=0)
+
+    def test_coordinates_up_to_1e150(self):
+        rng = np.random.default_rng(25)
+        # magnitudes 10^a, 10^b, 10^c with a + c <= 150 keep K1 and K2 finite
+        a, b = rng.uniform(0.0, 150.0, (2, 200))
+        c = rng.uniform(0.0, 1.0, 200) * (150.0 - a)
+        phases = np.exp(2j * np.pi * rng.uniform(size=(3, 200)))
+        z = FlagCoords(*(phases * 10.0 ** np.array([a, b, c])))
+        points = [FlagCoords(1e150, 1, 0), FlagCoords(1e150, 1e150, 0), FlagCoords(0, 1e150, 1e150)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch, singles = flag_metric(z), [flag_metric(p) for p in points + single_points(z)]
+        assert np.isfinite(batch).all() and all(np.isfinite(h).all() for h in singles)
+        # K2 of a batch and of its points differ by up to 5e-16 relative at these magnitudes, and h divides by it twice
+        assert_matches_points(batch, singles[len(points):], rel=1e-14)
+        # at (1e150, 1, 0): K1 = 1e300 and K2 = 2
+        assert singles[0][2, 2] == pytest.approx(2.5e299, rel=1e-15) and singles[0][1, 2] == pytest.approx(-2.5e149, rel=1e-15)
 
 
 class TestInverse:

@@ -148,6 +148,25 @@ class TestArrayDynamicsChecks:
         assert counts == {"_separations": 1, "_pair_energy": 1, "hamiltonian_cpn": 0, "VortexSystem": 0}
 
 
+class TestFieldScaleGate:
+    """The dynamics suite compares the integrated field with the chart-side vector field, scale included."""
+
+    def systems(self, seed):
+        rng = np.random.default_rng(seed)
+        return [verify._random_cpn_system(rng, int(rng.integers(1, 4)), int(rng.integers(2, 6))) for _ in range(20)]
+
+    def test_integrated_field_passes(self):
+        assert max(map(verify._field_error, self.systems(0))) <= 1e-12
+
+    def test_weights_scaled_by_1_001_fail(self, monkeypatch):
+        # energy and momentum drift stay flat under a constant factor in the field; this gate does not
+        field = dynamics._field
+        monkeypatch.setattr(dynamics, "_field", lambda system: (field(system)[0], 1.001 * field(system)[1]))
+        defects = [verify._field_error(system) for system in self.systems(1)]
+        assert min(defects) > 1e-12
+        assert max(defects) == pytest.approx(1e-3, rel=1e-6)
+
+
 class TestStackedOracles:
     """Each finite-difference oracle evaluates its function once per batch."""
 
