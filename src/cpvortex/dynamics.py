@@ -41,13 +41,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CollisionError, ConfigurationError, NumericError
 from .geom import (ProjectivePoint, _chart_lifts, _chart_values, _default_charts, _lift_distance, _off_pivot,
-                   fubini_study_metric, pivot_threshold)
+                   _symplectic_matrix, fubini_study_metric, pivot_threshold)
 from .greens import PLANE_CONSTANT, greens_constant, greens_radial_part, greens_radial_slope
 from .momentum import _momentum_sum
 
@@ -309,11 +310,10 @@ def grad_hamiltonian(system: VortexSystem, charts=None):
 
 
 def _sharp(system: VortexSystem, charts):
-    """Symplectic matrices W (N, 2n, 2n), gradients (N, 2n) and velocities (N, 2n), Gamma W velocity = gradient."""
+    """Chart metrics h (N, n, n), gradients (N, 2n) and velocities (N, 2n): Gamma W velocity = gradient, W of h."""
     ws, grads = _chart_gradients(system, charts)
     h = fubini_study_metric(ws)
-    W = np.block([[h.imag, -h.real], [h.real, h.imag]])
-    return W, grads, np.linalg.solve(W, grads[..., None])[..., 0] / system.strengths[:, None]
+    return h, grads, np.linalg.solve(_symplectic_matrix(h), grads[..., None])[..., 0] / system.strengths[:, None]
 
 
 def hamiltonian_vector_field(system: VortexSystem, charts=None):
@@ -332,17 +332,20 @@ def hamiltonian_vector_field(system: VortexSystem, charts=None):
 def omega_identity_defect(system: VortexSystem, rng=None) -> float:
     """Max defect |Gamma_a omega_a(X_a, Y) - d_a H(Y)| over random unit test vectors.
 
-    This is the convention self-test for the sharp operator: it must come
-    out near machine precision, otherwise the symplectic solve is wired
-    with the wrong sign or scaling.
+    The convention self-test of the sharp operator: omega(X, Y) = Im(eta^T h conj(xi)) comes from the complex
+    metric, xi = X_x + i X_y and eta being the chart vectors of X and Y, not from the matrix W the velocities solve
+    with, so a W wired to h with a wrong sign or scale shows.  A common factor in h itself does not; the field gate
+    of the dynamics suite in verify sees that.
     """
     system.require("cpn", "omega_identity_defect")
     rng = np.random.default_rng(0) if rng is None else rng
-    W, grads, vels = _sharp(system, _default_charts(system.positions))
-    y = rng.standard_normal((system.size, _OMEGA_SAMPLES, 2 * system.n))
+    h, grads, vels = _sharp(system, _default_charts(system.positions))
+    n = system.n
+    y = rng.standard_normal((system.size, _OMEGA_SAMPLES, 2 * n))
     y /= np.linalg.norm(y, axis=-1, keepdims=True)
-    residual = system.strengths[:, None] * (W @ vels[..., None])[..., 0] - grads
-    return float(np.abs(y @ residual[..., None]).max())
+    xi = vels[:, :n] + 1j * vels[:, n:]
+    omega = ((y[..., :n] + 1j * y[..., n:]) @ (h @ xi.conj()[..., None])).imag[..., 0]
+    return float(np.abs(system.strengths[:, None] * omega - (y @ grads[..., None])[..., 0]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +383,9 @@ def _rk4_step(rhs, y, half, full):
     return y + (a1 + 2.0 * a2 + a3 + a4) / 3.0
 
 
-# Dormand-Prince 5(4) embedded pair (autonomous system, no c-nodes needed)
+# Dormand-Prince 5(4) embedded pair (autonomous system, no c-nodes needed): rows 2-7 of the
+# stage matrix, the last being the fifth-order weights B5 (first same as last), and E = B5 - B4
 _DP_A = [
-    [],
     [1 / 5],
     [3 / 40, 9 / 40],
     [44 / 45, -56 / 15, 32 / 9],
@@ -390,18 +393,19 @@ _DP_A = [
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 
 
-def _dp_step(rhs, y, dt, w):
-    ks = [rhs(y, w)]
-    for i in range(1, 7):
-        acc = sum(a * k for a, k in zip(_DP_A[i], ks))
-        ks.append(rhs(y + dt * acc, w))
-    y5 = y + dt * sum(b * k for b, k in zip(_DP_B5, ks))
-    y4 = y + dt * sum(b * k for b, k in zip(_DP_B4, ks))
-    return y5, y5 - y4
+def _dp_step(rhs, y, w):
+    """One Dormand-Prince 5(4) step for a right-hand side linear in its weights, given them pre-scaled by the step h.
+
+    The stages are a_i = f(y + sum_j A_ij a_j; w) = h k_i; the last is taken at the fifth-order state, returned
+    with the error estimate sum_i E_i a_i (no difference of two unit-size states)."""
+    a = [rhs(y, w)]
+    for row in _DP_A:
+        x = y + sum(c * k for c, k in zip(row, a))
+        a.append(rhs(x, w))
+    return x, sum(e * k for e, k in zip(_DP_E, a))
 
 
 def _pick_charts(mags: np.ndarray, charts: np.ndarray, threshold: float) -> np.ndarray:
@@ -436,6 +440,8 @@ def _check_run(dt: float, steps: int, method: str) -> None:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if steps < 0:
         raise ConfigurationError(f"steps must be nonnegative, got {steps}")
+    if steps > sys.float_info.max:  # dt * steps would raise OverflowError, and the digits make no message
+        raise ConfigurationError(f"steps of about 10^{math.log10(steps):.0f} exceed the float range of the horizon dt * steps")
     if method == "rk4" and steps > MAX_RECORDED_STEPS:
         raise ConfigurationError(f"{steps} rk4 steps exceed the cap of {MAX_RECORDED_STEPS} recorded steps")
     if not math.isfinite(dt * steps):
@@ -476,7 +482,7 @@ def _dp45_states(system: VortexSystem, t_end: float, h: float):
             raise NumericError(f"adaptive step size underflow at t = {t}")
         if accepted >= MAX_RECORDED_STEPS:
             raise NumericError(f"adaptive run reached the cap of {MAX_RECORDED_STEPS} recorded steps at t = {t} < t_end = {t_end}")
-        y5, err_vec = _dp_step(rhs, y, h, weights)
+        y5, err_vec = _dp_step(rhs, y, h * weights)
         scale = 1e-10 + 1e-9 * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
         if not math.isfinite(err):

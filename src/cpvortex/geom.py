@@ -237,6 +237,12 @@ def fubini_study_metric(values: np.ndarray) -> np.ndarray:
     return (s * np.eye(z.shape[-1]) - z.conj()[..., :, None] * z[..., None, :]) / s**2
 
 
+def _symplectic_matrix(h: np.ndarray) -> np.ndarray:
+    """The real matrices W = [[Im h, -Re h], [Re h, Im h]] (..., 2n, 2n) of the Kahler forms of Hermitian metrics h
+    (..., n, n), in the real coordinates (x_1..x_n, y_1..y_n): iota_X omega = W @ X, and omega(X, Y) = Y^T W X."""
+    return np.block([[h.imag, -h.real], [h.real, h.imag]])
+
+
 def random_point(n: int, rng: np.random.Generator) -> ProjectivePoint:
     """Uniform random point of CP^n (normalized complex Gaussian)."""
     v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)

@@ -118,6 +118,11 @@ def momentum_cp2_equivariance_check(p, u):
     return np.linalg.norm(left - right, axis=(-2, -1))[()]
 
 
+def _antihermitian(mu11, mu22, mu33, mu21, mu31, mu32) -> np.ndarray:
+    """The 3x3 matrices with the given diagonal and lower triangle, the upper triangle completed as -conj of the lower."""
+    return _matrix([[mu11, -mu21.conjugate(), -mu31.conjugate()], [mu21, mu22, -mu32.conjugate()], [mu31, mu32, mu33]])
+
+
 def momentum_flag(z: FlagCoords) -> MomentumValue:
     """Anti-Hermitian momentum value of a big-cell flag point, or of each point of a batch.
 
@@ -147,14 +152,7 @@ def momentum_flag(z: FlagCoords) -> MomentumValue:
     mu21 = i2 * (z1 / K1 + z3.conjugate() * w / K2)
     mu31 = i2 * (z2 / K1 - w / K2)
     mu32 = i2 * (z1.conjugate() * z2 / K1 + z3 / K2)
-    m = _matrix(
-        [
-            [mu11, -mu21.conjugate(), -mu31.conjugate()],
-            [mu21, mu22, -mu32.conjugate()],
-            [mu31, mu32, mu33],
-        ]
-    )
-    return MomentumValue(m, "antihermitian_flag")
+    return MomentumValue(_antihermitian(mu11, mu22, mu33, mu21, mu31, mu32), "antihermitian_flag")
 
 
 def momentum_flag_tabulated(z: FlagCoords, variant: str) -> np.ndarray:
@@ -177,13 +175,7 @@ def momentum_flag_tabulated(z: FlagCoords, variant: str) -> np.ndarray:
         mu11 = (-1j / 6.0) * ((abs(z2) ** 2 - 1.0) / K1 - (abs(z3) ** 2 + 2.0) / K2)
         mu22 = (-1j / 6.0) * ((2.0 * abs(z2) ** 2 + 1.0) / K1 + (abs(z3) ** 2 - 1.0) / K2)
         mu33 = -(mu11 + mu22)
-        return _matrix(
-            [
-                [mu11, -mu21.conjugate(), -mu31.conjugate()],
-                [mu21, mu22, -mu32.conjugate()],
-                [mu31, mu32, mu33],
-            ]
-        )
+        return _antihermitian(mu11, mu22, mu33, mu21, mu31, mu32)
     if variant == "real_diagonal":
         x1, x2, x3 = z1.real, z2.real, z3.real
         y1, y2, y3 = z1.imag, z2.imag, z3.imag
@@ -193,13 +185,8 @@ def momentum_flag_tabulated(z: FlagCoords, variant: str) -> np.ndarray:
         mu12 = ((1j * y1 - x1) * (x3 - 1j * y3) - 1j * y2 + x2) / K2 - (x1 - 1j * y1) / K1
         mu13 = mu12  # the table lists identical formulas for mu12 and mu13
         mu23 = (1j * y3 + x3) / K2 - (x1 + 1j * y1) * (x2 - 1j * y2) / K1
-        return _matrix(
-            [
-                [mu11, mu12, mu13],
-                [-mu12.conjugate(), mu22, mu23],
-                [-mu13.conjugate(), -mu23.conjugate(), mu33],
-            ]
-        )
+        # the table lists the upper triangle; the lower one follows by anti-Hermiticity
+        return _antihermitian(mu11, mu22, mu33, -mu12.conjugate(), -mu13.conjugate(), -mu23.conjugate())
     raise DomainError(f"variant must be 'antihermitian' or 'real_diagonal', got {variant!r}")
 
 

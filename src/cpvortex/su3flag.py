@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, OutsideBigCellError
+from .geom import _symplectic_matrix
 
 __all__ = [
     "FlagCoords",
@@ -363,13 +364,11 @@ def flag_metric_inverse_tabulated(z: FlagCoords) -> np.ndarray:
 def flag_symplectic_matrix(z: FlagCoords) -> np.ndarray:
     """The 6x6 real matrix of the symplectic form in (x1..x3, y1..y3), shape S + (6, 6).
 
-    Built from h = flag_metric(z) as [[Im h, -Re h], [Re h, Im h]]; it is
-    antisymmetric and nondegenerate.  Contraction convention: the covector
-    iota_X omega has components W @ X for a real tangent 6-vector X.
+    Built from h = flag_metric(z) by geom._symplectic_matrix, which states
+    the block layout and the contraction convention (covector W @ X); it is
+    antisymmetric and nondegenerate.
     """
-    h = flag_metric(z)
-    re, im = h.real, h.imag
-    return np.block([[im, -re], [re, im]])
+    return _symplectic_matrix(flag_metric(z))
 
 
 def flag_laplacian_coeffs(z: FlagCoords) -> np.ndarray:

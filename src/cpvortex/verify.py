@@ -412,13 +412,13 @@ def _random_system(rng, make, draw, n, N, min_sep, gamma_range):
             return make(x, gam)
 
 
-def _random_cpn_system(rng, n, N, min_sep=0.3, gamma_range=(0.5, 2.0)):
-    return _random_system(rng, dynamics.VortexSystem.cpn, lambda: _random_lifts(rng, n, N), n, N, min_sep, gamma_range)
+def _random_cpn_system(rng, n, N, min_sep=0.3):
+    return _random_system(rng, dynamics.VortexSystem.cpn, lambda: _random_lifts(rng, n, N), n, N, min_sep, (0.5, 2.0))
 
 
-def _random_planar_system(rng, N, min_sep=0.3, gamma_range=(0.5, 1.5)):
+def _random_planar_system(rng, N, min_sep=0.3):
     draw = lambda: rng.uniform(-1, 1, (N, 2)).view(complex)[:, 0]  # each row (x, y) read as x + iy
-    return _random_system(rng, dynamics.VortexSystem.plane, draw, 0, N, min_sep, gamma_range)
+    return _random_system(rng, dynamics.VortexSystem.plane, draw, 0, N, min_sep, (0.5, 1.5))
 
 
 def _relative_gradient_error(system):

@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -261,6 +262,13 @@ class TestVectorField:
             sys = _random_cpn_system(rng, n, 3)
             assert omega_identity_defect(sys, rng) < 1e-6
 
+    def test_omega_identity_sees_a_miswired_symplectic_matrix(self, monkeypatch):
+        # the velocities solve with W of conj(h); omega is still taken from h, so the identity fails
+        block = dynamics._symplectic_matrix
+        monkeypatch.setattr(dynamics, "_symplectic_matrix", lambda h: block(h.conj()))
+        rng = np.random.default_rng(3)
+        assert omega_identity_defect(_random_cpn_system(rng, 2, 3), rng) > 1e-6
+
     def test_omega_identity_rejects_planar_system(self):
         sys = VortexSystem.plane([0.0, 1.0], [1.0, 1.0])
         with pytest.raises(ConfigurationError, match="omega_identity_defect needs a cpn system"):
@@ -462,6 +470,41 @@ def per_step_charts(positions: np.ndarray, n: int) -> np.ndarray:
     for mag in mags[1:]:
         charts.append(np.where(mag[rows, charts[-1]] <= pivot_threshold(n), mag.argmax(axis=1), charts[-1]))
     return np.array(charts)
+
+
+# the Dormand-Prince 5(4) tableau as exact fractions: stage rows, and the weights of orders 5 and 4
+DP_A = [
+    [],
+    [Fraction(1, 5)],
+    [Fraction(3, 40), Fraction(9, 40)],
+    [Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)],
+    [Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561), Fraction(-212, 729)],
+    [Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247), Fraction(49, 176), Fraction(-5103, 18656)],
+    [Fraction(35, 384), 0, Fraction(500, 1113), Fraction(125, 192), Fraction(-2187, 6784), Fraction(11, 84)],
+]
+DP_B5 = DP_A[-1] + [0]
+DP_B4 = [Fraction(5179, 57600), 0, Fraction(7571, 16695), Fraction(393, 640), Fraction(-92097, 339200),
+         Fraction(187, 2100), Fraction(1, 40)]
+
+
+class TestDormandPrinceStep:
+    """On y' = lambda y every stage is a polynomial in z = h lambda, so the exact step follows from the tableau."""
+
+    @staticmethod
+    def exact(z: Fraction):
+        """The fifth-order state and the error (R5 - R4)(z) of one step from y = 1, in exact arithmetic."""
+        k = []
+        for row in DP_A:
+            k.append(z * (1 + sum(a * kj for a, kj in zip(row, k))))
+        return 1 + sum(b * kj for b, kj in zip(DP_B5, k)), sum((b5 - b4) * kj for b5, b4, kj in zip(DP_B5, DP_B4, k))
+
+    @pytest.mark.parametrize("z", [1e-2, -1e-2, 0.3])
+    def test_error_estimate_of_a_linear_field(self, z):
+        y5, err = dynamics._dp_step(lambda y, w: w * y, np.ones(1), z)
+        exact_y5, exact_err = self.exact(Fraction(z))
+        assert abs(Fraction(float(y5[0])) - exact_y5) <= 1e-15 * abs(exact_y5)
+        # y5 - y4 of two unit-size states was off by 1.6e-3 relative at z = 1e-2
+        assert abs(Fraction(float(err[0])) - exact_err) <= 1e-4 * abs(exact_err)
 
 
 class TestBatchedChecks:
