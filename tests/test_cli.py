@@ -434,7 +434,7 @@ class TestConfigValidation:
             ({"method": "rk4", "dt": 0.001, "steps": -1}, (0.001, -1, "rk4")),
             ({"method": "rk4", "dt": 1e308, "steps": 2}, (1e308, 2, "rk4")),
             ({"method": "rk4", "dt": 0.001, "steps": 11}, (0.001, 11, "rk4")),  # over the patched cap of 10
-            # dt * steps raised a bare OverflowError: int too large to convert to float
+            # an integer steps beyond the float range, where dt * steps cannot be formed
             ({"method": "rk45_adaptive", "dt": 0.001, "steps": 10**400}, (0.001, 10**400, "rk45_adaptive")),
         ],
         ids=["method", "dt", "dt-with-t_end", "steps", "horizon", "rk4-cap", "steps-beyond-float"],

@@ -503,7 +503,7 @@ class TestDormandPrinceStep:
         y5, err = dynamics._dp_step(lambda y, w: w * y, np.ones(1), z)
         exact_y5, exact_err = self.exact(Fraction(z))
         assert abs(Fraction(float(y5[0])) - exact_y5) <= 1e-15 * abs(exact_y5)
-        # y5 - y4 of two unit-size states was off by 1.6e-3 relative at z = 1e-2
+        # the difference y5 - y4 of two unit-size states would be off by 1.6e-3 relative at z = 1e-2
         assert abs(Fraction(float(err[0])) - exact_err) <= 1e-4 * abs(exact_err)
 
 
