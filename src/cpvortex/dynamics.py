@@ -438,6 +438,8 @@ def _check_run(dt: float, steps: int, method: str) -> None:
         raise ConfigurationError(f"unknown method {method!r}; choose from {list(METHODS)}")
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise ConfigurationError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ConfigurationError(f"steps must be nonnegative, got {steps}")
     if steps > sys.float_info.max:  # dt * steps would raise OverflowError, and the digits make no message
@@ -497,7 +499,8 @@ def _check_states(system: VortexSystem, pairs, queue: list, times: list, charts)
     """The last T recorded states as an array, their monitors (T, 3) and their charts (T, N).
 
     ``times`` holds every time recorded so far, and ``charts`` those of the state before queue[0] (unused
-    on the plane).  Raises CollisionError, or NumericError at a non-finite H, momentum norm or state.
+    on the plane).  One mask finds the first failing step, and only then is its failure named: a non-finite
+    state (NumericError), then a collision (CollisionError), then a non-finite H or momentum norm (NumericError).
     """
     x = np.array(queue)
     first, n, g = len(times) - len(x), system.n, system.strengths
@@ -505,16 +508,15 @@ def _check_states(system: VortexSystem, pairs, queue: list, times: list, charts)
     h = _pair_energy(n, g, *pairs, r)
     mom = np.sqrt((np.abs(_momentum_sum(x, g)) ** 2).sum(axis=(-2, -1)) if n else sum(p**2 for p in _planar_impulses(x, g)))
     dmin = r.min(axis=1) if r.shape[1] else np.full(len(h), math.inf)
-    finite = np.isfinite(x).reshape(len(x), -1).all(axis=1)
-    stop = len(x) if finite.all() else int(finite.argmin())  # the states after a non-finite one are not run
-    hit = np.flatnonzero(dmin[:stop] < COLLISION_THRESHOLD)
-    if hit.size:
-        raise _collision(pairs, r[hit[0]], step_index=first + int(hit[0]))
-    bad = np.flatnonzero(~(np.isfinite(h[:stop]) & np.isfinite(mom[:stop])))  # min_dist is inf for N = 1
+    # a non-finite state has a non-finite momentum norm (each entry enters it squared, times a nonzero strength)
+    bad = np.flatnonzero(~(np.isfinite(h) & np.isfinite(mom)) | (dmin < COLLISION_THRESHOLD))
     if bad.size:
-        raise NumericError(f"non-finite energy or momentum norm at step {first + int(bad[0])}")
-    if stop < len(x):
-        raise NumericError(f"non-finite state at step {first + stop} (t = {times[first + stop]})")
+        i = int(bad[0])
+        if not np.isfinite(x[i]).all():
+            raise NumericError(f"non-finite state at step {first + i} (t = {times[first + i]})")
+        if dmin[i] < COLLISION_THRESHOLD:
+            raise _collision(pairs, r[i], step_index=first + i)
+        raise NumericError(f"non-finite energy or momentum norm at step {first + i}")
     charts = _pick_charts(np.abs(x), charts, pivot_threshold(n)) if n else np.zeros(x.shape, dtype=int)
     return x, np.column_stack([h, mom, dmin]), charts
 
@@ -524,7 +526,7 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
 
     "rk4" takes fixed steps; "rk45_adaptive" integrates to t_end = dt*steps,
     recording every accepted step.  The run rules (_check_run) ask for a
-    method of METHODS, dt > 0, steps >= 0, a finite horizon dt*steps and at
+    method of METHODS, dt > 0, an integer steps >= 0, a finite horizon dt*steps and at
     most MAX_RECORDED_STEPS rk4 steps.  The run stops at the first failure
     by step index: CollisionError, carrying the index of the first step
     that brought two vortices within COLLISION_THRESHOLD, or NumericError

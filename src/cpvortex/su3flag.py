@@ -13,7 +13,8 @@ Kahler potential is log(K1 * K2) with
 
 and everything else here (metric, symplectic form, Laplacian coefficients,
 infinitesimal generator fields) is derived from that potential and the
-Gell-Mann basis of su(3).
+Gell-Mann basis of su(3), written once as the table _TILDE: exp_su3 reads
+its subgroups from it, and the transcribed generator fields check it.
 
 Every closed form takes a batch of points: a FlagCoords whose coordinates
 are arrays of one shape S returns its values with S as leading axes
@@ -153,30 +154,20 @@ def gell_mann(k: int) -> Su3Matrix:
 
 
 def exp_su3(k: int, t) -> Su3Matrix:
-    """One-parameter subgroup exp(t lambda_k) in closed form, for a time or an array of times."""
-    _generator_row(k)
+    """One-parameter subgroup exp(t lambda_k) = exp((i t/2) T) of T = gell_mann_tilde(k), for a time or an array of times.
+
+    The entrywise exponential of the diagonal for k = 3, 8, else I + i sin(t/2) T + (cos(t/2) - 1) T^2: the
+    eigenvalues 1, 0, -1 of the other six T give T^3 = T.  Shape t.shape + (3, 3)."""
+    T = _TILDE[_generator_row(k)]
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise DomainError(f"t must be finite, got {t}")
-    c, s = np.cos(t / 2.0), np.sin(t / 2.0)
-    if k == 1:
-        m = [[c, 1j * s, 0], [1j * s, c, 0], [0, 0, 1]]
-    elif k == 2:
-        m = [[c, s, 0], [-s, c, 0], [0, 0, 1]]
-    elif k == 3:
-        m = [[np.exp(0.5j * t), 0, 0], [0, np.exp(-0.5j * t), 0], [0, 0, 1]]
-    elif k == 4:
-        m = [[c, 0, 1j * s], [0, 1, 0], [1j * s, 0, c]]
-    elif k == 5:
-        m = [[c, 0, s], [0, 1, 0], [-s, 0, c]]
-    elif k == 6:
-        m = [[1, 0, 0], [0, c, 1j * s], [0, 1j * s, c]]
-    elif k == 7:
-        m = [[1, 0, 0], [0, c, s], [0, -s, c]]
+    if k in (3, 8):
+        m = np.where(np.eye(3, dtype=bool), np.exp(0.5j * T.diagonal() * t[..., None])[..., None], 0.0)
     else:
-        w = 0.5j * t / _SQRT3
-        m = [[np.exp(w), 0, 0], [0, np.exp(w), 0], [0, 0, np.exp(-2.0 * w)]]
-    return Su3Matrix(_matrix(m), role="unitary")
+        half = 0.5 * t[..., None, None]
+        m = np.eye(3) + 1j * np.sin(half) * T + (np.cos(half) - 1.0) * (T @ T)
+    return Su3Matrix(m, role="unitary")
 
 
 @dataclass(frozen=True)
@@ -272,7 +263,9 @@ def infinitesimal_vf(k: int, z: FlagCoords) -> np.ndarray:
 
     Returns the coefficients (a1, a2, a3) of (d/dz1, d/dz2, d/dz3) along the
     last axis, i.e. the t-derivative at 0 of the normalized left translate
-    of Z: shape S + (3,).
+    of Z: shape S + (3,).  Transcribed, not derived from _TILDE: exp_su3 and
+    its spectral oracle both read the table, so the LU finite-difference gate
+    of these fields against exp_su3 is what pins it.
     """
     _generator_row(k)
     z1, z2, z3 = z.z1, z.z2, z.z3

@@ -167,9 +167,16 @@ def verify_greens(seed: int = 0) -> list:
 
     grid = np.linspace(0.01, math.pi / 2.0, 400)
     worst = max(float(np.max(np.diff(greens.greens_cpn(n, grid)))) for n in ns)
-    checks.append(
-        CheckResult("monotonicity: max increment of G along r (must be < 0)", worst, 0.0)
-    )
+    checks.append(CheckResult("monotonicity: max increment of G along r (must be < 0)", worst, 0.0))
+
+    # Gauss's law pins C_n, which the quadrature oracle shares: the flux of grad G through the geodesic sphere of
+    # radius r, of area 2 pi^n sin^{2n-1} r cos r / (n-1)!, is -1 plus the ball's volume pi^n sin^{2n} r / n! / vol
+    worst = 0.0
+    for n, r in zip(ns, rng.uniform(lo, hi, (len(ns), 100))):
+        s = np.sin(r)
+        area = 2.0 * math.pi**n * s ** (2 * n - 1) * np.cos(r) / math.factorial(n - 1)
+        worst = max(worst, float(np.max(np.abs(area * greens.greens_cpn_derivative(n, r) + (1.0 - s ** (2 * n))))))
+    checks.append(CheckResult("Gauss's law: flux of grad G through geodesic spheres (n=1..4)", worst, 1e-12))
     return checks
 
 
@@ -259,11 +266,8 @@ def verify_vectorfields(seed: int = 0) -> list:
     checks.append(CheckResult("one-parameter subgroup law exp(s)exp(t)=exp(s+t)", worst, 1e-12))
 
     times = rng.uniform(-3.0, 3.0, size=(8, 10))
-    worst = 0.0
-    for k in range(1, 9):
-        t = times[k - 1]
-        closed = su3flag.exp_su3(k, t).entries
-        worst = max(worst, float(np.max(np.linalg.norm(closed - spectral_exponential(k, t), axis=(-2, -1)))))
+    diffs = [su3flag.exp_su3(k, t).entries - spectral_exponential(k, t) for k, t in enumerate(times, start=1)]
+    worst = float(np.max(np.linalg.norm(diffs, axis=(-2, -1))))
     checks.append(CheckResult("closed-form exponentials vs spectral exponential", worst, 1e-12))
     return checks
 

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cpvortex
-from cpvortex import cli, dynamics, momentum, su3flag, verify
+from cpvortex import cli, dynamics, greens, momentum, su3flag, verify
 from cpvortex.errors import ConfigurationError
 
 
@@ -587,6 +587,27 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert [ln for ln in lines if ln.startswith("FAIL") and "closed-form exponentials" in ln]
         assert [ln for ln in lines if ln.startswith("PASS") and "one-parameter subgroup law" in ln]
+
+    def test_generator_table_gate_bites(self, capsys, monkeypatch):
+        # tilde_5 negated is still Hermitian and traceless, and exp_su3 and the spectral oracle both read
+        # the table, so they agree; the transcribed generator fields must catch it
+        table = su3flag._TILDE.copy()
+        table[4] *= -1
+        monkeypatch.setattr(su3flag, "_TILDE", table)
+        assert cli.main(["verify", "vectorfields"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fail_line = [ln for ln in lines if ln.startswith("FAIL") and "generator fields vs LU finite differences" in ln][0]
+        assert "at k=5," in fail_line
+        assert [ln for ln in lines if ln.startswith("PASS") and "closed-form exponentials vs spectral" in ln]
+
+    def test_greens_constant_gate_bites(self, capsys, monkeypatch):
+        # a doubled C_n scales G and its quadrature oracle alike and keeps G decreasing: only Gauss's law sees it
+        constant = greens.greens_constant
+        monkeypatch.setattr(greens, "greens_constant", lambda n: 2.0 * constant(n))
+        assert cli.main(["verify", "greens"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln[:4] for ln in lines[:-1]] == ["PASS", "PASS", "PASS", "FAIL"]
+        assert "Gauss's law" in lines[3]
 
     def test_momentum_gate_bites(self, capsys, monkeypatch):
         # mu shifted by a small anti-Hermitian term along Re z1 breaks

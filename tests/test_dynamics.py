@@ -390,6 +390,17 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError):
             integrate(cp1_pair(0.5), 0.01, 10, method="euler")
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45_adaptive"])
+    @pytest.mark.parametrize("steps", [2.5, 3.0, "3", True, None])
+    def test_steps_must_be_an_integer(self, method, steps):
+        # 2.5 failed inside the RK4 stepper and ran rk45_adaptive to t = 0.25; "3" failed in a comparison
+        with pytest.raises(ConfigurationError, match=r"^steps must be an integer, got "):
+            integrate(cp1_pair(0.5), 0.1, steps, method=method)
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45_adaptive"])
+    def test_numpy_integer_steps(self, method):
+        assert integrate(cp1_pair(0.5), 0.1, np.int64(3), method=method).times[-1] == pytest.approx(0.3)
+
     def test_trajectories_compare_by_identity(self):
         # array fields: a field-wise == would raise on the ambiguous truth value
         a, b = (integrate(cp1_pair(0.5), 1e-3, 2) for _ in range(2))
@@ -543,13 +554,22 @@ class TestBatchedChecks:
         assert messages == [f"non-finite state at step 1 (t = {dt})"] * 2
 
     @pytest.mark.parametrize("monitor_pairs", [1, 256])
-    @pytest.mark.parametrize("collided, non_finite", [(3, 5), (4, 2)])
-    def test_first_failure_by_step_index(self, monkeypatch, monitor_pairs, collided, non_finite):
+    @pytest.mark.parametrize(
+        "collided, non_finite, state",
+        [
+            (3, 5, [0.0, np.nan, 2.0j]),
+            (4, 2, [0.0, np.nan, 2.0j]),
+            # a finite state whose impulse sum Gamma |z|^2 / 2 overflows; with 256 the later collision came first
+            (5, 3, [1e160, 0.0, 2.0j]),
+        ],
+        ids=["3-5", "4-2", "5-3-overflowing-momentum"],
+    )
+    def test_first_failure_by_step_index(self, monkeypatch, monitor_pairs, collided, non_finite, state):
         monkeypatch.setattr(dynamics, "_MONITOR_PAIRS", monitor_pairs)
         start = np.array([0.0, 1.0, 2.0j])
         states = [start + 0.01 * k for k in range(1, 8)]
         states[collided - 1] = np.array([0.0, 0.5 * COLLISION_THRESHOLD, 2.0j])
-        states[non_finite - 1] = np.array([0.0, np.nan, 2.0j])
+        states[non_finite - 1] = np.array(state)
         steps = iter(states)
         monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: np.array(next(steps)))  # each RK4 step returns the next state
         sys = VortexSystem.plane(start, [1.0, 1.0, 1.0])
@@ -560,7 +580,10 @@ class TestBatchedChecks:
         else:
             with pytest.raises(NumericError) as err:
                 integrate(sys, 0.1, 7)
-            assert str(err.value) == f"non-finite state at step {non_finite} (t = {non_finite * 0.1})"
+            if np.isfinite(state).all():
+                assert str(err.value) == f"non-finite energy or momentum norm at step {non_finite}"
+            else:
+                assert str(err.value) == f"non-finite state at step {non_finite} (t = {non_finite * 0.1})"
 
     @pytest.mark.parametrize("monitor_pairs", [1, 256])
     def test_adaptive_failure_right_after_a_batch(self, monkeypatch, monitor_pairs):
