@@ -23,9 +23,8 @@ import time
 
 import numpy as np
 
-from . import dynamics, greens, momentum, verify
+from . import dynamics, geom, greens, momentum, verify
 from .errors import CollisionError, ConfigurationError, CpvortexError, DomainError, NumericError
-from .geom import ProjectivePoint
 from .su3flag import FlagCoords
 
 EXIT_OK = 0
@@ -78,6 +77,7 @@ def _complex(pair, name: str) -> complex:
 
 
 def _parse_position(manifold: str, n: int, raw, index: int):
+    """A planar position, or the n+1 homogeneous coordinates of a CP^n position, not yet normalized."""
     if manifold == "plane":
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
             raise ConfigurationError(f"vortex {index}: planar position must be [re, im], got {raw!r}")
@@ -91,7 +91,7 @@ def _parse_position(manifold: str, n: int, raw, index: int):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ConfigurationError(f"vortex {index}: each coordinate must be [re, im], got {pair!r}")
         coords.append(_complex(pair, f"vortex {index}: coordinate"))
-    return ProjectivePoint(np.array(coords))
+    return coords
 
 
 def load_config(path: str):
@@ -124,7 +124,7 @@ def load_config(path: str):
             if manifold == "plane":
                 system = dynamics.VortexSystem.plane(positions, strengths)
             else:
-                system = dynamics.VortexSystem.cpn(positions, strengths)
+                system = dynamics.VortexSystem.cpn(geom._unit_lifts(np.array(positions)), strengths)
 
         integ = _object(doc["integrator"], "integrator")
         method = integ.get("method", "rk4")

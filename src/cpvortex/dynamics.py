@@ -436,6 +436,8 @@ def _check_run(dt: float, steps: int, method: str) -> None:
     """The run rules of integrate; each broken rule raises ConfigurationError with its own message."""
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; choose from {list(METHODS)}")
+    if isinstance(dt, bool) or not isinstance(dt, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"dt must be a real number, got {dt!r}")
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
@@ -526,9 +528,9 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
 
     "rk4" takes fixed steps; "rk45_adaptive" integrates to t_end = dt*steps,
     recording every accepted step.  The run rules (_check_run) ask for a
-    method of METHODS, dt > 0, an integer steps >= 0, a finite horizon dt*steps and at
-    most MAX_RECORDED_STEPS rk4 steps.  The run stops at the first failure
-    by step index: CollisionError, carrying the index of the first step
+    method of METHODS, a real number dt > 0, an integer steps >= 0, a finite
+    horizon dt*steps and at most MAX_RECORDED_STEPS rk4 steps.  The run
+    stops at the first failure by step index: CollisionError, carrying the index of the first step
     that brought two vortices within COLLISION_THRESHOLD, or NumericError
     at a non-finite state, H or momentum norm, or from the adaptive stepper
     (see _dp45_states), after any failure among the states before it.

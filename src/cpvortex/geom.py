@@ -53,13 +53,15 @@ def hermitian_inner(u, v) -> complex:
 
 
 def _unit_lifts(v: np.ndarray) -> np.ndarray:
-    """Unit lifts (..., n+1) of finite nonzero complex vectors v (..., n+1).
+    """Unit lifts (..., n+1) of complex vectors v (..., n+1); ValueError unless every vector is finite and nonzero.
 
     Each vector is first scaled by the power of two that brings its largest
     real or imaginary part into [0.5, 1), so its squared norm neither
     overflows nor underflows.  The scaling is exact: wherever |v|^2 stays
     in range the lifts equal v / np.linalg.norm(v) bit for bit.
     """
+    if not (np.isfinite(v).all() and v.any(axis=-1).all()):
+        raise ValueError("homogeneous coordinates must be finite and nonzero")
     _, e = np.frexp(np.maximum(np.abs(v.real), np.abs(v.imag)).max(axis=-1, keepdims=True))
     w = np.empty(v.shape, dtype=complex)
     w.real, w.imag = np.ldexp(v.real, -e), np.ldexp(v.imag, -e)
@@ -79,8 +81,6 @@ class ProjectivePoint:
         coords = np.asarray(self.coords, dtype=complex)
         if coords.ndim != 1 or coords.size < 2:
             raise DimensionMismatchError("homogeneous coordinates need length n+1 >= 2")
-        if not (np.all(np.isfinite(coords)) and np.any(coords)):
-            raise ValueError("homogeneous coordinates must be finite and nonzero")
         coords = _unit_lifts(coords)
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)

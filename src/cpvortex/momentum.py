@@ -205,11 +205,6 @@ def momentum_flag_pairing(k, z: FlagCoords):
     return t.real[()]
 
 
-def _vf_real(k: int, z: FlagCoords) -> np.ndarray:
-    a = infinitesimal_vf(k, z)
-    return np.concatenate([a.real, a.imag], axis=-1)
-
-
 def defining_equation_defect(k, z: FlagCoords):
     """|| grad <mu, lambda_k> - omega X_k || at z, gradient by central differences.
 
@@ -231,10 +226,9 @@ def defining_equation_defect(k, z: FlagCoords):
     )
     pairing = momentum_flag_pairing(k, moved)
     grad = (pairing[..., :6] - pairing[..., 6:]) / (2.0 * _DEFECT_STEP)
-    w = flag_symplectic_matrix(z)
-    ks = np.asarray(k)
-    contraction = np.array([(w @ _vf_real(int(j), z)[..., None])[..., 0] for j in ks.ravel()])
-    return np.linalg.norm(grad - contraction.reshape(grad.shape), axis=-1)[()]
+    a = infinitesimal_vf(k, z)
+    contraction = (flag_symplectic_matrix(z) @ np.concatenate([a.real, a.imag], axis=-1)[..., None])[..., 0]
+    return np.linalg.norm(grad - contraction, axis=-1)[()]
 
 
 def _momentum_sum(lifts: np.ndarray, strengths: np.ndarray) -> np.ndarray:

@@ -153,21 +153,23 @@ def gell_mann(k: int) -> Su3Matrix:
     return Su3Matrix(_LAMBDA[_generator_row(k)], role="antihermitian_traceless")
 
 
-def exp_su3(k: int, t) -> Su3Matrix:
-    """One-parameter subgroup exp(t lambda_k) = exp((i t/2) T) of T = gell_mann_tilde(k), for a time or an array of times.
+def exp_su3(k, t) -> Su3Matrix:
+    """One-parameter subgroups exp(t lambda_k) = exp((i t/2) T) of T = gell_mann_tilde(k).
 
-    The entrywise exponential of the diagonal for k = 3, 8, else I + i sin(t/2) T + (cos(t/2) - 1) T^2: the
-    eigenvalues 1, 0, -1 of the other six T give T^3 = T.  Shape t.shape + (3, 3)."""
+    ``k`` is a generator index or an array of them and ``t`` a time or an array of times; the matrices have shape
+    broadcast(shape(k), shape(t)) + (3, 3).  Each row of _TILDE picks its closed form: the entrywise exponential
+    of the diagonal where the row is diagonal (k = 3, 8), else I + i sin(t/2) T + (cos(t/2) - 1) T^2, since the
+    eigenvalues 1, 0, -1 of the other six T give T^3 = T."""
     T = _TILDE[_generator_row(k)]
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise DomainError(f"t must be finite, got {t}")
-    if k in (3, 8):
-        m = np.where(np.eye(3, dtype=bool), np.exp(0.5j * T.diagonal() * t[..., None])[..., None], 0.0)
-    else:
-        half = 0.5 * t[..., None, None]
-        m = np.eye(3) + 1j * np.sin(half) * T + (np.cos(half) - 1.0) * (T @ T)
-    return Su3Matrix(m, role="unitary")
+    eye = np.eye(3, dtype=bool)
+    diagonal = ~T[..., ~eye].any(axis=-1)[..., None, None]
+    exp_diagonal = np.where(eye, np.exp(0.5j * T.diagonal(axis1=-2, axis2=-1) * t[..., None])[..., None], 0.0)
+    half = 0.5 * t[..., None, None]
+    rotation = np.eye(3) + 1j * np.sin(half) * T + (np.cos(half) - 1.0) * (T @ T)
+    return Su3Matrix(np.where(diagonal, exp_diagonal, rotation), role="unitary")
 
 
 @dataclass(frozen=True)
@@ -258,34 +260,33 @@ def bruhat_normalize(m) -> FlagCoords:
     return FlagCoords(l21, l31, l32)
 
 
-def infinitesimal_vf(k: int, z: FlagCoords) -> np.ndarray:
-    """Generator field of exp(t lambda_k) in big-cell coordinates.
+def infinitesimal_vf(k, z: FlagCoords) -> np.ndarray:
+    """Generator fields of exp(t lambda_k) in big-cell coordinates, shape shape(k) + S + (3,).
 
-    Returns the coefficients (a1, a2, a3) of (d/dz1, d/dz2, d/dz3) along the
-    last axis, i.e. the t-derivative at 0 of the normalized left translate
-    of Z: shape S + (3,).  Transcribed, not derived from _TILDE: exp_su3 and
-    its spectral oracle both read the table, so the LU finite-difference gate
-    of these fields against exp_su3 is what pins it.
+    ``k`` is a generator index or an array of them.  Returns the coefficients
+    (a1, a2, a3) of (d/dz1, d/dz2, d/dz3) along the last axis, i.e. the
+    t-derivative at 0 of the normalized left translate of Z, read from one
+    stacked table of the eight fields.  Transcribed, not derived from _TILDE:
+    exp_su3 and its spectral oracle both read the table, so the LU
+    finite-difference gate of these fields against exp_su3 is what pins it.
     """
-    _generator_row(k)
+    row = _generator_row(k)
     z1, z2, z3 = z.z1, z.z2, z.z3
-    if k == 1:
-        return 0.5j * _vector(1 - z1**2, -z1 * z2, z1 * z3 - z2)
-    if k == 2:
-        return 0.5 * _vector(-1 - z1**2, -z1 * z2, z1 * z3 - z2)
-    if k == 3:
-        return 0.5j * _vector(-2 * z1, -z2, z3)
-    if k == 4:
-        return 0.5j * _vector(-z1 * z2, 1 - z2**2, -z3 * (z2 - z1 * z3))
-    if k == 5:
-        return 0.5 * _vector(-z1 * z2, -1 - z2**2, -z3 * (z2 - z1 * z3))
-    if k == 6:
-        return 0.5j * _vector(z2, z1, 1 - z3**2)
-    if k == 7:
-        # third coefficient -(1 + z3^2): pinned by the finite-difference flow
-        # of exp(t lambda_7), matching the k=2, k=5 pattern
-        return 0.5 * _vector(z2, -z1, -(1 + z3**2))
-    return -0.5j * _SQRT3 * _vector(0, z2, z3)
+    fields = np.stack(
+        [
+            0.5j * _vector(1 - z1**2, -z1 * z2, z1 * z3 - z2),
+            0.5 * _vector(-1 - z1**2, -z1 * z2, z1 * z3 - z2),
+            0.5j * _vector(-2 * z1, -z2, z3),
+            0.5j * _vector(-z1 * z2, 1 - z2**2, -z3 * (z2 - z1 * z3)),
+            0.5 * _vector(-z1 * z2, -1 - z2**2, -z3 * (z2 - z1 * z3)),
+            0.5j * _vector(z2, z1, 1 - z3**2),
+            # third coefficient -(1 + z3^2): pinned by the finite-difference flow
+            # of exp(t lambda_7), matching the k=2, k=5 pattern
+            0.5 * _vector(z2, -z1, -(1 + z3**2)),
+            -0.5j * _SQRT3 * _vector(0, z2, z3),
+        ]
+    )
+    return fields[row]
 
 
 def kahler_potential_flag(z: FlagCoords):

@@ -25,6 +25,8 @@ _HESSIAN_STEP = 1e-4
 _GRADIENT_STEP = 1e-5
 _VF_STEP = 1e-5
 
+_GENERATORS = np.arange(1, 9)  # the generator indices k, along the first axis of each k = 1..8 check
+
 
 @dataclass
 class CheckResult:
@@ -117,24 +119,25 @@ def vf_finite_difference(k, z: FlagCoords) -> np.ndarray:
     shape np.shape(k) + z.shape + (3,), from one z.matrix() and one
     bruhat_normalize call.
     """
-    ks = np.asarray(k)
-    steps = np.stack([su3flag.exp_su3(int(j), (_VF_STEP, -_VF_STEP)).entries for j in ks.ravel()], axis=1)
-    steps = steps.reshape((2,) + ks.shape + (1,) * len(z.shape) + (3, 3))
+    shape = np.shape(k)
+    steps = su3flag.exp_su3(k, np.reshape([_VF_STEP, -_VF_STEP], (2,) + (1,) * len(shape))).entries
+    steps = steps.reshape((2,) + shape + (1,) * len(z.shape) + (3, 3))
     plus, minus = su3flag.bruhat_normalize(steps @ z.matrix().entries).as_vector()
     return (plus - minus) / (2.0 * _VF_STEP)
 
 
-def spectral_exponential(k: int, t) -> np.ndarray:
-    """Oracle for exp(t lambda_k) = exp((i t/2) tilde_k) at an array of times: shape t.shape + (3, 3).
+def spectral_exponential(k, t) -> np.ndarray:
+    """Oracle for exp(t lambda_k) = exp((i t/2) tilde_k), taking k and t as exp_su3 does.
 
-    Computed from the eigendecomposition of the Hermitian tilde_k, so only
-    the Gell-Mann entries enter, never the closed form.  A repeated
+    The matrices have shape broadcast(shape(k), shape(t)) + (3, 3).  They
+    are computed from the eigendecomposition of the Hermitian tilde_k, so
+    only the Gell-Mann entries enter, never the closed form.  A repeated
     eigenvalue does no harm: the functional calculus does not depend on
     the choice of eigenbasis.
     """
     w, q = np.linalg.eigh(su3flag.gell_mann_tilde(k))
     t = np.asarray(t, dtype=float)
-    return (q * np.exp(0.5j * t[..., None, None] * w)) @ q.conj().T
+    return (q * np.exp(0.5j * t[..., None, None] * w[..., None, :])) @ q.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +201,7 @@ def verify_momentum(seed: int = 0) -> list:
     checks.append(CheckResult("cp2 momentum equivariance (100 pairs)", worst, 1e-10))
 
     z = _random_flag(rng, shape=(100,))
-    defects = momentum.defining_equation_defect(range(1, 9), z)  # (8, 100)
+    defects = momentum.defining_equation_defect(_GENERATORS, z)  # (8, 100)
     worst, worst_at = _worst(defects.T, lambda i, k: f"k={k + 1}, {_flag_label(z, i)}")
     checks.append(CheckResult("flag momentum defining equation, k=1..8 (100 points)", worst, 1e-6, worst_at=worst_at))
 
@@ -218,7 +221,7 @@ def verify_momentum(seed: int = 0) -> list:
     # constant, and the only Ad-invariant element of su(3) is 0, so this pins the constant.
     # Row 0 of the stack is z itself, so one normalization and one mu evaluation serve all.
     z = _random_flag(rng, shape=(50,))
-    u = np.stack([su3flag.exp_su3(k, t).entries for k, t in enumerate(rng.uniform(-2.0, 2.0, (8, 50)), start=1)])
+    u = su3flag.exp_su3(_GENERATORS[:, None], rng.uniform(-2.0, 2.0, (8, 50))).entries
     zm = z.matrix().entries
     mu = momentum.momentum_flag(su3flag.bruhat_normalize(np.concatenate([zm[None], u @ zm]))).matrix
     defects = np.linalg.norm(mu[1:] - u @ mu[0] @ u.conj().swapaxes(-1, -2), axis=(-2, -1))  # (8, 50)
@@ -255,18 +258,17 @@ def verify_vectorfields(seed: int = 0) -> list:
     checks = []
 
     z = _random_flag(rng, shape=(100,))
-    fd = vf_finite_difference(np.arange(1, 9), z)  # (8, 100, 3)
-    defects = np.array([np.max(np.abs(su3flag.infinitesimal_vf(k, z) - fd[k - 1]), axis=-1) for k in range(1, 9)])
+    defects = np.max(np.abs(su3flag.infinitesimal_vf(_GENERATORS, z) - vf_finite_difference(_GENERATORS, z)), axis=-1)
     worst, worst_at = _worst(defects.T, lambda i, k: f"k={k + 1}, {_flag_label(z, i)}")
     checks.append(CheckResult("generator fields vs LU finite differences, k=1..8", worst, 1e-6, worst_at=worst_at))
 
-    st = rng.uniform(-3.0, 3.0, size=(8, 10, 2))
-    e = np.array([su3flag.exp_su3(k, [s, t, s + t]).entries for k, (s, t) in enumerate(st.transpose(0, 2, 1), start=1)])
+    s, t = np.moveaxis(rng.uniform(-3.0, 3.0, size=(8, 10, 2)), -1, 0)
+    e = su3flag.exp_su3(_GENERATORS[:, None, None], np.stack([s, t, s + t], axis=1)).entries
     worst = float(np.max(np.linalg.norm(e[:, 0] @ e[:, 1] - e[:, 2], axis=(-2, -1))))
     checks.append(CheckResult("one-parameter subgroup law exp(s)exp(t)=exp(s+t)", worst, 1e-12))
 
     times = rng.uniform(-3.0, 3.0, size=(8, 10))
-    diffs = [su3flag.exp_su3(k, t).entries - spectral_exponential(k, t) for k, t in enumerate(times, start=1)]
+    diffs = su3flag.exp_su3(_GENERATORS[:, None], times).entries - spectral_exponential(_GENERATORS[:, None], times)
     worst = float(np.max(np.linalg.norm(diffs, axis=(-2, -1))))
     checks.append(CheckResult("closed-form exponentials vs spectral exponential", worst, 1e-12))
     return checks

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cpvortex
-from cpvortex import cli, dynamics, greens, momentum, su3flag, verify
+from cpvortex import cli, dynamics, geom, greens, momentum, su3flag, verify
 from cpvortex.errors import ConfigurationError
 
 
@@ -273,7 +273,7 @@ PLANE_PAIR_AT_THE_RANGE = {
 @pytest.mark.parametrize(
     "doc, code",
     [
-        # a coordinate written as JSON Infinity is not finite, and ProjectivePoint rejects the position
+        # a coordinate written as JSON Infinity is not finite, and the normalizer of the lifts rejects the position
         (dict(CP1_PAIR, vortices=[{"position": [[math.inf, 0.0], [1.0, 0.0]], "strength": 1.0}] + CP1_PAIR["vortices"][1:]), 2),
         # the separation overflows to inf, and then the energy of the initial state
         (PLANE_PAIR_AT_THE_RANGE, 4),
@@ -285,6 +285,23 @@ def test_overflowing_position_prints_one_error_line(tmp_path, doc, code):
     assert proc.returncode == code
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_config_lifts_are_normalized_in_one_call(tmp_path, monkeypatch):
+    # the CP^n positions of a config become unit lifts in one normalizer call, with no ProjectivePoint per vortex
+    coords = np.random.default_rng(26).standard_normal((30, 3, 2))
+    doc = {
+        "manifold": "cpn",
+        "n": 2,
+        "vortices": [{"position": c.tolist(), "strength": 1.0} for c in coords],
+        "integrator": {"method": "rk4", "dt": 0.001, "steps": 1},
+    }
+    expected = np.array([geom.ProjectivePoint(c).coords for c in coords.view(complex)[..., 0]])
+    built, post_init = [], geom.ProjectivePoint.__post_init__
+    monkeypatch.setattr(geom.ProjectivePoint, "__post_init__", lambda self: built.append(self) or post_init(self))
+    positions = cli.load_config(write_config(tmp_path / "cfg.json", doc))["system"].positions
+    assert not built
+    assert np.array_equal(positions, expected)
 
 
 def assert_one_error_line(capsys, *fragments):
@@ -582,7 +599,7 @@ class TestVerify:
     def test_exponential_gate_bites(self, capsys, monkeypatch):
         # exp(1.001 t lambda_5) still obeys the subgroup law; the spectral oracle must catch it
         closed = su3flag.exp_su3
-        monkeypatch.setattr(su3flag, "exp_su3", lambda k, t: closed(k, 1.001 * np.asarray(t) if k == 5 else t))
+        monkeypatch.setattr(su3flag, "exp_su3", lambda k, t: closed(k, np.where(np.equal(k, 5), 1.001, 1.0) * t))
         assert cli.main(["verify", "vectorfields"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [ln for ln in lines if ln.startswith("FAIL") and "closed-form exponentials" in ln]

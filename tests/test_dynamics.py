@@ -398,6 +398,14 @@ class TestIntegrate:
             integrate(cp1_pair(0.5), 0.1, steps, method=method)
 
     @pytest.mark.parametrize("method", ["rk4", "rk45_adaptive"])
+    def test_dt_must_be_a_real_number(self, method):
+        # "0.1", 0.1 + 0j and None raised a bare TypeError, and True ran steps of size 1
+        for dt in ("0.1", 0.1 + 0j, None, True):
+            with pytest.raises(ConfigurationError, match=r"^dt must be a real number, got "):
+                integrate(cp1_pair(0.5), dt, 3, method=method)
+        assert integrate(cp1_pair(0.5), np.float32(0.1), 3, method=method).times[-1] == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45_adaptive"])
     def test_numpy_integer_steps(self, method):
         assert integrate(cp1_pair(0.5), 0.1, np.int64(3), method=method).times[-1] == pytest.approx(0.3)
 

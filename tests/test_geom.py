@@ -95,6 +95,13 @@ class TestUnitLifts:
         assert np.array_equal(lifts.reshape(-1, 5), np.array([_unit_lifts(row) for row in v.reshape(-1, 5)]))
         assert np.array_equal(lifts[3, 1], ProjectivePoint(v[3, 1]).coords)
 
+    def test_one_bad_vector_rejects_the_batch(self):
+        v = np.ones((4, 3), dtype=complex)
+        for bad in (np.nan, np.inf, 0.0):
+            v[2] = [bad, 0.0, 0.0]
+            with pytest.raises(ValueError, match="finite and nonzero"):
+                _unit_lifts(v)
+
     @pytest.mark.parametrize("scale", [5e-324, 1e-310, 1e-170, 1e170, 1e308])
     def test_unit_and_finite_at_the_ends_of_the_range(self, scale):
         v = scale * np.array([[1.0, 1.0j, -1.0], [1.0, 0.0, 0.0], [1.0 + 1.0j, 1.0 - 1.0j, 1.0]])

@@ -70,7 +70,9 @@ class TestGellMann:
             lambda: gell_mann_tilde(0),
             lambda: exp_su3(9, 0.1),
             lambda: exp_su3(1.5, 0.1),  # a float index used to select the k = 8 subgroup
+            lambda: exp_su3([1, 9], 0.1),
             lambda: infinitesimal_vf(0, origin),
+            lambda: infinitesimal_vf([0, 2], origin),
             lambda: momentum_flag_pairing([1, 9, 2], origin),
         ]
         for call in calls:
@@ -148,6 +150,31 @@ class TestExp:
         assert spectral.shape == (10, 3, 3)
         for tt, u in zip(t, spectral):
             assert np.linalg.norm(u - expm(tt * gell_mann(k).entries)) < 1e-14
+
+
+class TestGeneratorArrays:
+    """An array of generator indices k gives the single-k results stacked along its axes, bit for bit."""
+
+    K = np.arange(1, 9)
+
+    def test_exp_su3(self):
+        t = np.random.default_rng(23).uniform(-3.0, 3.0, 20)
+        stacked = exp_su3(self.K[:, None], t).entries
+        assert stacked.shape == (8, 20, 3, 3)
+        assert np.array_equal(stacked, np.stack([exp_su3(k, t).entries for k in self.K]))
+        assert exp_su3([[1], [3]], [0.1, 0.2, 0.3]).entries.shape == (2, 3, 3, 3)
+
+    def test_infinitesimal_vf(self):
+        z = _random_flag(np.random.default_rng(24), shape=(100,))
+        stacked = infinitesimal_vf(self.K, z)
+        assert stacked.shape == (8, 100, 3)
+        assert np.array_equal(stacked, np.stack([infinitesimal_vf(k, z) for k in self.K]))
+
+    def test_spectral_exponential(self):
+        t = np.random.default_rng(25).uniform(-3.0, 3.0, 20)
+        stacked = spectral_exponential(self.K[:, None], t)
+        assert stacked.shape == (8, 20, 3, 3)
+        assert np.array_equal(stacked, np.stack([spectral_exponential(k, t) for k in self.K]))
 
 
 class TestBruhat:
