@@ -129,16 +129,16 @@ def load_config(path: str):
         integ = _object(doc["integrator"], "integrator")
         method = integ.get("method", "rk4")
         dt = _number(integ["dt"], "integrator.dt")
+        if ("steps" in integ) == ("t_end" in integ):
+            raise ConfigurationError("integrator needs 'steps' or 't_end'" + (", not both" if "steps" in integ else ""))
         if "steps" in integ:
             steps = _integer(integ["steps"], "integrator.steps")
-        elif "t_end" in integ:
+        else:
             t_end = _number(integ["t_end"], "integrator.t_end")
             dynamics._check_run(dt, 0, method)  # the division below needs a positive, finite dt
             steps = round(t_end / dt)
             if not abs(t_end - steps * dt) <= 1e-9 * abs(t_end):
                 raise ConfigurationError(f"integrator.t_end {t_end!r} is not an integer multiple of dt {dt!r}")
-        else:
-            raise ConfigurationError("integrator needs 'steps' or 't_end'")
         dynamics._check_run(dt, steps, method)  # integrate's run rules, before any output file is opened
         outputs = _object(doc.get("outputs", {}), "outputs")
         paths = [_output_path(outputs.get(key), f"outputs.{key}") for key in ("trajectory_path", "monitor_path")]

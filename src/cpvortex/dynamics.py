@@ -28,8 +28,9 @@ of a step h: df_n/drho = -(1/s2 + ... + 1/s2^n)/2 at s2 = 1 - rho, so
 
 the geometric sum built up from w in n - 1 steps.  A run is a stepper
 (_rk4_states or _dp45_states), which yields each state retracted to unit
-lifts, and one batch checker (_check_states) of monitors, finiteness and
-charts.  The chart-side field is kept as the independent oracle of that
+lifts, and one batch checker (_check_states) of finiteness and monitors;
+a Trajectory picks its charts from the recorded lifts when they are first
+read.  The chart-side field is kept as the independent oracle of that
 formula: grad_hamiltonian takes dH from one Gram matrix of the chart lifts
 (pivot coordinate 1), and hamiltonian_vector_field solves omega X = dH for
 all vortices in one batched solve with the Fubini-Study symplectic matrices
@@ -50,7 +51,6 @@ from .errors import CollisionError, ConfigurationError, NumericError
 from .geom import (ProjectivePoint, _chart_lifts, _chart_values, _default_charts, _lift_distance, _off_pivot,
                    _symplectic_matrix, fubini_study_metric, pivot_threshold)
 from .greens import PLANE_CONSTANT, greens_constant, greens_radial_part, greens_radial_slope
-from .momentum import _momentum_sum
 
 __all__ = [
     "COLLISION_THRESHOLD",
@@ -185,6 +185,15 @@ def _separations(x: np.ndarray, n: int, i: np.ndarray, j: np.ndarray) -> np.ndar
 
 def _planar_impulses(z: np.ndarray, g: np.ndarray):
     return z.real @ g, z.imag @ g, 0.5 * ((z.real**2 + z.imag**2) @ g)
+
+
+def _momentum_sum(lifts: np.ndarray, strengths: np.ndarray) -> np.ndarray:
+    """sum_a Gamma_a (v_a v_a* - I/(n+1)) of unit lifts (N, n+1) and strengths (N,), or of stacks of either."""
+    size = lifts.shape[-1]
+    total = (lifts.swapaxes(-1, -2) * strengths[..., None, :]) @ lifts.conj()
+    diag = np.arange(size)
+    total[..., diag, diag] -= (strengths.sum(axis=-1) / size)[..., None]
+    return total
 
 
 def _pair_energy(n: int, g: np.ndarray, i, j, r: np.ndarray):
@@ -354,19 +363,21 @@ def omega_identity_defect(system: VortexSystem, rng=None) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One run as arrays: recorded times, positions, monitors and charts.
+    """One run as arrays: recorded times, positions and monitors, and the charts read from them.
 
     ``positions`` holds the planar positions (T, N) or the unit lifts
     (T, N, n+1) of every recorded step; row 0 is ``system.positions``.
-    ``charts`` is the active affine chart per step and vortex, picked from
-    the recorded lifts with hysteresis (zeros on the plane).
     """
 
     system: VortexSystem
     times: np.ndarray
     positions: np.ndarray
     monitors: np.ndarray  # columns: H, momentum norm, min pairwise distance
-    charts: np.ndarray
+
+    @functools.cached_property
+    def charts(self) -> np.ndarray:
+        """The active affine chart (T, N) per step and vortex: _pick_charts of the recorded lifts, zeros on the plane."""
+        return _pick_charts(np.abs(self.positions)) if self.system.n else np.zeros(self.positions.shape, dtype=int)
 
 
 def _rk4_step(rhs, y, half, full):
@@ -408,28 +419,26 @@ def _dp_step(rhs, y, w):
     return x, sum(e * k for e, k in zip(_DP_E, a))
 
 
-def _pick_charts(mags: np.ndarray, charts: np.ndarray, threshold: float) -> np.ndarray:
+def _pick_charts(mags: np.ndarray) -> np.ndarray:
     """Active charts (T, N) of T consecutive states, from their coordinate magnitudes (T, N, n+1).
 
-    Hysteresis, step by step: a vortex keeps its chart until the pivot
-    magnitude drops to ``threshold``, then takes its largest coordinate.
-    ``charts`` are those of the state before the first.  Each pass of the
-    loop finds the next switch over the rest of the states at once.
+    Hysteresis, step by step: a vortex starts in the chart of its largest coordinate in state 0 and keeps a chart
+    until its pivot magnitude drops to pivot_threshold(n), then takes its largest coordinate.  A reverse running
+    minimum gives, per state and coordinate, the next state where that coordinate is weak: one pass per switch.
     """
-    rows = np.arange(mags.shape[1])
+    weak = mags <= pivot_threshold(mags.shape[-1] - 1)
+    T, rows = len(mags), np.arange(mags.shape[1])
+    next_weak = np.minimum.accumulate(np.where(weak, np.arange(T)[:, None, None], T)[::-1])[::-1]
     out = np.empty(mags.shape[:2], dtype=int)
-    start = 0
-    while True:
-        weak = mags[start:, rows, charts] <= threshold
-        switches = np.flatnonzero(weak.any(axis=1))
-        if not switches.size:
-            out[start:] = charts
-            return out
-        k = start + int(switches[0])
-        out[start:k] = charts
-        charts = np.where(weak[switches[0]], mags[k].argmax(axis=1), charts)
-        out[k] = charts
-        start = k + 1
+    charts, start = mags[0].argmax(axis=1), 0
+    while start < T:
+        stop = int(next_weak[start, rows, charts].min())
+        out[start:stop] = charts
+        if stop < T:
+            charts = np.where(weak[stop, rows, charts], mags[stop].argmax(axis=1), charts)
+            out[stop] = charts
+        start = stop + 1
+    return out
 
 
 def _check_run(dt: float, steps: int, method: str) -> None:
@@ -497,12 +506,12 @@ def _dp45_states(system: VortexSystem, t_end: float, h: float):
         h *= min(5.0, max(0.2, 0.9 * (err if err > 0.0 else 1e-10) ** (-0.2)))
 
 
-def _check_states(system: VortexSystem, pairs, queue: list, times: list, charts):
-    """The last T recorded states as an array, their monitors (T, 3) and their charts (T, N).
+def _check_states(system: VortexSystem, pairs, queue: list, times: list):
+    """The last T recorded states as an array, and their monitors (T, 3).
 
-    ``times`` holds every time recorded so far, and ``charts`` those of the state before queue[0] (unused
-    on the plane).  One mask finds the first failing step, and only then is its failure named: a non-finite
-    state (NumericError), then a collision (CollisionError), then a non-finite H or momentum norm (NumericError).
+    ``times`` holds every time recorded so far.  One mask finds the first failing step, and only then is
+    its failure named: a non-finite state (NumericError), then a collision (CollisionError), then a
+    non-finite H or momentum norm (NumericError).
     """
     x = np.array(queue)
     first, n, g = len(times) - len(x), system.n, system.strengths
@@ -519,8 +528,7 @@ def _check_states(system: VortexSystem, pairs, queue: list, times: list, charts)
         if dmin[i] < COLLISION_THRESHOLD:
             raise _collision(pairs, r[i], step_index=first + i)
         raise NumericError(f"non-finite energy or momentum norm at step {first + i}")
-    charts = _pick_charts(np.abs(x), charts, pivot_threshold(n)) if n else np.zeros(x.shape, dtype=int)
-    return x, np.column_stack([h, mom, dmin]), charts
+    return x, np.column_stack([h, mom, dmin])
 
 
 def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") -> Trajectory:
@@ -540,7 +548,6 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
     batch = max(1, _MONITOR_PAIRS // max(1, len(pairs[0])))
     stepper = _rk4_states(system, dt, steps) if method == "rk4" else _dp45_states(system, dt * steps, dt)
     times, queue, checked, failure = [0.0], [system.positions], [], None
-    charts = _default_charts(system.positions) if system.n else None
     # overflow surfaces as the non-finite values checked here; NumPy's warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
@@ -549,16 +556,15 @@ def integrate(system: VortexSystem, dt: float, steps: int, method: str = "rk4") 
                 queue.append(x)
                 if len(queue) >= batch:
                     states, queue = queue, []
-                    checked.append(_check_states(system, pairs, states, times, charts))
-                    charts = checked[-1][2][-1]
+                    checked.append(_check_states(system, pairs, states, times))
         except NumericError as exc:
             failure = exc  # raised once the queued states, whose failures come first, are checked
         if queue:
-            checked.append(_check_states(system, pairs, queue, times, charts))
+            checked.append(_check_states(system, pairs, queue, times))
     if failure is not None:
         raise failure
-    positions, monitors, charts = (np.concatenate(parts) for parts in zip(*checked))
-    return Trajectory(system, np.asarray(times), positions, monitors, charts)
+    positions, monitors = (np.concatenate(parts) for parts in zip(*checked))
+    return Trajectory(system, np.asarray(times), positions, monitors)
 
 
 def planar_pair_period(traj: Trajectory) -> float | None:

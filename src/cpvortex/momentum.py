@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _momentum_sum
 from .errors import DomainError
 from .geom import ProjectivePoint
 from .su3flag import _LAMBDA, FlagCoords, _generator_row, _matrix, flag_symplectic_matrix, infinitesimal_vf
@@ -229,15 +230,6 @@ def defining_equation_defect(k, z: FlagCoords):
     a = infinitesimal_vf(k, z)
     contraction = (flag_symplectic_matrix(z) @ np.concatenate([a.real, a.imag], axis=-1)[..., None])[..., 0]
     return np.linalg.norm(grad - contraction, axis=-1)[()]
-
-
-def _momentum_sum(lifts: np.ndarray, strengths: np.ndarray) -> np.ndarray:
-    """sum_a Gamma_a (v_a v_a* - I/(n+1)) of unit lifts (N, n+1) and strengths (N,), or of stacks of either."""
-    size = lifts.shape[-1]
-    total = (lifts.swapaxes(-1, -2) * strengths[..., None, :]) @ lifts.conj()
-    diag = np.arange(size)
-    total[..., diag, diag] -= (strengths.sum(axis=-1) / size)[..., None]
-    return total
 
 
 def weighted_momentum(system) -> MomentumValue:

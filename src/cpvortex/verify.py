@@ -207,8 +207,8 @@ def verify_momentum(seed: int = 0) -> list:
 
     lifts = _random_lifts(rng, 2, 60).reshape(20, 3, 3)
     gam, c = rng.uniform(0.5, 2.0, (20, 3)), rng.uniform(0.5, 2.0, 20)
-    lhs = momentum._momentum_sum(lifts, c[:, None] * gam)
-    rhs = c[:, None, None] * momentum._momentum_sum(lifts, gam)
+    lhs = dynamics._momentum_sum(lifts, c[:, None] * gam)
+    rhs = c[:, None, None] * dynamics._momentum_sum(lifts, gam)
     worst = float(np.max(np.linalg.norm(lhs - rhs, axis=(-2, -1))))
     checks.append(CheckResult("weighted momentum linearity in strengths", worst, 1e-14))
 
@@ -511,7 +511,7 @@ def verify_dynamics(seed: int = 0) -> list:
         drift = float(np.max(np.abs(traj.monitors[:, 0] - h0))) / max(abs(h0), 1e-3)
         checks.append(CheckResult(f"energy drift on CP^{n} (relative, {steps} rk4 steps)", drift, 1e-8))
         if n == 2:
-            mu = momentum._momentum_sum(traj.positions, sys.strengths)
+            mu = dynamics._momentum_sum(traj.positions, sys.strengths)
             mdrift = float(np.max(np.linalg.norm(mu - mu[0], axis=(-2, -1))))
             checks.append(CheckResult("weighted momentum drift on CP^2 (Frobenius)", mdrift, 1e-7))
 

@@ -129,7 +129,7 @@ def test_criterion_08_conservation_under_flow():
     traj2 = dynamics.integrate(sys2, dt, steps, method="rk4")
     h = traj2.monitors[:, 0]
     drift2 = float(np.max(np.abs(h - h[0]))) / max(abs(h[0]), 1e-3)
-    mu = momentum._momentum_sum(traj2.positions, np.asarray(sys2.strengths))  # (steps + 1, 3, 3)
+    mu = dynamics._momentum_sum(traj2.positions, np.asarray(sys2.strengths))  # (steps + 1, 3, 3)
     mdrift = float(np.max(np.linalg.norm(mu - mu[0], axis=(-2, -1))))
 
     plan = verify._random_planar_system(rng, 3, min_sep=0.3)

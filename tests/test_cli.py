@@ -168,10 +168,10 @@ sys.exit(code)
 """
 
 
-def run_python(*args, timeout=120):
-    """Run a fresh interpreter on ``args`` with this package's source on PYTHONPATH."""
+def run_python(*args, timeout=120, env=None):
+    """Run a fresh interpreter on ``args`` with this package's source on PYTHONPATH and the given extra environment."""
     src = os.path.dirname(os.path.dirname(cpvortex.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
 
 
@@ -195,6 +195,30 @@ def test_simulate_loads_no_scipy(tmp_path):
     proc = run_python("-c", SIMULATE_AND_LIST_SCIPY, write_config(tmp_path / "cfg.json", doc))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the byte-identity promise of the README holds for one NumPy and BLAS build; the thread count must not move it
+    system = verify._random_cpn_system(np.random.default_rng(0), 2, 30, min_sep=0.1)
+    doc = {
+        "manifold": "cpn",
+        "n": 2,
+        "vortices": [
+            {"position": [[z.real, z.imag] for z in lift], "strength": g}
+            for lift, g in zip(system.positions.tolist(), system.strengths.tolist())
+        ],
+        "integrator": {"method": "rk4", "dt": 1e-4, "steps": 50},
+    }
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        doc["outputs"] = {"trajectory_path": str(out), "monitor_path": str(tmp_path / f"m{threads}.csv")}
+        cfg = write_config(tmp_path / f"cfg{threads}.json", doc)
+        proc = run_python("-m", "cpvortex.cli", "simulate", cfg, env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        csvs.append((out.read_bytes(), (tmp_path / f"m{threads}.csv").read_bytes()))
+    assert len(csvs[0][0].splitlines()) == 52
+    assert csvs[0] == csvs[1]
 
 
 def test_parser_built_once_handlers_looked_up_per_call(monkeypatch):
@@ -353,6 +377,26 @@ class TestConfigValidation:
     def test_zero_dt_with_t_end(self, tmp_path, capsys):
         assert self.run(tmp_path, {"method": "rk4", "dt": 0, "t_end": 0.05}) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "integrator, message",
+        [
+            # the run used to take the 10 steps and end at t = 1, ignoring t_end
+            ({"method": "rk4", "dt": 0.1, "steps": 10, "t_end": 5}, "integrator needs 'steps' or 't_end', not both"),
+            ({"method": "rk4", "dt": 0.1}, "integrator needs 'steps' or 't_end'"),
+        ],
+        ids=["both", "neither"],
+    )
+    def test_steps_or_t_end(self, tmp_path, integrator, message):
+        out = tmp_path / "t.csv"
+        doc = {
+            "manifold": "plane",
+            "vortices": [{"position": [0.5, 0.0], "strength": 1.0}, {"position": [-0.5, 0.0], "strength": 1.0}],
+            "integrator": integrator,
+            "outputs": {"trajectory_path": str(out)},
+        }
+        assert run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)]) == (2, "", f"error: {message}\n")
+        assert not out.exists()  # rejected before any output is opened
 
     def test_t_end_not_a_multiple_of_dt(self, tmp_path, capsys):
         assert self.run(tmp_path, {"method": "rk4", "dt": 0.001, "t_end": 0.0505}) == 2

@@ -18,7 +18,9 @@ from cpvortex.dynamics import (
     omega_identity_defect,
     planar_conserved,
     planar_hamiltonian,
+    planar_pair_period,
     planar_rhs,
+    write_monitor_csv,
     write_trajectory_csv,
 )
 from cpvortex.errors import ChartDegenerateError, CollisionError, ConfigurationError, NumericError
@@ -51,6 +53,20 @@ class TestVortexSystem:
     def test_wrong_position_type_rejected(self):
         with pytest.raises(ConfigurationError):
             VortexSystem("cpn", (1.0 + 0j,), (1.0,), n=1)
+
+    @pytest.mark.parametrize(
+        "manifold, positions, n, message",
+        [
+            ("torus", [0.0, 1.0], 0, "manifold must be 'plane' or 'cpn', got 'torus'"),
+            ("plane", [0.0, 1.0], 1, "planar systems have no projective dimension"),
+            ("plane", [[0.0, 1.0], [1.0, 0.0]], 0, r"planar positions must be complex numbers \(N,\), got shape \(2, 2\)"),
+            ("plane", [0.0, complex(np.nan, 1.0)], 0, "positions must be finite"),
+        ],
+        ids=["manifold", "planar-n", "planar-shape", "planar-non-finite"],
+    )
+    def test_malformed_system_rejected(self, manifold, positions, n, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            VortexSystem(manifold, positions, [1.0, 1.0], n=n)
 
     def test_collision_at_construction(self):
         p = ProjectivePoint([1.0, 0.0])
@@ -104,6 +120,11 @@ class TestPlanarModel:
         sys = VortexSystem.plane([0.5j, -0.5j], [1.0, -1.0])
         vel = planar_rhs(sys)
         assert vel[0] == pytest.approx(vel[1], rel=1e-14)
+
+    def test_translating_pair_has_no_period(self):
+        # the pair angle stays put, so there is no rotation to time
+        traj = integrate(VortexSystem.plane([0.5j, -0.5j], [1.0, -1.0]), 1e-3, 20)
+        assert planar_pair_period(traj) is None
 
     def test_conserved_single_vortex(self):
         sys = VortexSystem.plane([1.0 + 1.0j], [1.0])
@@ -405,6 +426,12 @@ class TestIntegrate:
                 integrate(cp1_pair(0.5), dt, 3, method=method)
         assert integrate(cp1_pair(0.5), np.float32(0.1), 3, method=method).times[-1] == pytest.approx(0.3)
 
+    def test_adaptive_step_size_underflow(self, monkeypatch):
+        # every trial step is rejected, so the step shrinks by 5 per trial until it drops below 1e-14 t_end
+        monkeypatch.setattr(dynamics, "_dp_step", lambda rhs, y, w: (y, np.full(y.shape, 1.0)))
+        with pytest.raises(NumericError, match=r"^adaptive step size underflow at t = 0\.0$"):
+            integrate(cp1_pair(0.5), 0.1, 3, method="rk45_adaptive")
+
     @pytest.mark.parametrize("method", ["rk4", "rk45_adaptive"])
     def test_numpy_integer_steps(self, method):
         assert integrate(cp1_pair(0.5), 0.1, np.int64(3), method=method).times[-1] == pytest.approx(0.3)
@@ -615,6 +642,35 @@ class TestBatchedChecks:
         with pytest.raises(CollisionError) as err:
             integrate(sys, 0.1, 5, method="rk45_adaptive")
         assert err.value.step_index == 1
+
+
+class TestChartsFromTheTrajectory:
+    """A trajectory picks its charts once, from its recorded lifts, and only when they are read."""
+
+    def test_charts_are_picked_once_on_first_read(self, monkeypatch):
+        calls, pick = [], dynamics._pick_charts
+        monkeypatch.setattr(dynamics, "_pick_charts", lambda *args: calls.append(1) or pick(*args))
+        traj = integrate(cp1_pair(0.8), 1e-2, 300)
+        write_monitor_csv(traj, io.StringIO())
+        assert calls == []  # a run whose charts are never read picks none
+        assert traj.charts is traj.charts
+        assert calls == [1]
+        write_trajectory_csv(traj, io.StringIO())
+        assert calls == [1]
+
+    @pytest.mark.parametrize("n, N", [(1, 2), (2, 5), (3, 4)])
+    def test_random_walks_match_the_per_step_hysteresis(self, n, N):
+        # independent random lifts at every step: many switches, often of several vortices at once
+        rng = np.random.default_rng(n)
+        lifts = rng.standard_normal((400, N, n + 1)) + 1j * rng.standard_normal((400, N, n + 1))
+        lifts /= np.linalg.norm(lifts, axis=-1, keepdims=True)
+        expected = per_step_charts(lifts, n)
+        assert np.count_nonzero(expected[1:] != expected[:-1]) >= 100
+        assert np.array_equal(dynamics._pick_charts(np.abs(lifts)), expected)
+
+    def test_planar_charts_are_zeros(self):
+        traj = integrate(VortexSystem.plane([0.5, -0.5], [1.0, 1.0]), 1e-3, 4)
+        assert traj.charts.shape == (5, 2) and not traj.charts.any()
 
 
 class TestRecordedStepCap:

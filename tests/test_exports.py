@@ -29,3 +29,15 @@ def test_package_reexports_resolve():
         if isinstance(node, ast.ImportFrom) and node.module != "errors":
             module = importlib.import_module(f"cpvortex.{node.module}")
             assert [a.name for a in node.names if a.name not in module.__all__] == []
+
+
+def test_dynamics_imports_only_errors_geometry_and_greens():
+    # the vortex dynamics needs CP^n geometry and the Green's function, not the momentum maps or the flag manifold
+    tree = ast.parse(Path(cpvortex.dynamics.__file__).read_text())
+    imported = {
+        node.module or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert imported == {"errors", "geom", "greens"}

@@ -76,6 +76,15 @@ class TestProjectivePoint:
         with pytest.raises(ValueError, match="finite and nonzero"):
             ProjectivePoint(coords)
 
+    @pytest.mark.parametrize("coords", [[1.0], 1.0, [[1.0, 0.0], [0.0, 1.0]]], ids=["length-1", "scalar", "batch"])
+    def test_not_one_vector_of_length_two_or_more(self, coords):
+        with pytest.raises(DimensionMismatchError, match="homogeneous coordinates need length n"):
+            ProjectivePoint(coords)
+
+    def test_same_point_across_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="points live in different CP"):
+            ProjectivePoint([1, 0]).same_point(ProjectivePoint([1, 0, 0]))
+
 
 class TestUnitLifts:
     """geom._unit_lifts is the one normalizer of homogeneous coordinates."""
@@ -181,6 +190,24 @@ class TestCharts:
     def test_from_chart_normalization(self):
         p = from_chart(AffineChart(0, np.array([2.0, 3.0])))
         assert p.same_point(ProjectivePoint(np.array([1, 2, 3]) / np.sqrt(14)))
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ([], DimensionMismatchError, "chart values need length n >= 1"),
+            (0.5, DimensionMismatchError, "chart values need length n >= 1"),
+            ([0.5, np.nan], ValueError, "chart values must be finite"),
+            ([[0.5], [1j * np.inf]], ValueError, "chart values must be finite"),
+        ],
+        ids=["empty", "scalar", "nan", "batch-inf"],
+    )
+    def test_malformed_chart_values_rejected(self, values, error, message):
+        with pytest.raises(error, match=message):
+            AffineChart(0, values)
+
+    def test_from_chart_takes_one_point(self):
+        with pytest.raises(DimensionMismatchError, match=r"chart of one point, got values of shape \(2, 1\)"):
+            from_chart(AffineChart(0, [[0.5], [2.0]]))
 
     def test_from_chart_pivot_insertion(self):
         p = from_chart(AffineChart(1, np.array([5.0, 0.0])))

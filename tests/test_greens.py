@@ -234,6 +234,11 @@ class TestPlane:
         with pytest.raises(SingularityError):
             greens_plane([1.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("x, y", [([0.0, 0.0, 0.0], [1.0, 0.0]), ([0.0, 0.0], [[1.0, 0.0]]), (0.0, [1.0, 0.0])])
+    def test_points_must_be_length_two_vectors(self, x, y):
+        with pytest.raises(DomainError, match="plane points must be length-2 real vectors"):
+            greens_plane(x, y)
+
 
 class TestBatches:
     """The closed forms are elementwise in r and the oracle in its intervals; a batch equals its scalar calls."""

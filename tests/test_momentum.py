@@ -31,6 +31,19 @@ class TestMomentumValue:
         with pytest.raises(DomainError):
             MomentumValue(m, "hermitian_cp2")
 
+    @pytest.mark.parametrize(
+        "matrix, convention, message",
+        [
+            (np.zeros((2, 3)), "hermitian_cp2", r"momentum matrix must be square, got shape \(2, 3\)"),
+            (np.zeros(3), "antihermitian_flag", r"momentum matrix must be square, got shape \(3,\)"),
+            (np.zeros((2, 2)), "hermitian", "unknown convention 'hermitian'"),
+        ],
+        ids=["non-square", "vector", "convention"],
+    )
+    def test_rejects_malformed_values(self, matrix, convention, message):
+        with pytest.raises(DomainError, match=message):
+            MomentumValue(matrix, convention)
+
 
 class TestMomentumCp2:
     def test_basis_point(self):
@@ -71,6 +84,11 @@ class TestMomentumCp2:
         with pytest.raises(DomainError):
             momentum_cp2(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("v", [np.array([1.0]), np.array(1.0), np.ones((4, 1))], ids=["length-1", "scalar", "stack"])
+    def test_momentum_cpn_needs_two_coordinates(self, v):
+        with pytest.raises(DomainError, match="expected homogeneous coordinates of length n"):
+            momentum_cpn(v)
+
 
 class TestEquivariance:
     def test_identity(self):
@@ -97,6 +115,11 @@ class TestEquivariance:
     def test_nonunitary_rejected(self):
         with pytest.raises(DomainError):
             momentum_cp2_equivariance_check(ProjectivePoint([1, 0, 0]), 2.0 * np.eye(3))
+
+    def test_determinant_other_than_one_rejected(self):
+        # unitary, with determinant i: in U(3) but not in SU(3)
+        with pytest.raises(DomainError, match="expected determinant 1"):
+            momentum_cp2_equivariance_check(ProjectivePoint([1, 0, 0]), np.diag([1j, 1.0, 1.0]))
 
 
 class TestMomentumFlag:

@@ -90,6 +90,19 @@ class TestSu3Matrix:
         with pytest.raises(DomainError):
             Su3Matrix(np.diag([2.0, 1.0, 1.0]), role="unitary")
 
+    @pytest.mark.parametrize(
+        "m, role, message",
+        [
+            (np.diag([1.0, -1.0, 0.0]), "antihermitian_traceless", "not anti-Hermitian traceless"),  # Hermitian
+            (np.diag([1j, 0.0, 0.0]), "antihermitian_traceless", "not anti-Hermitian traceless"),  # trace i
+            (np.eye(3), "orthogonal", "unknown role 'orthogonal'"),
+        ],
+        ids=["hermitian", "trace", "role"],
+    )
+    def test_role_rejects(self, m, role, message):
+        with pytest.raises(DomainError, match=message):
+            Su3Matrix(m, role=role)
+
     @pytest.mark.parametrize("build", [Su3Matrix, bruhat_normalize])
     def test_shape_rule(self, build):
         with pytest.raises(DomainError, match=r"expected a 3x3 matrix, got shape \(4, 2, 2\)"):
@@ -112,6 +125,11 @@ class TestExp:
     def test_k1_at_pi(self):
         expected = np.array([[0, 1j, 0], [1j, 0, 0], [0, 0, 1]])
         assert np.allclose(exp_su3(1, math.pi).entries, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("k, t", [(1, math.nan), (3, math.inf), ([2, 8], [0.1, -math.inf])])
+    def test_non_finite_time_rejected(self, k, t):
+        with pytest.raises(DomainError, match="t must be finite"):
+            exp_su3(k, t)
 
     def test_identity_at_zero(self):
         for k in range(1, 9):
@@ -508,6 +526,14 @@ class TestBatches:
     def test_exp_su3_matches_per_time(self, k):
         t = np.random.default_rng(22).uniform(-3.0, 3.0, 50)
         assert_matches_points(exp_su3(k, t).entries, [exp_su3(k, s).entries for s in t])
+
+    def test_coordinates_broadcast_to_one_shape(self):
+        z = FlagCoords(np.array([0.1, 0.2, 0.3]), 0.5j, np.ones((2, 1)))
+        assert z.shape == (2, 3) and z.K1.shape == z.K2.shape == (2, 3)
+        for coord, expected in zip((z.z1, z.z2, z.z3), ([[0.1, 0.2, 0.3]] * 2, np.full((2, 3), 0.5j), np.ones((2, 3)))):
+            assert np.array_equal(coord, expected) and not coord.flags.writeable
+        with pytest.raises(DomainError, match="flag coordinates must broadcast to one shape"):
+            FlagCoords(np.zeros(3), np.zeros(2), 0.0)
 
     def test_non_finite_point_rejects_batch(self, batch):
         z2 = np.array(batch.z2)

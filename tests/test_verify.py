@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpvortex import dynamics, geom, momentum, su3flag, verify
+from cpvortex import dynamics, geom, su3flag, verify
 from cpvortex.errors import CollisionError
 
 
@@ -13,7 +13,7 @@ class TestOnlyCollisionsAreSkipped:
     """A verify helper may skip a draw only on a collision; every other error reaches the caller."""
 
     def test_momentum_linearity_gate(self, monkeypatch):
-        monkeypatch.setattr(momentum, "_momentum_sum", raise_type_error)
+        monkeypatch.setattr(dynamics, "_momentum_sum", raise_type_error)
         with pytest.raises(TypeError):
             verify.verify_momentum()
 
