@@ -36,6 +36,12 @@ EXIT_NUMERIC = 4
 # most rows `tabulate greens` writes; a larger --samples is rejected before anything is allocated
 MAX_SAMPLES = 1_000_000
 
+# the keys of each object of a run configuration; any other key is rejected
+_CONFIG_KEYS = ("manifold", "n", "vortices", "integrator", "outputs", "seed")
+_VORTEX_KEYS = ("position", "strength")
+_INTEGRATOR_KEYS = ("method", "dt", "steps", "t_end")
+_OUTPUT_KEYS = ("trajectory_path", "monitor_path")
+
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
@@ -59,9 +65,13 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def _object(value, name: str) -> dict:
+def _object(value, name: str, keys: tuple) -> dict:
+    """A JSON object whose keys are all among ``keys``; a misspelled key is an error, not a default."""
     if not isinstance(value, dict):
         raise ConfigurationError(f"{name} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ConfigurationError(f"{name} has an unknown key {key!r}; its keys are {', '.join(keys)}")
     return value
 
 
@@ -105,6 +115,7 @@ def load_config(path: str):
         raise ConfigurationError(f"config {path!r} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
 
     try:
+        doc = _object(doc, "config", _CONFIG_KEYS)
         manifold = doc["manifold"]
         if manifold not in ("plane", "cpn"):
             raise ConfigurationError(f"manifold must be 'plane' or 'cpn', got {manifold!r}")
@@ -119,14 +130,14 @@ def load_config(path: str):
         # at its non-finite energy; NumPy's warning would only repeat that
         with np.errstate(over="ignore"):
             for i, entry in enumerate(vortices):
+                entry = _object(entry, f"vortex {i}", _VORTEX_KEYS)
                 positions.append(_parse_position(manifold, n, entry["position"], i))
                 strengths.append(_number(entry["strength"], f"vortex {i}: strength"))
-            if manifold == "plane":
-                system = dynamics.VortexSystem.plane(positions, strengths)
-            else:
-                system = dynamics.VortexSystem.cpn(geom._unit_lifts(np.array(positions)), strengths)
+            positions = np.array(positions) if manifold == "plane" else geom._unit_lifts(np.array(positions))
+            # the constructor's rules, a planar n = 0 among them
+            system = dynamics.VortexSystem(manifold, positions, strengths, n)
 
-        integ = _object(doc["integrator"], "integrator")
+        integ = _object(doc["integrator"], "integrator", _INTEGRATOR_KEYS)
         method = integ.get("method", "rk4")
         dt = _number(integ["dt"], "integrator.dt")
         if ("steps" in integ) == ("t_end" in integ):
@@ -140,8 +151,8 @@ def load_config(path: str):
             if not abs(t_end - steps * dt) <= 1e-9 * abs(t_end):
                 raise ConfigurationError(f"integrator.t_end {t_end!r} is not an integer multiple of dt {dt!r}")
         dynamics._check_run(dt, steps, method)  # integrate's run rules, before any output file is opened
-        outputs = _object(doc.get("outputs", {}), "outputs")
-        paths = [_output_path(outputs.get(key), f"outputs.{key}") for key in ("trajectory_path", "monitor_path")]
+        outputs = _object(doc.get("outputs", {}), "outputs", _OUTPUT_KEYS)
+        paths = [_output_path(outputs.get(key), f"outputs.{key}") for key in _OUTPUT_KEYS]
         if None not in paths and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
             raise ConfigurationError(f"outputs.trajectory_path and outputs.monitor_path name the same file {paths[0]!r}")
         return {

@@ -34,8 +34,9 @@ read.  The chart-side field is kept as the independent oracle of that
 formula: grad_hamiltonian takes dH from one Gram matrix of the chart lifts
 (pivot coordinate 1), and hamiltonian_vector_field solves omega X = dH for
 all vortices in one batched solve with the Fubini-Study symplectic matrices
-of their affine charts.  Its sign convention is the one that makes
-Omega(X, Y) = dH(Y) hold with positive sign (checked by a self-test).
+of their affine charts; both return arrays (charts, vectors) of shapes (N,)
+and (N, 2n).  Its sign convention is the one that makes Omega(X, Y) = dH(Y)
+hold with positive sign (checked by a self-test).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .errors import CollisionError, ConfigurationError, NumericError
 from .geom import (ProjectivePoint, _chart_lifts, _chart_values, _default_charts, _lift_distance, _off_pivot,
-                   _symplectic_matrix, fubini_study_metric, pivot_threshold)
+                   _off_unit, _symplectic_matrix, fubini_study_metric, pivot_threshold)
 from .greens import PLANE_CONSTANT, greens_constant, greens_radial_part, greens_radial_slope
 
 __all__ = [
@@ -122,7 +123,7 @@ class VortexSystem:
             raise ConfigurationError("all strengths must be finite and nonzero")
         if not np.isfinite(x).all():
             raise ConfigurationError("positions must be finite")
-        if self.n and np.any(np.abs(np.linalg.norm(x, axis=1) - 1.0) > 1e-10):
+        if self.n and _off_unit(x):
             raise ConfigurationError("cpn positions must be unit lifts (norm 1 within 1e-10)")
         x.flags.writeable = g.flags.writeable = False
         object.__setattr__(self, "positions", x)
@@ -207,10 +208,8 @@ def _pair_energy(n: int, g: np.ndarray, i, j, r: np.ndarray):
 def _planar_rhs(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """h dz_j/dt = conj( sum_{k != j} w_k / (z_j - z_k) ) for the weights w = i PLANE_CONSTANT h Gamma."""
     diff = z[:, None] - z[None, :]
-    diff.ravel()[:: len(z) + 1] = 1.0
-    inv = 1.0 / diff
-    inv.ravel()[:: len(z) + 1] = 0.0
-    return (inv @ w).conj()
+    diff.ravel()[:: len(z) + 1] = np.inf  # 1 / inf is exactly 0: no self-interaction
+    return ((1.0 / diff) @ w).conj()
 
 
 def _cpn_rhs(v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -305,17 +304,14 @@ def _chart_gradients(system: VortexSystem, charts):
 
 
 def grad_hamiltonian(system: VortexSystem, charts=None):
-    """Analytic chart gradient of hamiltonian_cpn.
+    """Analytic chart gradient of hamiltonian_cpn: the arrays (charts, gradients) of shapes (N,) and (N, 2n).
 
-    Returns a list of (chart_index, gradient) pairs, one per vortex; the
-    gradient is the real 2n-vector (dH/dx_1..dx_n, dH/dy_1..dy_n) in that
-    vortex's affine chart.  Matches central finite differences of
-    hamiltonian_cpn to about 1e-6 relative.
+    Row a is the real 2n-vector (dH/dx_1..dx_n, dH/dy_1..dy_n) in the affine chart charts[a] of vortex a (by default
+    its largest coordinate).  Matches central finite differences of hamiltonian_cpn to about 1e-6 relative.
     """
     system.require("cpn", "grad_hamiltonian")
     charts = _default_charts(system.positions) if charts is None else np.asarray(charts)
-    _, grads = _chart_gradients(system, charts)
-    return list(zip(charts.tolist(), grads))
+    return charts, _chart_gradients(system, charts)[1]
 
 
 def _sharp(system: VortexSystem, charts):
@@ -326,16 +322,14 @@ def _sharp(system: VortexSystem, charts):
 
 
 def hamiltonian_vector_field(system: VortexSystem, charts=None):
-    """Chart velocities of the Hamiltonian flow, one (chart_index, 2n-vector) per vortex.
+    """Chart velocities of the Hamiltonian flow: the arrays (charts, velocities) of shapes (N,) and (N, 2n).
 
-    Per vortex the velocity solves Gamma_alpha omega_alpha(X, .) = d_alpha H
-    with the chart's Fubini-Study symplectic matrix, so the weighted form
-    Omega = sum Gamma_alpha omega_alpha satisfies Omega(X, Y) = dH(Y).
+    Row a solves Gamma_a omega_a(X, .) = d_a H in chart charts[a], as in grad_hamiltonian, with the chart's
+    Fubini-Study symplectic matrix, so the weighted form Omega = sum Gamma_a omega_a satisfies Omega(X, Y) = dH(Y).
     """
     system.require("cpn", "hamiltonian_vector_field")
     charts = _default_charts(system.positions) if charts is None else np.asarray(charts)
-    _, _, vels = _sharp(system, charts)
-    return list(zip(charts.tolist(), vels))
+    return charts, _sharp(system, charts)[2]
 
 
 def omega_identity_defect(system: VortexSystem, rng=None) -> float:
@@ -430,12 +424,12 @@ def _pick_charts(mags: np.ndarray) -> np.ndarray:
     T, rows = len(mags), np.arange(mags.shape[1])
     next_weak = np.minimum.accumulate(np.where(weak, np.arange(T)[:, None, None], T)[::-1])[::-1]
     out = np.empty(mags.shape[:2], dtype=int)
-    charts, start = mags[0].argmax(axis=1), 0
+    charts, start = _default_charts(mags[0]), 0
     while start < T:
         stop = int(next_weak[start, rows, charts].min())
         out[start:stop] = charts
         if stop < T:
-            charts = np.where(weak[stop, rows, charts], mags[stop].argmax(axis=1), charts)
+            charts = np.where(weak[stop, rows, charts], _default_charts(mags[stop]), charts)
             out[stop] = charts
         start = stop + 1
     return out

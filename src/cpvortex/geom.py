@@ -9,9 +9,9 @@ the geodesic distance
 are provided on top of that representation.  The chart map works on arrays
 of lifts, one chart index per lift; to_chart and from_chart are its
 single-point cases.  Likewise the one normalizer of homogeneous coordinates
-and the one Haar sampler of unitaries work on batches; ProjectivePoint and
-random_unitary are their single cases.  All values are immutable and all
-functions are pure.
+and the samplers of lifts and of Haar unitaries work on batches;
+ProjectivePoint, random_point and random_unitary are their single cases.
+All values are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -68,6 +68,11 @@ def _unit_lifts(v: np.ndarray) -> np.ndarray:
     # the strided views sum in the order np.linalg.norm uses; contiguous copies would not
     re, im = w.real, w.imag
     return w / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
+
+
+def _off_unit(v: np.ndarray) -> bool:
+    """Whether some vector along the last axis has a norm that differs from 1 by more than 1e-10."""
+    return bool(np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-10))
 
 
 @dataclass(frozen=True)
@@ -243,10 +248,16 @@ def _symplectic_matrix(h: np.ndarray) -> np.ndarray:
     return np.block([[h.imag, -h.real], [h.real, h.imag]])
 
 
+def _random_lifts(n: int, shape: tuple, rng: np.random.Generator, normalize=_unit_lifts):
+    """Unit lifts shape + (n+1,) of uniform random points of CP^n: complex Gaussians, each drawing its n+1 real parts
+    and then its n+1 imaginary parts (so a batch reproduces the stream of as many single draws), then normalize()d."""
+    g = rng.standard_normal((*shape, 2, n + 1))
+    return normalize(g[..., 0, :] + 1j * g[..., 1, :])
+
+
 def random_point(n: int, rng: np.random.Generator) -> ProjectivePoint:
-    """Uniform random point of CP^n (normalized complex Gaussian)."""
-    v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-    return ProjectivePoint(v)
+    """Uniform random point of CP^n: the single draw of _random_lifts, normalized by ProjectivePoint."""
+    return _random_lifts(n, (), rng, ProjectivePoint)
 
 
 def _random_unitaries(m: int, shape: tuple, rng: np.random.Generator) -> np.ndarray:

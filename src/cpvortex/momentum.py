@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import _momentum_sum
 from .errors import DomainError
-from .geom import ProjectivePoint
+from .geom import ProjectivePoint, _off_unit
 from .su3flag import _LAMBDA, FlagCoords, _generator_row, _matrix, flag_symplectic_matrix, infinitesimal_vf
 
 __all__ = [
@@ -74,22 +74,22 @@ class MomentumValue:
 
 def _unit_vector(p) -> np.ndarray:
     """The unit lift of a ProjectivePoint, or unit vectors (..., n+1) as given."""
-    if isinstance(p, ProjectivePoint):
-        return p.coords
-    v = np.asarray(p, dtype=complex)
+    v = np.asarray(p.coords if isinstance(p, ProjectivePoint) else p, dtype=complex)
     if v.ndim < 1 or v.shape[-1] < 2:
         raise DomainError("expected homogeneous coordinates of length n+1 >= 2")
-    if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-10):
+    if _off_unit(v):
         raise DomainError("homogeneous coordinates must be normalized to unit norm")
     return v
 
 
+def _mu(v: np.ndarray) -> np.ndarray:
+    """v v* - I/(n+1) of unit vectors (..., n+1): the weighted momentum kernel of one vortex of strength 1."""
+    return _momentum_sum(v[..., None, :], np.ones(v.shape[:-1] + (1,)))
+
+
 def momentum_cpn(p) -> MomentumValue:
     """Hermitian momentum value v v* - I/(n+1) of a unit vector v, or of each of a stack (..., n+1)."""
-    v = _unit_vector(p)
-    size = v.shape[-1]
-    m = v[..., :, None] * v.conj()[..., None, :] - np.eye(size) / size
-    return MomentumValue(m, "hermitian_cp2")
+    return MomentumValue(_mu(_unit_vector(p)), "hermitian_cp2")
 
 
 def momentum_cp2(p) -> MomentumValue:
@@ -97,7 +97,7 @@ def momentum_cp2(p) -> MomentumValue:
     v = _unit_vector(p)
     if v.shape[-1] != 3:
         raise DomainError(f"momentum_cp2 needs a point of CP^2 (3 coordinates), got {v.shape[-1]}")
-    return momentum_cpn(v)
+    return MomentumValue(_mu(v), "hermitian_cp2")
 
 
 def momentum_cp2_equivariance_check(p, u):
@@ -108,14 +108,13 @@ def momentum_cp2_equivariance_check(p, u):
     """
     v = _unit_vector(p)
     u = u.entries if hasattr(u, "entries") else np.asarray(u, dtype=complex)
-    eye = np.eye(u.shape[-1])
     adjoint = u.conj().swapaxes(-1, -2)
-    if np.any(np.linalg.norm(u @ adjoint - eye, axis=(-2, -1)) > 1e-10):
+    if np.any(np.linalg.norm(u @ adjoint - np.eye(u.shape[-1]), axis=(-2, -1)) > 1e-10):
         raise DomainError("expected a unitary matrix")
     if np.any(np.abs(np.linalg.det(u) - 1.0) > 1e-10):
         raise DomainError("expected determinant 1")
-    left = momentum_cpn((u @ v[..., None])[..., 0]).matrix
-    right = u @ momentum_cpn(v).matrix @ adjoint
+    left = _mu((u @ v[..., None])[..., 0])
+    right = u @ _mu(v) @ adjoint
     return np.linalg.norm(left - right, axis=(-2, -1))[()]
 
 

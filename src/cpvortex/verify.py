@@ -69,12 +69,6 @@ def _random_flag(rng: np.random.Generator, radius: float = 1.5, shape: tuple = (
     return FlagCoords(z[..., 0], z[..., 1], z[..., 2])
 
 
-def _random_lifts(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """Unit lifts (count, n+1) of ``count`` draws of geom.random_point(n, rng), in the same stream."""
-    g = rng.standard_normal((count, 2, n + 1))
-    return geom._unit_lifts(g[:, 0] + 1j * g[:, 1])
-
-
 def _random_special_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` Haar unitaries (count, 3, 3), each divided by a cube root of its determinant: elements of SU(3)."""
     u = geom._random_unitaries(3, (count,), rng)
@@ -192,11 +186,11 @@ def verify_momentum(seed: int = 0) -> list:
     checks = []
 
     target = np.array([-1.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0])
-    ev = np.linalg.eigvalsh(momentum.momentum_cp2(_random_lifts(rng, 2, 1000)).matrix)
+    ev = np.linalg.eigvalsh(momentum.momentum_cp2(geom._random_lifts(2, (1000,), rng)).matrix)
     worst = float(np.max(np.abs(np.sort(ev, axis=-1) - target)))
     checks.append(CheckResult("cp2 momentum spectrum {-1/3,-1/3,2/3} (1000 points)", worst, 1e-10))
 
-    lifts = _random_lifts(rng, 2, 100)
+    lifts = geom._random_lifts(2, (100,), rng)
     worst = float(np.max(momentum.momentum_cp2_equivariance_check(lifts, _random_special_unitaries(rng, 100))))
     checks.append(CheckResult("cp2 momentum equivariance (100 pairs)", worst, 1e-10))
 
@@ -205,7 +199,7 @@ def verify_momentum(seed: int = 0) -> list:
     worst, worst_at = _worst(defects.T, lambda i, k: f"k={k + 1}, {_flag_label(z, i)}")
     checks.append(CheckResult("flag momentum defining equation, k=1..8 (100 points)", worst, 1e-6, worst_at=worst_at))
 
-    lifts = _random_lifts(rng, 2, 60).reshape(20, 3, 3)
+    lifts = geom._random_lifts(2, (20, 3), rng)
     gam, c = rng.uniform(0.5, 2.0, (20, 3)), rng.uniform(0.5, 2.0, 20)
     lhs = dynamics._momentum_sum(lifts, c[:, None] * gam)
     rhs = c[:, None, None] * dynamics._momentum_sum(lifts, gam)
@@ -419,7 +413,7 @@ def _random_system(rng, make, draw, n, N, min_sep, gamma_range):
 
 
 def _random_cpn_system(rng, n, N, min_sep=0.3):
-    return _random_system(rng, dynamics.VortexSystem.cpn, lambda: _random_lifts(rng, n, N), n, N, min_sep, (0.5, 2.0))
+    return _random_system(rng, dynamics.VortexSystem.cpn, lambda: geom._random_lifts(n, (N,), rng), n, N, min_sep, (0.5, 2.0))
 
 
 def _random_planar_system(rng, N, min_sep=0.3):
@@ -435,7 +429,7 @@ def _relative_gradient_error(system):
     and H takes one evaluation of the energy kernel over the stack.
     """
     h, n, N = _GRADIENT_STEP, system.n, system.size
-    charts, grads = (np.array(x) for x in zip(*dynamics.grad_hamiltonian(system)))
+    charts, grads = dynamics.grad_hamiltonian(system)
     w0 = geom._chart_values(system.positions, charts)
     e = h * np.concatenate([np.eye(n), 1j * np.eye(n)])  # (2n, n)
     w = w0[:, None, None, :] + np.stack([e, -e])  # (N, 2, 2n, n)
@@ -455,7 +449,7 @@ def _field_error(system):
     each lift velocity dv is pushed through its chart map as dw = (dv_rest v_c - v_rest dv_c) / v_c^2."""
     rhs, weights = dynamics._field(system)
     v, n = system.positions, system.n
-    charts, vels = (np.array(x) for x in zip(*dynamics.hamiltonian_vector_field(system)))
+    charts, vels = dynamics.hamiltonian_vector_field(system)
     rest, dv = geom._off_pivot(charts, v.shape), rhs(v, weights)
     pivot, dpivot = v[~rest][:, None], dv[~rest][:, None]
     dw = (dv[rest].reshape(-1, n) * pivot - v[rest].reshape(-1, n) * dpivot) / pivot**2

@@ -32,6 +32,12 @@ CP1_PAIR = {
     "integrator": {"method": "rk4", "dt": 0.001, "steps": 100},
 }
 
+PLANE_PAIR = {
+    "manifold": "plane",
+    "vortices": [{"position": [0.5, 0.0], "strength": 1.0}, {"position": [-0.5, 0.0], "strength": 1.0}],
+    "integrator": {"method": "rk4", "dt": 0.01, "steps": 10},
+}
+
 
 class TestSimulate:
     def test_cp1_pair_constant_separation(self, tmp_path, capsys):
@@ -397,6 +403,45 @@ class TestConfigValidation:
         }
         assert run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)]) == (2, "", f"error: {message}\n")
         assert not out.exists()  # rejected before any output is opened
+
+    @pytest.mark.parametrize("n", [3, 1, -1])
+    def test_planar_n_must_be_zero(self, tmp_path, n):
+        # a plane config with "n": 3 used to run: the constructor's rule was never asked
+        out = tmp_path / "t.csv"
+        doc = dict(PLANE_PAIR, n=n, outputs={"trajectory_path": str(out)})
+        code = run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)])
+        assert code == (2, "", "error: planar systems have no projective dimension\n")
+        assert not out.exists()  # rejected before any output is opened
+
+    def test_planar_n_zero_is_accepted(self, tmp_path):
+        doc = dict(PLANE_PAIR, n=0)
+        assert run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)])[0] == 0
+
+    @pytest.mark.parametrize(
+        "path, key, name",
+        [
+            ((), "sead", "config"),
+            (("integrator",), "step", "integrator"),
+            (("outputs",), "monitor_pth", "outputs"),
+            (("vortices", 1), "strenght", "vortex 1"),
+        ],
+        ids=["top-level", "integrator", "outputs", "vortex"],
+    )
+    def test_unknown_keys_rejected(self, tmp_path, path, key, name):
+        # a misspelled key used to be ignored: "monitor_pth" ran and wrote no monitor CSV
+        out = tmp_path / "t.csv"
+        doc = json.loads(json.dumps(dict(CP1_PAIR, outputs={"trajectory_path": str(out)})))
+        node_at(doc, path)[key] = str(tmp_path / "m.csv")
+        code, stdout, err = run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)])
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {name} has an unknown key {key!r}; its keys are ") and err.count("\n") == 1, err
+        assert not out.exists() and not (tmp_path / "m.csv").exists()  # rejected before any output is opened
+
+    def test_every_known_key_is_accepted(self, tmp_path):
+        doc = dict(CP1_PAIR, seed=3, integrator={"method": "rk4", "dt": 0.001, "steps": 2},
+                   outputs={"trajectory_path": str(tmp_path / "t.csv"), "monitor_path": str(tmp_path / "m.csv")})
+        assert run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)])[0] == 0
+        assert (tmp_path / "t.csv").exists() and (tmp_path / "m.csv").exists()
 
     def test_t_end_not_a_multiple_of_dt(self, tmp_path, capsys):
         assert self.run(tmp_path, {"method": "rk4", "dt": 0.001, "t_end": 0.0505}) == 2

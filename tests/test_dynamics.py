@@ -196,8 +196,8 @@ class TestHamiltonianCpn:
 class TestGradient:
     def test_single_vortex_zero(self):
         sys = VortexSystem.cpn([ProjectivePoint([1, 0, 0])], [1.0])
-        (chart, g), = grad_hamiltonian(sys)
-        assert np.allclose(g, 0.0)
+        _, grads = grad_hamiltonian(sys)
+        assert grads.shape == (1, 4) and np.allclose(grads, 0.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -220,43 +220,42 @@ class TestGradient:
     def test_orthogonal_pair_zero(self):
         # rho = 0 is a critical point of the pair energy: d(rho) vanishes in every direction
         sys = VortexSystem.cpn([ProjectivePoint([1, 0]), ProjectivePoint([0, 1])], [1.0, -2.0])
-        grads = grad_hamiltonian(sys)
-        assert [c for c, _ in grads] == [0, 1]
-        for _, g in grads:
-            assert np.isfinite(g).all() and (g == 0.0).all()
+        charts, grads = grad_hamiltonian(sys)
+        assert charts.tolist() == [0, 1]
+        assert np.isfinite(grads).all() and (grads == 0.0).all()
 
     def test_symmetric_pair_gradients_opposite(self):
         a = 0.37
         p = from_chart(AffineChart(0, np.array([a + 0.0j])))
         q = from_chart(AffineChart(0, np.array([-a + 0.0j])))
         sys = VortexSystem.cpn([p, q], [1.0, 1.0])
-        (c1, g1), (c2, g2) = grad_hamiltonian(sys, charts=[0, 0])
-        assert c1 == c2 == 0
+        charts, (g1, g2) = grad_hamiltonian(sys, charts=[0, 0])
+        assert charts.tolist() == [0, 0]
         assert np.allclose(g1, -g2, atol=1e-13)
 
 
 class TestVectorField:
     def test_single_vortex_zero_velocity(self):
         sys = VortexSystem.cpn([ProjectivePoint([0, 1])], [2.0])
-        (chart, v), = hamiltonian_vector_field(sys)
-        assert np.allclose(v, 0.0)
+        _, vels = hamiltonian_vector_field(sys)
+        assert vels.shape == (1, 2) and np.allclose(vels, 0.0)
 
     def test_velocity_orthogonal_to_gradient(self):
         sys = cp1_pair(0.9)
-        grads = grad_hamiltonian(sys, charts=[0, 0])
-        vels = hamiltonian_vector_field(sys, charts=[0, 0])
-        for (_, g), (_, v) in zip(grads, vels):
+        _, grads = grad_hamiltonian(sys, charts=[0, 0])
+        _, vels = hamiltonian_vector_field(sys, charts=[0, 0])
+        for g, v in zip(grads, vels):
             assert abs(np.dot(g, v)) < 1e-14 * max(1.0, np.linalg.norm(g) * np.linalg.norm(v))
 
     def test_equal_speed_for_equal_strength_pair(self):
         sys = cp1_pair(0.7)
-        (_, v1), (_, v2) = hamiltonian_vector_field(sys, charts=[0, 0])
+        _, (v1, v2) = hamiltonian_vector_field(sys, charts=[0, 0])
         # in homogeneous terms both points move at the same geodesic speed;
         # compare chart speeds through the chart metric
         from cpvortex.geom import fubini_study_metric, to_chart
 
         speeds = []
-        for p, (_, v) in zip(sys.positions, hamiltonian_vector_field(sys, charts=[0, 0])):
+        for p, v in zip(sys.positions, hamiltonian_vector_field(sys, charts=[0, 0])[1]):
             h = fubini_study_metric(to_chart(ProjectivePoint(p), 0).values).real[0, 0]
             speeds.append(h * (v[0] ** 2 + v[1] ** 2))
         assert speeds[0] == pytest.approx(speeds[1], rel=1e-10)
@@ -266,16 +265,16 @@ class TestVectorField:
         sys = _random_cpn_system(rng, 2, 3)
         c = 2.5
         scaled = VortexSystem.cpn(sys.positions, c * sys.strengths)
-        v1 = hamiltonian_vector_field(sys)
-        v2 = hamiltonian_vector_field(scaled)
-        for (ch1, a), (ch2, b) in zip(v1, v2):
-            assert ch1 == ch2
+        ch1, v1 = hamiltonian_vector_field(sys)
+        ch2, v2 = hamiltonian_vector_field(scaled)
+        assert np.array_equal(ch1, ch2)
+        for a, b in zip(v1, v2):
             assert np.allclose(b, c * a, rtol=1e-12)
 
     def test_orthogonal_pair_zero_velocity(self):
         sys = VortexSystem.cpn([ProjectivePoint([1, 0]), ProjectivePoint([0, 1])], [1.0, -2.0])
-        for _, v in hamiltonian_vector_field(sys):
-            assert np.isfinite(v).all() and (v == 0.0).all()
+        _, vels = hamiltonian_vector_field(sys)
+        assert np.isfinite(vels).all() and (vels == 0.0).all()
 
     def test_omega_identity(self):
         rng = np.random.default_rng(3)
@@ -296,6 +295,23 @@ class TestVectorField:
             omega_identity_defect(sys)
 
 
+class TestOracleArrays:
+    """The chart-side oracle returns one chart index and one real chart vector per vortex, as arrays."""
+
+    @pytest.mark.parametrize("oracle", [grad_hamiltonian, hamiltonian_vector_field])
+    @pytest.mark.parametrize("n, N", [(1, 1), (2, 4), (3, 3)])
+    def test_shapes_and_default_charts(self, oracle, n, N):
+        sys = _random_cpn_system(np.random.default_rng(10 * n + N), n, N)
+        charts, vectors = oracle(sys)
+        assert charts.shape == (N,) and charts.dtype.kind == "i" and vectors.shape == (N, 2 * n)
+        assert np.array_equal(charts, np.abs(sys.positions).argmax(axis=1))
+
+    @pytest.mark.parametrize("oracle", [grad_hamiltonian, hamiltonian_vector_field])
+    def test_given_charts_are_returned(self, oracle):
+        charts, vectors = oracle(cp1_pair(0.9), charts=[0, 1])
+        assert charts.tolist() == [0, 1] and vectors.shape == (2, 2)
+
+
 class TestHomogeneousField:
     """The integrator's field on unit lifts against the chart-side oracle."""
 
@@ -307,7 +323,7 @@ class TestHomogeneousField:
         lifts = sys.positions
         dlifts = _cpn_rhs(lifts, greens_constant(n) * sys.strengths, n)
         errors, scale = [], 0.0
-        for v, dv, (c, vel) in zip(lifts, dlifts, hamiltonian_vector_field(sys)):
+        for v, dv, c, vel in zip(lifts, dlifts, *hamiltonian_vector_field(sys)):
             # push dv through the chart map w = v_rest / v_c
             rest, drest = np.delete(v, c), np.delete(dv, c)
             dw = (drest * v[c] - rest * dv[c]) / v[c] ** 2

@@ -10,6 +10,7 @@ from cpvortex.geom import (
     _chart_lifts,
     _chart_values,
     _default_charts,
+    _random_lifts,
     _random_unitaries,
     _unit_lifts,
     from_chart,
@@ -205,6 +206,10 @@ class TestCharts:
         with pytest.raises(error, match=message):
             AffineChart(0, values)
 
+    @pytest.mark.parametrize("values, n", [([0.5], 1), ([0.5, 1j, 2.0], 3), (np.zeros((4, 2)), 2)])
+    def test_dimension_is_the_number_of_chart_values(self, values, n):
+        assert AffineChart(0, values).n == n
+
     def test_from_chart_takes_one_point(self):
         with pytest.raises(DimensionMismatchError, match=r"chart of one point, got values of shape \(2, 1\)"):
             from_chart(AffineChart(0, [[0.5], [2.0]]))
@@ -317,6 +322,25 @@ class TestFubiniStudyMetric:
             h = fubini_study_metric(z)
             fd = wirtinger_hessian(fubini_study_potential, z)
             assert np.max(np.abs(fd - h)) < 1e-5
+
+
+class TestRandomLifts:
+    @pytest.mark.parametrize("n, shape", [(1, (50,)), (2, (5, 4)), (3, (7,))])
+    def test_a_batch_reproduces_the_random_point_stream(self, n, shape):
+        # the batch, normalized, equals as many random_point calls bit for bit, and both streams stop at the same draw
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        lifts = _random_lifts(n, shape, rng)
+        points = np.array([random_point(n, ref).coords for _ in range(int(np.prod(shape)))])
+        assert lifts.shape == shape + (n + 1,)
+        assert np.array_equal(lifts.reshape(-1, n + 1), points)
+        assert rng.random() == ref.random()
+
+    def test_random_point_is_a_normalized_complex_gaussian(self):
+        # the draw random_point made before the batch sampler existed: n+1 real parts, then n+1 imaginary parts
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(20):
+            v = ref.standard_normal(3) + 1j * ref.standard_normal(3)
+            assert np.array_equal(random_point(2, rng).coords, ProjectivePoint(v).coords)
 
 
 class TestRandomUnitaries:

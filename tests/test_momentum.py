@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cpvortex.dynamics import VortexSystem
+from cpvortex import momentum
+from cpvortex.dynamics import VortexSystem, _momentum_sum
 from cpvortex.errors import ConfigurationError, DomainError
 from cpvortex.geom import ProjectivePoint, random_point
 from cpvortex.momentum import (
@@ -153,6 +154,34 @@ class TestMomentumFlag:
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+class TestOneKernel:
+    """momentum_cpn is the unit-weight one-vortex case of the weighted kernel, and each map validates its input once."""
+
+    @pytest.mark.parametrize("shape, n", [((), 2), ((1000,), 2), ((4, 5), 3), ((10,), 1)])
+    def test_momentum_cpn_is_the_one_vortex_sum(self, shape, n):
+        v = np.array([random_point(n, np.random.default_rng(k)).coords for k in range(int(np.prod(shape)))])
+        v = v.reshape(shape + (n + 1,))
+        expected = _momentum_sum(v[..., None, :], np.ones(shape + (1,)))
+        assert np.max(np.abs(momentum_cpn(v).matrix - expected)) <= 1e-15
+        outer = v[..., :, None] * v.conj()[..., None, :] - np.eye(n + 1) / (n + 1)
+        assert np.max(np.abs(momentum_cpn(v).matrix - outer)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: momentum_cpn(v),
+            lambda v: momentum_cp2(v),
+            lambda v: momentum_cp2_equivariance_check(v, np.eye(3)),
+        ],
+        ids=["momentum_cpn", "momentum_cp2", "equivariance"],
+    )
+    def test_the_unit_norm_rule_runs_once(self, monkeypatch, call):
+        calls, rule = [], momentum._off_unit
+        monkeypatch.setattr(momentum, "_off_unit", lambda v: calls.append(1) or rule(v))
+        call(random_point(2, np.random.default_rng(5)).coords)
+        assert len(calls) == 1
+
+
 class TestPairing:
     def test_k3_at_origin(self):
         assert momentum_flag_pairing(3, FlagCoords(0, 0, 0)) == pytest.approx(-0.25)
@@ -163,6 +192,13 @@ class TestPairing:
     def test_k8_at_origin(self):
         # trace(diag(i/2, 0, -i/2) lambda_8) = -sqrt(3)/4
         assert momentum_flag_pairing(8, FlagCoords(0, 0, 0)) == pytest.approx(-math.sqrt(3.0) / 4.0)
+
+    def test_imaginary_residue_rejected(self, monkeypatch):
+        # a Hermitian value pairs to an imaginary number with the anti-Hermitian generators
+        hermitian = momentum_flag(FlagCoords(0, 0, 0)).matrix * 1j
+        monkeypatch.setattr(momentum, "momentum_flag", lambda z: MomentumValue(hermitian, "hermitian_cp2"))
+        with pytest.raises(DomainError, match="imaginary residue 2.500e-01"):
+            momentum_flag_pairing(3, FlagCoords(0, 0, 0))
 
     def test_real_valued(self):
         rng = np.random.default_rng(6)

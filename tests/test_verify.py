@@ -126,7 +126,7 @@ class TestArrayDynamicsChecks:
             np.testing.assert_allclose(stacked[-1], loop, rtol=1e-12, atol=0)
             # energies within 1e-12 relative move each difference quotient by at most 1e-12 max|H| / h
             fd = (loop[:, 0] - loop[:, 1]) / (2.0 * h)
-            grads = np.array([g for _, g in dynamics.grad_hamiltonian(system)])
+            _, grads = dynamics.grad_hamiltonian(system)
             scale = np.maximum(np.linalg.norm(grads, axis=1), 1e-8)
             expected = (np.linalg.norm(fd - grads, axis=1) / scale).max()
             bound = np.sqrt(2 * n) * 1e-12 * np.abs(loop).max() / h / scale.min()
@@ -218,6 +218,18 @@ class TestStackedOracles:
         assert fd.shape == (8, 7, 3) and len(calls) == 1
         for k in range(1, 9):
             assert np.array_equal(fd[k - 1], verify.vf_finite_difference(k, z))
+
+
+class TestSuites:
+    def test_dynamics_suite_passes_at_seed_0(self):
+        # the ten gating checks of the dynamics suite, the field-scale gate among them
+        checks = verify.run_suite("dynamics", seed=0)
+        assert len(checks) == 10 and all(c.gating for c in checks)
+        assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
+
+    def test_unknown_suite_is_a_key_error(self):
+        with pytest.raises(KeyError, match="unknown suite 'dynamic'"):
+            verify.run_suite("dynamic")
 
 
 class TestSamplers:
