@@ -26,7 +26,7 @@ of a step h: df_n/drho = -(1/s2 + ... + 1/s2^n)/2 at s2 = 1 - rho, so
 
     h dv_a/dt = i (I - v_a v_a*) sum_{b != a} w_b (1/s2_ab + ... + 1/s2_ab^n) G_ab v_b,
 
-the geometric sum built up from w in n - 1 steps.  A run is a stepper
+the sum that greens._inverse_power_sum builds up.  A run is a stepper
 (_rk4_states or _dp45_states), which yields each state retracted to unit
 lifts, and one batch checker (_check_states) of finiteness and monitors;
 a Trajectory picks its charts from the recorded lifts when they are first
@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import CollisionError, ConfigurationError, NumericError
 from .geom import (ProjectivePoint, _chart_lifts, _chart_values, _default_charts, _lift_distance, _off_pivot,
-                   _off_unit, _symplectic_matrix, fubini_study_metric, pivot_threshold)
-from .greens import PLANE_CONSTANT, greens_constant, greens_radial_part, greens_radial_slope
+                   _off_unit, _set_fields, _squared_norm, _symplectic_matrix, fubini_study_metric, pivot_threshold)
+from .greens import PLANE_CONSTANT, _inverse_power_sum, greens_constant, greens_radial_part, greens_radial_slope
 
 __all__ = [
     "COLLISION_THRESHOLD",
@@ -125,12 +125,10 @@ class VortexSystem:
             raise ConfigurationError("positions must be finite")
         if self.n and _off_unit(x):
             raise ConfigurationError("cpn positions must be unit lifts (norm 1 within 1e-10)")
-        x.flags.writeable = g.flags.writeable = False
-        object.__setattr__(self, "positions", x)
-        object.__setattr__(self, "strengths", g)
+        _set_fields(self, positions=x, strengths=g)
         pairs = _pairs(len(x))
         r = _separations(x, self.n, *pairs)
-        if r.size and r.min() < COLLISION_THRESHOLD:
+        if np.min(r, initial=np.inf) < COLLISION_THRESHOLD:
             raise _collision(pairs, r)
 
     @classmethod
@@ -215,18 +213,15 @@ def _planar_rhs(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _cpn_rhs(v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """h dv_a/dt = i (I - v_a v_a*) sum_{b != a} c_ab G_ab v_b for unit lifts v and the weights w = C_n h Gamma.
 
-    Here c_ab = w_b (1/s2 + ... + 1/s2^n), s2 = 1 - rho_ab: the geometric sum
-    of greens_radial_slope times -2 w_b, built up from w so that h and C_n
-    cost no call per evaluation.  The weights are real so that the N x N
-    coupling stays real; the one factor i multiplies the (N, n+1) result.
+    Here c_ab = w_b (1/s2 + ... + 1/s2^n), s2 = 1 - rho_ab: greens._inverse_power_sum,
+    the sum of which greens_radial_slope is the w = -1/2 case, taken with the weights
+    so that h and C_n cost no call per evaluation.  The weights are real so that the
+    N x N coupling stays real; the one factor i multiplies the (N, n+1) result.
     """
     gram = v @ v.conj().T
     rho = np.abs(gram) ** 2
     rho.ravel()[:: len(v) + 1] = 0.0  # keeps the coupling finite; the diagonal of m is set below
-    s2 = 1.0 - rho
-    c = w / s2
-    for _ in range(n - 1):
-        c = (c + w) / s2
+    c = _inverse_power_sum(n, 1.0 - rho, w)
     m = c * gram
     # v_a* sum_b c_ab G_ab v_b = sum_b c_ab rho_ab: the projection only shifts the diagonal
     m.ravel()[:: len(v) + 1] = -np.vecdot(c, rho)
@@ -240,8 +235,7 @@ def _energy(system: VortexSystem) -> float:
 
 def min_pairwise_distance(system: VortexSystem) -> float:
     """Smallest pairwise separation (Euclidean or geodesic); inf for N = 1."""
-    r = _separations(system.positions, system.n, *_pairs(system.size))
-    return float(r.min()) if r.size else math.inf
+    return float(np.min(_separations(system.positions, system.n, *_pairs(system.size)), initial=np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +339,7 @@ def omega_identity_defect(system: VortexSystem, rng=None) -> float:
     h, grads, vels = _sharp(system, _default_charts(system.positions))
     n = system.n
     y = rng.standard_normal((system.size, _OMEGA_SAMPLES, 2 * n))
-    y /= np.linalg.norm(y, axis=-1, keepdims=True)
+    y /= np.sqrt(_squared_norm(y, 1))[..., None]
     xi = vels[:, :n] + 1j * vels[:, n:]
     omega = ((y[..., :n] + 1j * y[..., n:]) @ (h @ xi.conj()[..., None])).imag[..., 0]
     return float(np.abs(system.strengths[:, None] * omega - (y @ grads[..., None])[..., 0]).max())
@@ -464,7 +458,7 @@ def _field(system: VortexSystem):
 
 def _retract(x: np.ndarray, n: int) -> np.ndarray:
     """A new state, on CP^n with its lifts rescaled to unit norm."""
-    return x / np.sqrt(np.vecdot(x, x).real)[:, None] if n else x
+    return x / np.sqrt(_squared_norm(x, 1))[:, None] if n else x
 
 
 def _rk4_states(system: VortexSystem, dt: float, steps: int):
@@ -511,8 +505,8 @@ def _check_states(system: VortexSystem, pairs, queue: list, times: list):
     first, n, g = len(times) - len(x), system.n, system.strengths
     r = _separations(x, n, *pairs)  # the one sweep over the pairs
     h = _pair_energy(n, g, *pairs, r)
-    mom = np.sqrt((np.abs(_momentum_sum(x, g)) ** 2).sum(axis=(-2, -1)) if n else sum(p**2 for p in _planar_impulses(x, g)))
-    dmin = r.min(axis=1) if r.shape[1] else np.full(len(h), math.inf)
+    mom = np.sqrt(_squared_norm(_momentum_sum(x, g), 2) if n else sum(p**2 for p in _planar_impulses(x, g)))
+    dmin = np.min(r, axis=1, initial=np.inf)
     # a non-finite state has a non-finite momentum norm (each entry enters it squared, times a nonzero strength)
     bad = np.flatnonzero(~(np.isfinite(h) & np.isfinite(mom)) | (dmin < COLLISION_THRESHOLD))
     if bad.size:

@@ -16,6 +16,7 @@ All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,12 +71,28 @@ def _unit_lifts(v: np.ndarray) -> np.ndarray:
     return w / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
 
 
+def _squared_norm(a: np.ndarray, axes: int) -> np.ndarray:
+    """Sum of |a|^2 over the last ``axes`` axes: the squared Frobenius (or Euclidean) norm; |a|^2 itself for axes = 0."""
+    if axes != 1:  # one axis needs no reshape, which would add about a third to the integrator's retraction
+        a = a.reshape(a.shape[: a.ndim - axes] + (math.prod(a.shape[a.ndim - axes :]),))
+    return np.vecdot(a, a).real
+
+
 def _off_unit(v: np.ndarray) -> bool:
     """Whether some vector along the last axis has a norm that differs from 1 by more than 1e-10."""
-    return bool(np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-10))
+    squared = _squared_norm(v, 1)
+    return bool(np.any((squared < (1.0 - 1e-10) ** 2) | (squared > (1.0 + 1e-10) ** 2)))
 
 
-@dataclass(frozen=True)
+def _set_fields(instance, **fields) -> None:
+    """Set fields on a frozen dataclass instance, each NumPy array among them made read-only first."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(instance, name, value)
+
+
+@dataclass(frozen=True, eq=False)
 class ProjectivePoint:
     """A point of CP^n: a unit homogeneous coordinate vector modulo phase."""
 
@@ -86,10 +103,7 @@ class ProjectivePoint:
         coords = np.asarray(self.coords, dtype=complex)
         if coords.ndim != 1 or coords.size < 2:
             raise DimensionMismatchError("homogeneous coordinates need length n+1 >= 2")
-        coords = _unit_lifts(coords)
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "n", coords.size - 1)
+        _set_fields(self, coords=_unit_lifts(coords), n=coords.size - 1)
 
     def same_point(self, other: "ProjectivePoint", tol: float = 1e-12) -> bool:
         """Projective equality: |<u,v>| = 1 up to ``tol`` for unit vectors."""
@@ -98,7 +112,7 @@ class ProjectivePoint:
         return abs(abs(hermitian_inner(self.coords, other.coords)) - 1.0) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineChart:
     """Affine chart values of a projective point, or of a batch of points in one chart.
 
@@ -112,15 +126,13 @@ class AffineChart:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = np.array(self.values, dtype=complex)  # a copy: the caller's array stays writeable
         if values.ndim < 1 or values.shape[-1] < 1:
             raise DimensionMismatchError("chart values need length n >= 1")
         if not np.all(np.isfinite(values)):
             raise ValueError("chart values must be finite")
         _off_pivot(self.chart_index, (values.shape[-1] + 1,))
-        values.flags.writeable = False
-        object.__setattr__(self, "chart_index", int(self.chart_index))
-        object.__setattr__(self, "values", values)
+        _set_fields(self, chart_index=int(self.chart_index), values=values)
 
     @property
     def n(self) -> int:
@@ -218,13 +230,12 @@ def _lift_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """geodesic_distance_cpn of unit lifts along the last axis, broadcast over leading axes."""
     overlap = (v * u.conj()).sum(axis=-1)
     residual = v - overlap[..., None] * u
-    return np.arctan2(np.sqrt((np.abs(residual) ** 2).sum(axis=-1)), np.abs(overlap))
+    return np.arctan2(np.sqrt(_squared_norm(residual, 1)), np.abs(overlap))
 
 
 def fubini_study_potential(values: np.ndarray):
     """Kahler potential log(1 + |z|^2) in an affine chart, of chart values (n,) or (..., n)."""
-    z = np.asarray(values, dtype=complex)
-    return np.log1p(np.sum(np.abs(z) ** 2, axis=-1))
+    return np.log1p(_squared_norm(np.asarray(values, dtype=complex), 1))
 
 
 def fubini_study_metric(values: np.ndarray) -> np.ndarray:
@@ -238,7 +249,7 @@ def fubini_study_metric(values: np.ndarray) -> np.ndarray:
     z = np.asarray(values, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ValueError("chart values must be finite")
-    s = (1.0 + np.sum(np.abs(z) ** 2, axis=-1))[..., None, None]
+    s = (1.0 + _squared_norm(z, 1))[..., None, None]
     return (s * np.eye(z.shape[-1]) - z.conj()[..., :, None] * z[..., None, :]) / s**2
 
 

@@ -109,15 +109,20 @@ def greens_radial_part(n: int, r):
     return out
 
 
-def greens_radial_slope(n: int, s2):
-    """Slope df/d(cos^2 r) of the radial profile f, elementwise in s2 = sin^2 r: the geometric
-    sum -(1/s2 + ... + 1/s2^n)/2 = -(1 - s2^n)/(2 (1 - s2) s2^n), free of the cancellation
-    in 1 - s2 = cos^2 r and regular at s2 = 1, where it is -n/2."""
-    u = 1.0 / s2
-    total = u
+def _inverse_power_sum(n: int, s2, w):
+    """w (1/s2 + ... + 1/s2^n), broadcast over s2 and w, as w / s2 and then n - 1 times (c + w) / s2;
+    the CP^n lift field takes it with its vortex weights w, greens_radial_slope with w = -1/2."""
+    c = w / s2
     for _ in range(n - 1):
-        total = u * (total + 1.0)
-    return -0.5 * total
+        c = (c + w) / s2
+    return c
+
+
+def greens_radial_slope(n: int, s2):
+    """Slope df/d(cos^2 r) of the radial profile f, elementwise in s2 = sin^2 r: the geometric sum
+    -(1/s2 + ... + 1/s2^n)/2 = -(1 - s2^n)/(2 (1 - s2) s2^n) of _inverse_power_sum, free of the
+    cancellation in 1 - s2 = cos^2 r and regular at s2 = 1, where it is -n/2."""
+    return _inverse_power_sum(n, s2, -0.5)
 
 
 def greens_cpn(n: int, r):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import _momentum_sum
 from .errors import DomainError
-from .geom import ProjectivePoint, _off_unit
+from .geom import ProjectivePoint, _off_unit, _set_fields, _squared_norm
 from .su3flag import _LAMBDA, FlagCoords, _generator_row, _matrix, flag_symplectic_matrix, infinitesimal_vf
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
 _DEFECT_STEP = 1e-5  # central-difference step of the gradient in defining_equation_defect
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentumValue:
     """A momentum-map value: traceless matrix plus its symmetry convention.
 
@@ -56,20 +56,19 @@ class MomentumValue:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise DomainError(f"momentum matrix must be square, got shape {m.shape}")
-        norm = np.linalg.norm(m, axis=(-2, -1))
-        if np.any(np.abs(np.trace(m, axis1=-2, axis2=-1)) > 1e-12 * np.maximum(1.0, norm)):
+        # each rule compares a squared defect with its tolerance squared
+        if np.any(_squared_norm(np.trace(m, axis1=-2, axis2=-1), 0) > 1e-24 * np.maximum(1.0, _squared_norm(m, 2))):
             raise DomainError("momentum matrix must be traceless")
         adjoint = m.conj().swapaxes(-1, -2)
         if self.convention == "hermitian_cp2":
-            if np.any(np.linalg.norm(m - adjoint, axis=(-2, -1)) > 1e-12):
+            if np.any(_squared_norm(m - adjoint, 2) > 1e-24):
                 raise DomainError("hermitian_cp2 value must be Hermitian within 1e-12")
         elif self.convention == "antihermitian_flag":
-            if np.any(np.linalg.norm(m + adjoint, axis=(-2, -1)) > 1e-10):
+            if np.any(_squared_norm(m + adjoint, 2) > 1e-20):
                 raise DomainError("antihermitian_flag value must be anti-Hermitian within 1e-10")
         else:
             raise DomainError(f"unknown convention {self.convention!r}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        _set_fields(self, matrix=m)
 
 
 def _unit_vector(p) -> np.ndarray:
@@ -109,13 +108,13 @@ def momentum_cp2_equivariance_check(p, u):
     v = _unit_vector(p)
     u = u.entries if hasattr(u, "entries") else np.asarray(u, dtype=complex)
     adjoint = u.conj().swapaxes(-1, -2)
-    if np.any(np.linalg.norm(u @ adjoint - np.eye(u.shape[-1]), axis=(-2, -1)) > 1e-10):
+    if np.any(_squared_norm(u @ adjoint - np.eye(u.shape[-1]), 2) > 1e-20):
         raise DomainError("expected a unitary matrix")
     if np.any(np.abs(np.linalg.det(u) - 1.0) > 1e-10):
         raise DomainError("expected determinant 1")
     left = _mu((u @ v[..., None])[..., 0])
     right = u @ _mu(v) @ adjoint
-    return np.linalg.norm(left - right, axis=(-2, -1))[()]
+    return np.sqrt(_squared_norm(left - right, 2))[()]
 
 
 def _antihermitian(mu11, mu22, mu33, mu21, mu31, mu32) -> np.ndarray:
@@ -228,7 +227,7 @@ def defining_equation_defect(k, z: FlagCoords):
     grad = (pairing[..., :6] - pairing[..., 6:]) / (2.0 * _DEFECT_STEP)
     a = infinitesimal_vf(k, z)
     contraction = (flag_symplectic_matrix(z) @ np.concatenate([a.real, a.imag], axis=-1)[..., None])[..., 0]
-    return np.linalg.norm(grad - contraction, axis=-1)[()]
+    return np.sqrt(_squared_norm(grad - contraction, 1))[()]
 
 
 def weighted_momentum(system) -> MomentumValue:

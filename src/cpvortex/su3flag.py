@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, OutsideBigCellError
-from .geom import _symplectic_matrix
+from .geom import _set_fields, _squared_norm, _symplectic_matrix
 
 __all__ = [
     "FlagCoords",
@@ -88,13 +88,7 @@ def _vector(*entries) -> np.ndarray:
     return out
 
 
-def _squared_norm(a: np.ndarray, axes: int) -> np.ndarray:
-    """Sum of |a|^2 over the last ``axes`` axes: the squared Frobenius (or Euclidean) norm."""
-    a = a.reshape(a.shape[: a.ndim - axes] + (math.prod(a.shape[a.ndim - axes :]),))
-    return np.vecdot(a, a).real
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Su3Matrix:
     """A 3x3 complex matrix, or a stack (..., 3, 3) of them, tagged with a role.
 
@@ -112,21 +106,18 @@ class Su3Matrix:
         m = np.array(self.entries, dtype=complex)
         if m.shape[-2:] != (3, 3):
             raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
+        _set_fields(self, entries=m)
         tol2 = self._TOL**2
         if self.role == "unitary":
             if (_squared_norm(m @ m.conj().swapaxes(-1, -2) - np.eye(3), 2) > tol2).any():
                 raise DomainError("matrix is not unitary within 1e-12")
         elif self.role == "antihermitian_traceless":
-            if (_squared_norm(m + m.conj().swapaxes(-1, -2), 2) > tol2).any() or (
-                np.abs(np.trace(m, axis1=-2, axis2=-1)) > self._TOL
-            ).any():
+            trace = np.trace(m, axis1=-2, axis2=-1)
+            if (_squared_norm(m + m.conj().swapaxes(-1, -2), 2) > tol2).any() or (_squared_norm(trace, 0) > tol2).any():
                 raise DomainError("matrix is not anti-Hermitian traceless within 1e-12")
         elif self.role == "unit_lower_triangular":
-            if (_squared_norm(m[..., [0, 0, 1], [1, 2, 2]], 1) > tol2).any() or (
-                _squared_norm(np.diagonal(m, axis1=-2, axis2=-1) - 1.0, 1) > tol2
-            ).any():
+            diagonal = np.diagonal(m, axis1=-2, axis2=-1) - 1.0
+            if (_squared_norm(m[..., [0, 0, 1], [1, 2, 2]], 1) > tol2).any() or (_squared_norm(diagonal, 1) > tol2).any():
                 raise DomainError("matrix is not unit lower triangular within 1e-12")
         elif self.role != "general":
             raise DomainError(f"unknown role {self.role!r}")
@@ -172,15 +163,15 @@ def exp_su3(k, t) -> Su3Matrix:
     return Su3Matrix(np.where(diagonal, exp_diagonal, rotation), role="unitary")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlagCoords:
     """Big-cell coordinates (z1, z2, z3) of the flag manifold, at one point or a batch.
 
     The coordinates are broadcast to one shape S; a batch has S != () and
     holds read-only complex arrays, a single point has S = () and holds
-    NumPy complex scalars.  K1 and K2 have the same shape.  Validation
-    covers the whole batch: one non-finite coordinate, or one point whose
-    K1 or K2 overflows, rejects it.
+    NumPy complex scalars.  K1 and K2 have the same shape and are read-only
+    too.  Validation covers the whole batch: one non-finite coordinate, or
+    one point whose K1 or K2 overflows, rejects it.
     """
 
     z1: complex
@@ -196,20 +187,16 @@ class FlagCoords:
                 coords = [z.copy() for z in np.broadcast_arrays(*coords)]
             except ValueError as exc:
                 raise DomainError(f"flag coordinates must broadcast to one shape: {exc}") from None
-        if not (np.isfinite(coords[0]) & np.isfinite(coords[1]) & np.isfinite(coords[2])).all():
-            for name, z in zip(("z1", "z2", "z3"), coords):
-                if not np.isfinite(z).all():
-                    raise DomainError(f"{name} must be finite, got {z[~np.isfinite(z)][0]}")
-        for z in coords:
-            z.flags.writeable = False
-        z1, z2, z3 = (z[()] for z in coords)
+        for name, z in zip(("z1", "z2", "z3"), coords):
+            if not np.isfinite(z).all():
+                raise DomainError(f"{name} must be finite, got {z[~np.isfinite(z)][0]}")
+        z1, z2, z3 = (z if z.ndim else z[()] for z in coords)  # arrays, not views of writeable ones
         with np.errstate(over="ignore", invalid="ignore"):
             K1 = 1.0 + abs(z1) ** 2 + abs(z2) ** 2
             K2 = 1.0 + abs(z3) ** 2 + abs(z1 * z3 - z2) ** 2
         if not (np.isfinite(K1) & np.isfinite(K2)).all():
             raise DomainError("flag coordinates too large: K1 or K2 overflows")
-        for name, value in (("z1", z1), ("z2", z2), ("z3", z3), ("K1", K1), ("K2", K2)):
-            object.__setattr__(self, name, value)
+        _set_fields(self, z1=z1, z2=z2, z3=z3, K1=K1, K2=K2)
 
     @property
     def shape(self) -> tuple:

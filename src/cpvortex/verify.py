@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, geom, greens, momentum, su3flag
+from .errors import ConfigurationError
 from .su3flag import FlagCoords
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
@@ -26,6 +27,7 @@ _GRADIENT_STEP = 1e-5
 _VF_STEP = 1e-5
 
 _GENERATORS = np.arange(1, 9)  # the generator indices k, along the first axis of each k = 1..8 check
+_MAX_SYSTEM_DRAWS = 10_000  # tries of a random vortex system before its sampler gives up
 
 
 @dataclass
@@ -404,12 +406,13 @@ def verify_metric(seed: int = 0) -> list:
 def _random_system(rng, make, draw, n, N, min_sep, gamma_range):
     """Redraw positions, each try in one draw(), and signed strengths until no pair is closer than min_sep."""
     pairs = dynamics._pairs(N)
-    while True:
+    for _ in range(_MAX_SYSTEM_DRAWS):
         x = draw()
         gam = rng.uniform(*gamma_range, N) * rng.choice([-1.0, 1.0], N)
         # the constructor's collision check, made first: a try it would reject is redrawn here
         if np.all(dynamics._separations(x, n, *pairs) >= max(min_sep, dynamics.COLLISION_THRESHOLD)):
             return make(x, gam)
+    raise ConfigurationError(f"no system with n = {n}, N = {N} and all separations >= {min_sep} in {_MAX_SYSTEM_DRAWS} tries")
 
 
 def _random_cpn_system(rng, n, N, min_sep=0.3):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cpvortex import dynamics
+from cpvortex import dynamics, geom
 from cpvortex.dynamics import (
     COLLISION_THRESHOLD,
     _cpn_rhs,
@@ -100,6 +100,13 @@ class TestVortexSystem:
     def test_min_distance_single_vortex(self):
         sys = VortexSystem.plane([1.0 + 1.0j], [2.0])
         assert min_pairwise_distance(sys) == math.inf
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45_adaptive"])
+    def test_single_vortex_run_reports_infinite_min_distance(self, method):
+        for sys in (VortexSystem.plane([1.0 + 1.0j], [2.0]), VortexSystem.cpn([ProjectivePoint([1, 1j, 0])], [2.0])):
+            assert min_pairwise_distance(sys) == math.inf
+            monitors = integrate(sys, 0.01, 5, method=method).monitors
+            assert len(monitors) >= 2 and np.all(monitors[:, 2] == math.inf)
 
 
 class TestPlanarModel:
@@ -331,6 +338,32 @@ class TestHomogeneousField:
             errors.append(np.linalg.norm(dw - expected))
             scale = max(scale, np.linalg.norm(expected))
         assert max(errors) <= 1e-12 * scale
+
+
+def expanded_cpn_rhs(v, w, n):
+    """The lift field with its geometric sum written inline."""
+    gram = v @ v.conj().T
+    rho = np.abs(gram) ** 2
+    rho.ravel()[:: len(v) + 1] = 0.0
+    s2 = 1.0 - rho
+    c = w / s2
+    for _ in range(n - 1):
+        c = (c + w) / s2
+    m = c * gram
+    m.ravel()[:: len(v) + 1] = -np.vecdot(c, rho)
+    return 1j * (m @ v)
+
+
+def test_stepper_kernels_match_their_expanded_forms():
+    # the field and the retraction take their sum and their norm from greens and geom, bit for bit
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        n, N = int(rng.integers(1, 5)), int(rng.integers(1, 31))
+        v = geom._random_lifts(n, (N,), rng)
+        w = greens_constant(n) * rng.uniform(1e-4, 1e-2, N) * rng.choice([-1.0, 1.0], N)
+        np.testing.assert_array_equal(_cpn_rhs(v, w, n), expanded_cpn_rhs(v, w, n))
+        x = v + rng.uniform(-1e-3, 1e-3, v.shape)
+        np.testing.assert_array_equal(dynamics._retract(x, n), x / np.sqrt(np.vecdot(x, x).real)[:, None])
 
 
 class TestIntegrate:

@@ -41,3 +41,18 @@ def test_dynamics_imports_only_errors_geometry_and_greens():
         for alias in node.names
     }
     assert imported == {"errors", "geom", "greens"}
+
+
+def test_each_shared_rule_has_one_home():
+    # the squared norm lives in geom, and the measuring tool alone keeps its independent np.linalg.norm
+    trees = {m: ast.parse(Path(cpvortex.__file__).with_name(f"{m}.py").read_text()) for m in MODULES}
+    defines = {m for m, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_squared_norm"}
+    assert defines == {"geom"}
+    norm_calls = {m for m, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.norm")}
+    assert norm_calls == {"verify"}
+    # the lift field takes its geometric sum from greens, so it loops over nothing itself
+    (rhs,) = [node for node in ast.walk(trees["dynamics"]) if isinstance(node, ast.FunctionDef) and node.name == "_cpn_rhs"]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not [node for node in ast.walk(rhs) if isinstance(node, loops)]

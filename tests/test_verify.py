@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpvortex import dynamics, geom, su3flag, verify
-from cpvortex.errors import CollisionError
+from cpvortex.errors import CollisionError, ConfigurationError
 
 
 def raise_type_error(points, strengths):
@@ -233,6 +233,11 @@ class TestSuites:
 
 
 class TestSamplers:
+    def test_random_system_gives_up(self):
+        # 17 points of CP^1 pairwise 0.3 apart almost never come out of one joint draw; the sampler stops after its tries
+        with pytest.raises(ConfigurationError, match=r"n = 1, N = 17 and all separations >= 0.3 in 10000 tries"):
+            verify._random_cpn_system(np.random.default_rng(105), 1, 17, 0.3)
+
     def test_special_unitaries_have_determinant_one(self):
         u = verify._random_special_unitaries(np.random.default_rng(15), 200)
         assert u.shape == (200, 3, 3)
