@@ -51,7 +51,8 @@ import numpy as np
 from .errors import CollisionError, ConfigurationError, NumericError
 from .geom import (ProjectivePoint, _chart_lifts, _chart_values, _default_charts, _lift_distance, _off_pivot,
                    _off_unit, _set_fields, _squared_norm, _symplectic_matrix, fubini_study_metric, pivot_threshold)
-from .greens import PLANE_CONSTANT, _inverse_power_sum, greens_constant, greens_radial_part, greens_radial_slope
+from .greens import (PLANE_CONSTANT, _check_n, _inverse_power_sum, greens_constant, greens_radial_part,
+                     greens_radial_slope)
 
 __all__ = [
     "COLLISION_THRESHOLD",
@@ -96,8 +97,9 @@ class VortexSystem:
     ``manifold`` is "plane" (``positions``: complex array (N,)) or "cpn"
     (``positions``: unit lifts (N, n+1) of points of CP^n); ``strengths``
     is a float array (N,).  Both are read-only copies of the input; lifts
-    must have unit norm within 1e-10 and are never renormalized.  Pairwise
-    separations must exceed COLLISION_THRESHOLD.
+    must have unit norm within 1e-10 and are never renormalized.  n obeys
+    greens._check_n (DomainError).  Pairwise separations must exceed
+    COLLISION_THRESHOLD.
     """
 
     manifold: str
@@ -115,8 +117,10 @@ class VortexSystem:
                 raise ConfigurationError("planar systems have no projective dimension")
             if x.ndim != 1:
                 raise ConfigurationError(f"planar positions must be complex numbers (N,), got shape {x.shape}")
-        elif x.ndim != 2 or self.n < 1 or x.shape[1] != self.n + 1:
-            raise ConfigurationError(f"cpn positions must be unit lifts (N, n+1), got shape {x.shape} for n = {self.n}")
+        else:
+            _check_n(self.n)
+            if x.shape[1:] != (self.n + 1,):
+                raise ConfigurationError(f"cpn positions must be unit lifts (N, n+1), got shape {x.shape} for n = {self.n}")
         if len(x) < 1 or g.shape != x.shape[:1]:
             raise ConfigurationError("need N >= 1 positions with matching strengths")
         if not (np.isfinite(g).all() and g.all()):
@@ -137,13 +141,11 @@ class VortexSystem:
 
     @classmethod
     def cpn(cls, points, strengths) -> "VortexSystem":
-        """A CP^n system from ProjectivePoints of one dimension, or from unit lifts (N, n+1)."""
-        points = list(points)
-        if points and all(isinstance(p, ProjectivePoint) for p in points):
-            dims = sorted({p.n for p in points})
-            if len(dims) != 1:
-                raise ConfigurationError(f"all positions must lie on one CP^n, got dimensions {dims}")
-            points = [p.coords for p in points]
+        """A CP^n system from ProjectivePoints or unit lifts (n+1,) of one dimension, or from a lift array (N, n+1)."""
+        points = [p.coords if isinstance(p, ProjectivePoint) else p for p in points]
+        shapes = sorted({np.shape(p) for p in points})
+        if len(shapes) > 1:
+            raise ConfigurationError(f"all positions must lie on one CP^n, got coordinate shapes {shapes}")
         lifts = np.asarray(points, dtype=complex)
         return cls("cpn", lifts, strengths, n=lifts.shape[-1] - 1)
 
@@ -245,7 +247,7 @@ def min_pairwise_distance(system: VortexSystem) -> float:
 def planar_rhs(system: VortexSystem) -> np.ndarray:
     """Velocities dz_j/dt of the planar model (conjugated pair sum)."""
     system.require("plane", "planar_rhs")
-    return _planar_rhs(system.positions, (1j * PLANE_CONSTANT) * system.strengths)
+    return _planar_rhs(system.positions, _field(system)[1])
 
 
 def planar_conserved(system: VortexSystem):
@@ -272,17 +274,18 @@ def hamiltonian_cpn(system: VortexSystem) -> float:
 
 
 def _chart_gradients(system: VortexSystem, charts):
-    """Chart values (N, n) and real gradients (N, 2n) of H, (dH/dx_1..dx_n, dH/dy_1..dy_n) per vortex.
+    """Charts (N,), chart values (N, n) and real gradients (N, 2n) of H, (dH/dx_1..dx_n, dH/dy_1..dy_n) per vortex.
 
-    The chart lifts a_j have the pivot coordinate 1 and the chart values
-    elsewhere.  From their Gram matrix G_jk = <a_j, a_k>, rho_jk =
-    |G_jk|^2 / (|a_j|^2 |a_k|^2) and c_jk = C_n Gamma_j Gamma_k df_n/drho(rho_jk),
+    charts=None takes the default chart of each vortex.  The chart lifts a_j have the pivot coordinate 1 and the
+    chart values elsewhere.  From their Gram matrix G_jk = <a_j, a_k>, rho_jk = |G_jk|^2 / (|a_j|^2 |a_k|^2) and
+    c_jk = C_n Gamma_j Gamma_k df_n/drho(rho_jk),
 
         dH/da_j = sum_k c_jk (conj(G_jk) conj(a_k) / (|a_j|^2 |a_k|^2) - rho_jk conj(a_j) / |a_j|^2),
 
     which never divides by G_jk: an orthogonal pair contributes nothing.
     """
     n, N = system.n, system.size
+    charts = _default_charts(system.positions) if charts is None else np.asarray(charts)
     ws = _chart_values(system.positions, charts)
     a = _chart_lifts(ws, charts)
     gram = a @ a.conj().T
@@ -294,7 +297,7 @@ def _chart_gradients(system: VortexSystem, charts):
     c.ravel()[:: N + 1] = 0.0
     wirt = ((c * inv * gram) @ a - ((c * rho).sum(axis=1) / norms2)[:, None] * a).conj()
     d = wirt[_off_pivot(charts, wirt.shape)].reshape(N, n)
-    return ws, np.concatenate([2.0 * d.real, -2.0 * d.imag], axis=1)
+    return charts, ws, np.concatenate([2.0 * d.real, -2.0 * d.imag], axis=1)
 
 
 def grad_hamiltonian(system: VortexSystem, charts=None):
@@ -304,15 +307,16 @@ def grad_hamiltonian(system: VortexSystem, charts=None):
     its largest coordinate).  Matches central finite differences of hamiltonian_cpn to about 1e-6 relative.
     """
     system.require("cpn", "grad_hamiltonian")
-    charts = _default_charts(system.positions) if charts is None else np.asarray(charts)
-    return charts, _chart_gradients(system, charts)[1]
+    charts, _, grads = _chart_gradients(system, charts)
+    return charts, grads
 
 
 def _sharp(system: VortexSystem, charts):
-    """Chart metrics h (N, n, n), gradients (N, 2n) and velocities (N, 2n): Gamma W velocity = gradient, W of h."""
-    ws, grads = _chart_gradients(system, charts)
+    """Charts (N,), chart metrics h (N, n, n), gradients and velocities (N, 2n): Gamma W velocity = gradient."""
+    charts, ws, grads = _chart_gradients(system, charts)
     h = fubini_study_metric(ws)
-    return h, grads, np.linalg.solve(_symplectic_matrix(h), grads[..., None])[..., 0] / system.strengths[:, None]
+    vels = np.linalg.solve(_symplectic_matrix(h), grads[..., None])[..., 0] / system.strengths[:, None]
+    return charts, h, grads, vels
 
 
 def hamiltonian_vector_field(system: VortexSystem, charts=None):
@@ -322,8 +326,8 @@ def hamiltonian_vector_field(system: VortexSystem, charts=None):
     Fubini-Study symplectic matrix, so the weighted form Omega = sum Gamma_a omega_a satisfies Omega(X, Y) = dH(Y).
     """
     system.require("cpn", "hamiltonian_vector_field")
-    charts = _default_charts(system.positions) if charts is None else np.asarray(charts)
-    return charts, _sharp(system, charts)[2]
+    charts, _, _, vels = _sharp(system, charts)
+    return charts, vels
 
 
 def omega_identity_defect(system: VortexSystem, rng=None) -> float:
@@ -336,7 +340,7 @@ def omega_identity_defect(system: VortexSystem, rng=None) -> float:
     """
     system.require("cpn", "omega_identity_defect")
     rng = np.random.default_rng(0) if rng is None else rng
-    h, grads, vels = _sharp(system, _default_charts(system.positions))
+    _, h, grads, vels = _sharp(system, None)
     n = system.n
     y = rng.standard_normal((system.size, _OMEGA_SAMPLES, 2 * n))
     y /= np.sqrt(_squared_norm(y, 1))[..., None]

@@ -26,7 +26,6 @@ needs NumPy only.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -60,17 +59,18 @@ def cpn_volume(n: int) -> float:
     return math.pi**n / math.factorial(n)
 
 
-@functools.cache
-def greens_constant(n: int) -> float:
-    """Normalization C_n = -1/(2n vol(CP^n)) of the CP^n Green's function, for n <= MAX_N."""
+def _check_n(n: int):
+    """The one rule of a projective dimension: an integer in 1..MAX_N, never a bool; DomainError otherwise."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
     if n > MAX_N:
         raise DomainError(f"n must be at most {MAX_N}: above it, n! in vol(CP^n) = pi^n/n! overflows a double; got {n}")
+
+
+def greens_constant(n: int) -> float:
+    """Normalization C_n = -1/(2n vol(CP^n)) of the CP^n Green's function."""
+    _check_n(n)
     return -1.0 / (2.0 * n * cpn_volume(n))
-
-
-def _check_n(n: int):
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
 
 
 def volume_density_cpn(n: int, r: float) -> float:

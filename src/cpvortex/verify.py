@@ -1,8 +1,8 @@
 """Seeded verification suites: every closed form against an independent oracle.
 
 Each suite returns a list of CheckResult; a check passes when its defect is
-within tolerance.  Non-gating checks (gating=False) are informational
-reports that never fail a suite: they quantify the two known normalization
+within tolerance.  A result without a tolerance is a report: it prints
+INFO and never fails a suite.  The reports quantify the two known normalization
 question marks (the inverse-metric table factor and the Laplacian
 coefficient table) and the deviation of the alternative momentum entry
 tables from the defining-equation solution.
@@ -11,7 +11,7 @@ tables from the defining-equation solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,18 +34,24 @@ _MAX_SYSTEM_DRAWS = 10_000  # tries of a random vortex system before its sampler
 class CheckResult:
     name: str
     defect: float
-    tolerance: float
-    passed: bool = field(init=False)
-    gating: bool = True
+    tolerance: float | None = None  # None makes the result a report
     note: str = ""
     worst_at: str = ""  # where the max defect occurred; printed on failure
 
-    def __post_init__(self):
-        self.passed = bool(self.defect <= self.tolerance) or not self.gating
+    @property
+    def gating(self) -> bool:
+        return self.tolerance is not None
+
+    @property
+    def passed(self) -> bool:
+        """A report always passes; a gating check when its defect is within tolerance (a NaN defect fails)."""
+        return not self.gating or bool(self.defect <= self.tolerance)
 
     def line(self) -> str:
-        status = "PASS" if self.defect <= self.tolerance else ("INFO" if not self.gating else "FAIL")
-        out = f"{status}  {self.name}: defect {self.defect:.3e} (tolerance {self.tolerance:.1e})"
+        status = ("PASS" if self.passed else "FAIL") if self.gating else "INFO"
+        out = f"{status}  {self.name}: defect {self.defect:.3e}"
+        if self.gating:
+            out += f" (tolerance {self.tolerance:.1e})"
         if status == "FAIL" and self.worst_at:
             out += f"  at {self.worst_at}"
         if self.note:
@@ -228,8 +234,6 @@ def verify_momentum(seed: int = 0) -> list:
         CheckResult(
             "anti-Hermitian entry table vs defining-equation solution",
             worst_ah,
-            math.inf,
-            gating=False,
             note="report only: the table carries transcription slips; the defining equation is authoritative",
         )
     )
@@ -237,8 +241,6 @@ def verify_momentum(seed: int = 0) -> list:
         CheckResult(
             "real-diagonal entry table vs defining-equation solution",
             worst_rd,
-            math.inf,
-            gating=False,
             note="report only: the table repeats mu12 for mu13 and drops the i-factors",
         )
     )
@@ -378,8 +380,6 @@ def verify_metric(seed: int = 0) -> list:
         CheckResult(
             f"inverse-metric table proportionality factor (median {med:.6f})",
             spread,
-            math.inf,
-            gating=False,
             note="report only: 7 of 9 entries are exactly 2x the numeric inverse; "
             "the (3,1) and (3,3) entries carry their own slips (spread above)",
         )
@@ -391,8 +391,6 @@ def verify_metric(seed: int = 0) -> list:
         CheckResult(
             "Laplacian coefficient table vs 2 h^{ji}",
             worst,
-            math.inf,
-            gating=False,
             note="report only: the tabulated projective-plane block differs in form from the inverse metric",
         )
     )

@@ -580,8 +580,32 @@ class TestConfigValidation:
         doc = dict(CP1_PAIR, n=200, vortices=[{"position": point, "strength": 1.0}, {"position": point[::-1], "strength": 1.0}])
         doc["outputs"] = {"trajectory_path": str(tmp_path / "t.csv"), "monitor_path": None}
         assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
-        assert_one_error_line(capsys, "cpn runs need a field 'n' in 1..170, got 200")
+        assert_one_error_line(capsys, "n must be at most 170", "got 200")
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("n", [170, 171])
+    def test_cpn_dimension_at_the_bound(self, tmp_path, n):
+        # the constructor asks greens' one rule of n; the config restates no bound
+        out = tmp_path / "t.csv"
+        basis = [{"position": [[float(j == k), 0.0] for j in range(n + 1)], "strength": 1.0} for k in (0, 1)]
+        doc = dict(CP1_PAIR, n=n, vortices=basis, outputs={"trajectory_path": str(out)})
+        code, stdout, err = run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)])
+        if n == 170:
+            assert (code, err) == (0, "") and out.exists()
+        else:
+            assert (code, stdout) == (2, "") and not out.exists()  # rejected before any output is opened
+            assert err == "error: n must be at most 170: above it, n! in vol(CP^n) = pi^n/n! overflows a double; got 171\n"
+
+    @pytest.mark.parametrize("doc, message", [
+        (dict(CP1_PAIR, n=0, vortices=[{"position": [[1.0, 0.0]], "strength": 1.0}]), "n must be an integer >= 1, got 0"),
+        ({k: v for k, v in CP1_PAIR.items() if k != "n"}, "config field error: KeyError('n')"),
+    ], ids=["zero", "missing"])
+    def test_cpn_config_needs_a_dimension(self, tmp_path, doc, message):
+        assert run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)]) == (2, "", f"error: {message}\n")
+
+    def test_seed_is_validated_and_not_returned(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path / "cfg.json", dict(CP1_PAIR, seed=3)))
+        assert sorted(cfg) == ["dt", "method", "monitor_path", "steps", "system", "trajectory_path"]
 
     @pytest.mark.parametrize("field", ["integrator", "outputs"])
     def test_sections_must_be_objects(self, tmp_path, capsys, field):
@@ -673,6 +697,16 @@ class TestVerify:
         code, out, err = run_cli(argv)
         assert (code, out) == (2, "")
         assert err.endswith("error: an option value cannot be '--'\n")
+
+    def test_reports_never_fail_a_suite(self, monkeypatch):
+        # a report prints INFO whatever its defect; only a gating row that fails sets exit 1
+        rows = [verify.CheckResult("table", math.nan, note="report only"), verify.CheckResult("gate", 0.5, 1.0)]
+        monkeypatch.setattr(verify, "run_suite", lambda suite, seed: rows)
+        lines = ["INFO  table: defect nan  [report only]", "PASS  gate: defect 5.000e-01 (tolerance 1.0e+00)"]
+        assert run_cli(["verify", "metric"]) == (0, "\n".join(lines + ["OK: 2/2 checks passed\n"]), "")
+        rows.append(verify.CheckResult("gate", math.nan, 1.0, worst_at="k=2"))
+        lines.append("FAIL  gate: defect nan (tolerance 1.0e+00)  at k=2")
+        assert run_cli(["verify", "metric"]) == (1, "\n".join(lines + ["FAILED: 2/3 checks passed\n"]), "")
 
     def test_failure_exit_code_and_diagnostics(self, capsys, monkeypatch):
         # a generator field off by 0.1 must fail its gate and name the worst

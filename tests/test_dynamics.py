@@ -50,6 +50,16 @@ class TestVortexSystem:
         with pytest.raises(ConfigurationError):
             VortexSystem.cpn([ProjectivePoint([1, 0]), ProjectivePoint([1, 0, 0])], [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "points",
+        [[[1, 0], [1, 0, 0]], [[1, 0, 0], ProjectivePoint([1, 0])], [np.array([1, 0]), 1.0]],
+        ids=["raw-lifts", "mixed", "lift-and-scalar"],
+    )
+    def test_ragged_lifts_rejected(self, points):
+        # raw lifts of two lengths used to reach NumPy's bare ValueError ("inhomogeneous shape")
+        with pytest.raises(ConfigurationError, match=r"^all positions must lie on one CP\^n, got coordinate shapes "):
+            VortexSystem.cpn(points, [1.0, 1.0])
+
     def test_wrong_position_type_rejected(self):
         with pytest.raises(ConfigurationError):
             VortexSystem("cpn", (1.0 + 0j,), (1.0,), n=1)

@@ -56,3 +56,38 @@ def test_each_shared_rule_has_one_home():
     (rhs,) = [node for node in ast.walk(trees["dynamics"]) if isinstance(node, ast.FunctionDef) and node.name == "_cpn_rhs"]
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     assert not [node for node in ast.walk(rhs) if isinstance(node, loops)]
+
+
+def _owners(tree, match):
+    """The innermost enclosing function name (None at module level) of every node that match accepts."""
+    found = set()
+
+    def visit(node, owner):
+        if match(node):
+            found.add(owner)
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def _names(node, name):
+    """Whether node refers to name, as a bare name or as an attribute."""
+    return any(isinstance(x, ast.Name) and x.id == name or isinstance(x, ast.Attribute) and x.attr == name
+               for x in ast.walk(node))
+
+
+def test_each_remaining_rule_has_one_owner():
+    trees = {m: ast.parse(Path(cpvortex.__file__).with_name(f"{m}.py").read_text()) for m in MODULES}
+    # the dimension bound is compared in greens._check_n alone, and the CLI does not restate it
+    compared = {(m, owner) for m, tree in trees.items()
+                for owner in _owners(tree, lambda node: isinstance(node, ast.Compare) and _names(node, "MAX_N"))}
+    assert compared == {("greens", "_check_n")}
+    assert not _names(trees["cli"], "MAX_N")
+    # a verification report is a result without a tolerance, not an infinite one switched off by a flag
+    calls = [node for node in ast.walk(trees["verify"])
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "CheckResult"]
+    assert len(calls) > 25
+    assert not [ast.unparse(c) for c in calls if _names(c, "inf") or any(k.arg == "gating" for k in c.keywords)]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,51 @@ class TestGreensCpn:
         for n in (1, 2, 3, 4):
             vals = [greens_cpn(n, r) for r in np.linspace(0.02, math.pi / 2, 300)]
             assert np.all(np.diff(vals) < 0)
+
+
+class TestDimensionRule:
+    """greens._check_n is the one rule of n: an integer in 1..MAX_N, never a bool, else DomainError."""
+
+    @staticmethod
+    def basis_lifts(n):
+        # two orthogonal unit lifts of CP^n, at the diameter pi/2 from each other
+        return np.eye(2, n + 1, dtype=complex)
+
+    def test_largest_n_is_served(self):
+        n = greens.MAX_N
+        assert math.isfinite(greens.greens_constant(n))
+        assert math.isfinite(greens_cpn(n, DIAMETER)) and math.isfinite(greens_cpn_derivative(n, DIAMETER))
+        system = VortexSystem.cpn(self.basis_lifts(n), [1.0, -1.0])
+        assert system.n == n and math.isfinite(hamiltonian_cpn(system))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: greens.greens_constant(n),
+            lambda n: greens_cpn(n, DIAMETER),
+            lambda n: greens_cpn_derivative(n, DIAMETER),
+            lambda n: VortexSystem.cpn(TestDimensionRule.basis_lifts(n), [1.0, -1.0]),
+        ],
+        ids=["greens_constant", "greens_cpn", "greens_cpn_derivative", "VortexSystem.cpn"],
+    )
+    def test_above_the_bound_is_rejected(self, call):
+        with pytest.raises(DomainError, match=f"^n must be at most {greens.MAX_N}: .*; got {greens.MAX_N + 1}$"):
+            call(greens.MAX_N + 1)
+
+    @pytest.mark.parametrize("n", [0, -1, True, False, 1.5, 2.0, "2", None])
+    def test_greens_constant_needs_a_positive_integer(self, n):
+        # 0 divided by zero, -1 raised a bare ValueError and True returned C_1
+        with pytest.raises(DomainError, match=f"^n must be an integer >= 1, got {re.escape(repr(n))}$"):
+            greens.greens_constant(n)
+
+    @pytest.mark.parametrize("n", [True, 0, -1, 1.0])
+    def test_vortex_system_asks_the_rule(self, n):
+        with pytest.raises(DomainError, match="^n must be an integer >= 1"):
+            VortexSystem("cpn", self.basis_lifts(1), [1.0, -1.0], n=n)
+
+    def test_numpy_integers_are_integers(self):
+        assert greens.greens_constant(np.int64(2)) == greens.greens_constant(2)
+        assert VortexSystem("cpn", self.basis_lifts(2), [1.0, -1.0], n=np.int64(2)).n == 2
 
 
 class TestOdeOracle:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,37 @@ class TestSamplers:
         assert u.shape == (200, 3, 3)
         assert np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(3))) < 1e-12
         assert np.max(np.abs(np.linalg.det(u) - 1.0)) < 1e-12
+
+
+class TestCheckResult:
+    """A result without a tolerance is a report: INFO, passed, not gating; gating and passed derive from the tolerance."""
+
+    @pytest.mark.parametrize("defect", [0.0, 27.19, 1e300, np.inf, np.nan])
+    def test_report_prints_info_and_never_fails(self, defect):
+        report = verify.CheckResult("table vs oracle", defect, note="report only", worst_at="k=3")
+        assert report.passed and not report.gating and report.tolerance is None
+        assert report.line() == f"INFO  table vs oracle: defect {defect:.3e}  [report only]"
+
+    @pytest.mark.parametrize("defect", [2.0, np.inf, np.nan])
+    def test_failing_gating_row_names_its_worst_point(self, defect):
+        check = verify.CheckResult("generator fields", defect, 1e-6, worst_at="k=5, z=(0, 0, 0)")
+        assert check.gating and not check.passed
+        assert check.line() == f"FAIL  generator fields: defect {defect:.3e} (tolerance 1.0e-06)  at k=5, z=(0, 0, 0)"
+
+    def test_passing_gating_row(self):
+        check = verify.CheckResult("symplectic matrix antisymmetry", 0.0, 0.0, worst_at="k=1")
+        assert check.gating and check.passed
+        assert check.line() == "PASS  symplectic matrix antisymmetry: defect 0.000e+00 (tolerance 0.0e+00)"
+
+    def test_fields_and_attributes(self):
+        # passed and gating are read from the tolerance, never stored or passed in
+        assert [f.name for f in dataclasses.fields(verify.CheckResult)] == ["name", "defect", "tolerance", "note", "worst_at"]
+        check = verify.CheckResult("c", 1.0, 2.0, "n", "w")
+        assert (check.name, check.defect, check.tolerance, check.passed, check.gating, check.note, check.worst_at) == (
+            "c", 1.0, 2.0, True, True, "n", "w")
+
+    def test_reports_of_every_suite_print_info(self):
+        # the four table reports, and only they, carry no tolerance
+        reports = [c for c in verify.run_suite("momentum") + verify.run_suite("metric") if not c.gating]
+        assert len(reports) == 4
+        assert all(c.line().startswith("INFO  ") and "tolerance" not in c.line() and "report only" in c.note for c in reports)
