@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import dynamics, geom, greens, momentum, verify
+from . import dynamics, greens, momentum, verify
 from .errors import CollisionError, ConfigurationError, CpvortexError, DomainError, NumericError
 from .su3flag import FlagCoords
 
@@ -83,25 +83,19 @@ def _output_path(value, name: str):
 
 
 def _complex(pair, name: str) -> complex:
+    """A JSON [re, im] pair of numbers as a complex number."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise ConfigurationError(f"{name} must be [re, im], got {pair!r}")
     return complex(_number(pair[0], f"{name} re"), _number(pair[1], f"{name} im"))
 
 
-def _parse_position(manifold: str, n: int, raw, index: int):
-    """A planar position, or the n+1 homogeneous coordinates of a CP^n position, not yet normalized."""
+def _parse_position(manifold: str, raw, index: int):
+    """A planar position [re, im] as a complex number, or a CP^n position, a list of [re, im] pairs, as a list of them."""
     if manifold == "plane":
-        if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-            raise ConfigurationError(f"vortex {index}: planar position must be [re, im], got {raw!r}")
         return _complex(raw, f"vortex {index}: position")
-    if not (isinstance(raw, (list, tuple)) and len(raw) == n + 1):
-        raise ConfigurationError(
-            f"vortex {index}: CP^{n} position needs {n + 1} homogeneous [re, im] pairs, got {raw!r}"
-        )
-    coords = []
-    for pair in raw:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ConfigurationError(f"vortex {index}: each coordinate must be [re, im], got {pair!r}")
-        coords.append(_complex(pair, f"vortex {index}: coordinate"))
-    return coords
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigurationError(f"vortex {index}: CP^n position must be a list of [re, im] pairs, got {raw!r}")
+    return [_complex(pair, f"vortex {index}: coordinate") for pair in raw]
 
 
 def load_config(path: str):
@@ -121,19 +115,19 @@ def load_config(path: str):
             raise ConfigurationError(f"manifold must be 'plane' or 'cpn', got {manifold!r}")
         n = _integer(doc["n"] if manifold == "cpn" else doc.get("n", 0), "n")
         vortices = doc["vortices"]
-        if not isinstance(vortices, list) or not vortices:
-            raise ConfigurationError("'vortices' must be a nonempty list")
+        if not isinstance(vortices, list):
+            raise ConfigurationError(f"'vortices' must be a list, got {vortices!r}")
         positions, strengths = [], []
         # only a planar separation can overflow here: it reads inf, and the run then stops
         # at its non-finite energy; NumPy's warning would only repeat that
         with np.errstate(over="ignore"):
             for i, entry in enumerate(vortices):
                 entry = _object(entry, f"vortex {i}", _VORTEX_KEYS)
-                positions.append(_parse_position(manifold, n, entry["position"], i))
+                positions.append(_parse_position(manifold, entry["position"], i))
                 strengths.append(_number(entry["strength"], f"vortex {i}: strength"))
-            positions = np.array(positions) if manifold == "plane" else geom._unit_lifts(np.array(positions))
-            # the constructor's rules, among them a planar n = 0 and the CP^n dimension rule of greens
-            system = dynamics.VortexSystem(manifold, positions, strengths, n)
+            # the constructor's rules on N, n and the shape, in that order, and then one normalizer call
+            x, g = dynamics._system_arrays(manifold, positions, strengths, n, normalize=True)
+            system = dynamics.VortexSystem(manifold, x, g, n)
 
         integ = _object(doc["integrator"], "integrator", _INTEGRATOR_KEYS)
         method = integ.get("method", "rk4")

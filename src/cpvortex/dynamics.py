@@ -50,7 +50,8 @@ import numpy as np
 
 from .errors import CollisionError, ConfigurationError, NumericError
 from .geom import (ProjectivePoint, _chart_lifts, _chart_values, _default_charts, _lift_distance, _off_pivot,
-                   _off_unit, _set_fields, _squared_norm, _symplectic_matrix, fubini_study_metric, pivot_threshold)
+                   _off_unit, _set_fields, _squared_norm, _symplectic_matrix, _unit_lifts, fubini_study_metric,
+                   pivot_threshold)
 from .greens import (PLANE_CONSTANT, _check_n, _inverse_power_sum, greens_constant, greens_radial_part,
                      greens_radial_slope)
 
@@ -108,21 +109,7 @@ class VortexSystem:
     n: int = 0
 
     def __post_init__(self):
-        if self.manifold not in ("plane", "cpn"):
-            raise ConfigurationError(f"manifold must be 'plane' or 'cpn', got {self.manifold!r}")
-        x = np.array(self.positions, dtype=complex)
-        g = np.array(self.strengths, dtype=float)
-        if self.manifold == "plane":
-            if self.n != 0:
-                raise ConfigurationError("planar systems have no projective dimension")
-            if x.ndim != 1:
-                raise ConfigurationError(f"planar positions must be complex numbers (N,), got shape {x.shape}")
-        else:
-            _check_n(self.n)
-            if x.shape[1:] != (self.n + 1,):
-                raise ConfigurationError(f"cpn positions must be unit lifts (N, n+1), got shape {x.shape} for n = {self.n}")
-        if len(x) < 1 or g.shape != x.shape[:1]:
-            raise ConfigurationError("need N >= 1 positions with matching strengths")
+        x, g = _system_arrays(self.manifold, self.positions, self.strengths, self.n)
         if not (np.isfinite(g).all() and g.all()):
             raise ConfigurationError("all strengths must be finite and nonzero")
         if not np.isfinite(x).all():
@@ -143,11 +130,8 @@ class VortexSystem:
     def cpn(cls, points, strengths) -> "VortexSystem":
         """A CP^n system from ProjectivePoints or unit lifts (n+1,) of one dimension, or from a lift array (N, n+1)."""
         points = [p.coords if isinstance(p, ProjectivePoint) else p for p in points]
-        shapes = sorted({np.shape(p) for p in points})
-        if len(shapes) > 1:
-            raise ConfigurationError(f"all positions must lie on one CP^n, got coordinate shapes {shapes}")
-        lifts = np.asarray(points, dtype=complex)
-        return cls("cpn", lifts, strengths, n=lifts.shape[-1] - 1)
+        # n is the first position's; an empty list breaks the N >= 1 rule, which is checked before n
+        return cls("cpn", points, strengths, n=np.shape(points[:1])[-1] - 1)
 
     @property
     def size(self) -> int:
@@ -157,6 +141,38 @@ class VortexSystem:
         """Raise ConfigurationError unless the system lives on the given manifold."""
         if self.manifold != manifold:
             raise ConfigurationError(f"{caller} needs a {'planar' if manifold == 'plane' else manifold} system")
+
+
+def _system_arrays(manifold: str, positions, strengths, n: int, normalize: bool = False):
+    """Positions and strengths of a VortexSystem as complex and float arrays, checked in order: N >= 1 with matching
+    strengths; the manifold and n (0 on the plane, greens._check_n on CP^n); the shape (N,) or (N, n+1), positions of
+    several shapes reported by their coordinate shapes.  normalize: a config's CP^n coordinates, then made unit lifts."""
+    g = np.array(strengths, dtype=float)
+    try:
+        x = np.array(positions, dtype=complex)
+        N = len(x) if x.ndim else 0
+    except ValueError:  # NumPy's error for positions of several shapes, which no array holds
+        x, N, shapes = None, len(positions), sorted({np.shape(p) for p in positions})
+        if len(shapes) < 2:  # another ValueError, such as a string that reads as no complex number
+            raise
+    if N < 1 or g.shape != (N,):
+        raise ConfigurationError("need N >= 1 positions with matching strengths")
+    if manifold not in ("plane", "cpn"):
+        raise ConfigurationError(f"manifold must be 'plane' or 'cpn', got {manifold!r}")
+    if manifold == "cpn":
+        _check_n(n)
+    elif n:
+        raise ConfigurationError("planar systems have no projective dimension")
+    if x is None:
+        raise ConfigurationError(f"all positions must lie on {'one CP^n' if n else 'the plane'}, got coordinate shapes {shapes}")
+    if not n and x.ndim != 1:
+        raise ConfigurationError(f"planar positions must be complex numbers (N,), got shape {x.shape}")
+    if n and x.shape[1:] != (n + 1,):
+        raise ConfigurationError(f"cpn positions must be unit lifts (N, n+1), got shape {x.shape} for n = {n}")
+    try:
+        return (_unit_lifts(x) if normalize and n else x), g
+    except ValueError as exc:  # a config's position that is not finite, or all zero
+        raise ConfigurationError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +597,10 @@ def _write_table(fh, header: str, table: np.ndarray, row_format: str) -> None:
 def write_trajectory_csv(traj: Trajectory, fh) -> None:
     """Emit a trajectory as CSV: t, per-vortex chart and chart coordinates,
     then the three monitors."""
-    x, charts = traj.positions, traj.charts
+    x, charts, n = traj.positions, traj.charts, traj.system.n
     T, N = charts.shape
-    if x.ndim == 2:
-        dims, suffixes = 1, [""]
-        values = x[:, :, None]
-    else:
-        dims = x.shape[2] - 1
-        suffixes = [f"_{j}" for j in range(dims)]
-        values = _chart_values(x, charts)
+    dims, suffixes = (n, [f"_{j}" for j in range(n)]) if n else (1, [""])
+    values = _chart_values(x, charts) if n else x[:, :, None]
     coord_names = [f"chart{k}," + ",".join(f"x{k}{s},y{k}{s}" for s in suffixes) for k in range(N)]
 
     cells = np.empty((T, N, 1 + 2 * dims))

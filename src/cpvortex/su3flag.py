@@ -70,13 +70,8 @@ _LAMBDA.flags.writeable = False
 
 def _matrix(rows) -> np.ndarray:
     """Square matrices from a nested list of entries that broadcast together: shape S + (m, m)."""
-    entries = [e for row in rows for e in row]
-    shape = np.broadcast(*entries).shape
-    out = np.empty(shape + (len(rows), len(rows)), np.result_type(*entries))
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            out[..., i, j] = e
-    return out
+    out = _vector(*(e for row in rows for e in row))
+    return out.reshape(out.shape[:-1] + (len(rows), len(rows)))
 
 
 def _vector(*entries) -> np.ndarray:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import cpvortex
 from cpvortex import cli, dynamics, geom, greens, momentum, su3flag, verify
-from cpvortex.errors import ConfigurationError
+from cpvortex.errors import ConfigurationError, CpvortexError
 
 
 def write_config(path, doc):
@@ -334,6 +335,24 @@ def test_config_lifts_are_normalized_in_one_call(tmp_path, monkeypatch):
     assert np.array_equal(positions, expected)
 
 
+# CP^n configs that the constructor rejects with its own message: the first five as the public
+# constructor states them too, the last two from the one normalizer call of the config's coordinates
+BAD_CPN_CONFIGS = {
+    "n=-2": (dict(CP1_PAIR, n=-2), "n must be an integer >= 1, got -2"),
+    "n=0": (dict(CP1_PAIR, n=0), "n must be an integer >= 1, got 0"),
+    "n=200": (dict(CP1_PAIR, n=200),
+              "n must be at most 170: above it, n! in vol(CP^n) = pi^n/n! overflows a double; got 200"),
+    "ragged": (dict(CP1_PAIR, vortices=[CP1_PAIR["vortices"][0], {"position": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]],
+                                                                   "strength": 1.0}]),
+               "all positions must lie on one CP^n, got coordinate shapes [(2,), (3,)]"),
+    "no-vortices": (dict(CP1_PAIR, vortices=[]), "need N >= 1 positions with matching strengths"),
+    "all-zero": (dict(CP1_PAIR, vortices=[{"position": [[0.0, 0.0], [0.0, 0.0]], "strength": 1.0}] + CP1_PAIR["vortices"][1:]),
+                 "homogeneous coordinates must be finite and nonzero"),
+    "infinity": (dict(CP1_PAIR, vortices=[{"position": [[math.inf, 0.0], [1.0, 0.0]], "strength": 1.0}] + CP1_PAIR["vortices"][1:]),
+                 "homogeneous coordinates must be finite and nonzero"),
+}
+
+
 def assert_one_error_line(capsys, *fragments):
     captured = capsys.readouterr()
     assert captured.out == ""  # no summary: the run never started
@@ -602,6 +621,21 @@ class TestConfigValidation:
     ], ids=["zero", "missing"])
     def test_cpn_config_needs_a_dimension(self, tmp_path, doc, message):
         assert run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)]) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("doc, message", list(BAD_CPN_CONFIGS.values()), ids=list(BAD_CPN_CONFIGS))
+    def test_malformed_cpn_config_gets_the_constructors_message(self, tmp_path, doc, message):
+        # the CLI parses [re, im] pairs only: N, n and the shape are the constructor's rules, in that order,
+        # and a position that is not finite, or all zero, is the normalizer's; no field-error wrapper and no traceback
+        out = tmp_path / "t.csv"
+        doc = dict(doc, outputs={"trajectory_path": str(out)})
+        assert run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)]) == (2, "", f"error: {message}\n")
+        assert not out.exists()  # rejected before any output is opened
+
+    @pytest.mark.parametrize("doc, message", list(BAD_CPN_CONFIGS.values())[:5], ids=list(BAD_CPN_CONFIGS)[:5])
+    def test_constructor_states_the_same_rule(self, doc, message):
+        positions = [[complex(*pair) for pair in v["position"]] for v in doc["vortices"]]
+        with pytest.raises(CpvortexError, match=f"^{re.escape(message)}$"):
+            dynamics.VortexSystem("cpn", positions, [v["strength"] for v in doc["vortices"]], doc["n"])
 
     def test_seed_is_validated_and_not_returned(self, tmp_path):
         cfg = cli.load_config(write_config(tmp_path / "cfg.json", dict(CP1_PAIR, seed=3)))

@@ -60,6 +60,16 @@ class TestVortexSystem:
         with pytest.raises(ConfigurationError, match=r"^all positions must lie on one CP\^n, got coordinate shapes "):
             VortexSystem.cpn(points, [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: VortexSystem.cpn([], []), lambda: VortexSystem("cpn", np.empty((0, 2)), [], n=1)],
+        ids=["cpn", "constructor"],
+    )
+    def test_no_vortices_rejected(self, build):
+        # cpn([], []) used to read the empty list as CP^-1 and report the dimension rule instead
+        with pytest.raises(ConfigurationError, match="^need N >= 1 positions with matching strengths$"):
+            build()
+
     def test_wrong_position_type_rejected(self):
         with pytest.raises(ConfigurationError):
             VortexSystem("cpn", (1.0 + 0j,), (1.0,), n=1)

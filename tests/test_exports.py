@@ -86,6 +86,17 @@ def test_each_remaining_rule_has_one_owner():
                 for owner in _owners(tree, lambda node: isinstance(node, ast.Compare) and _names(node, "MAX_N"))}
     assert compared == {("greens", "_check_n")}
     assert not _names(trees["cli"], "MAX_N")
+    # the CLI only parses [re, im] pairs: it compares no length with n + 1, and the (N, n+1) shape rule and the
+    # report of positions of several shapes each live once in dynamics, in the path both constructors take
+    def plus_one(node):
+        return isinstance(node, ast.Compare) and any(
+            isinstance(x, ast.BinOp) and ast.unparse(x).endswith("n + 1") for x in ast.walk(node))
+
+    assert not _owners(trees["cli"], plus_one)
+    assert _owners(trees["dynamics"], plus_one) == {"_system_arrays"}
+    shapes = {(m, owner) for m, tree in trees.items() for owner in _owners(
+        tree, lambda node: isinstance(node, ast.Constant) and "coordinate shapes" in str(node.value))}
+    assert shapes == {("dynamics", "_system_arrays")}
     # a verification report is a result without a tolerance, not an infinite one switched off by a flag
     calls = [node for node in ast.walk(trees["verify"])
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "CheckResult"]
