@@ -76,10 +76,17 @@ def _object(value, name: str, keys: tuple) -> dict:
 
 
 def _output_path(value, name: str):
-    """An output file name: null (no file) or a nonempty string, never a file descriptor."""
-    if value is not None and not (isinstance(value, str) and value):
+    """An output file name: null (no file) or a nonempty string that open() takes, never a file descriptor."""
+    if value is None:
+        return None
+    if not (isinstance(value, str) and value):
         raise ConfigurationError(f"{name} must be a nonempty string or null, got {value!r}")
-    return value
+    try:
+        if b"\0" not in os.fsencode(value):
+            return value
+    except UnicodeEncodeError:  # a lone surrogate, which no file name holds
+        pass
+    raise ConfigurationError(f"{name} must hold no NUL byte and no lone surrogate, got {value!r}")
 
 
 def _complex(pair, name: str) -> complex:
@@ -107,12 +114,15 @@ def load_config(path: str):
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path!r} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    # the rest the decoder raises: bytes that are not UTF-8, an integer of more digits than int() converts,
+    # or nesting deeper than the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"config {path!r} cannot be decoded: {exc}") from exc
 
     try:
         doc = _object(doc, "config", _CONFIG_KEYS)
         manifold = doc["manifold"]
-        if manifold not in ("plane", "cpn"):
-            raise ConfigurationError(f"manifold must be 'plane' or 'cpn', got {manifold!r}")
+        dynamics._check_manifold(manifold)  # the positions are parsed by manifold
         n = _integer(doc["n"] if manifold == "cpn" else doc.get("n", 0), "n")
         vortices = doc["vortices"]
         if not isinstance(vortices, list):
@@ -139,6 +149,8 @@ def load_config(path: str):
         else:
             t_end = _number(integ["t_end"], "integrator.t_end")
             dynamics._check_run(dt, 0, method)  # the division below needs a positive, finite dt
+            if not math.isfinite(t_end / dt):
+                raise ConfigurationError(f"the step count t_end / dt = {t_end} / {dt} is not finite")
             steps = round(t_end / dt)
             if not abs(t_end - steps * dt) <= 1e-9 * abs(t_end):
                 raise ConfigurationError(f"integrator.t_end {t_end!r} is not an integer multiple of dt {dt!r}")

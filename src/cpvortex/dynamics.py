@@ -143,6 +143,12 @@ class VortexSystem:
             raise ConfigurationError(f"{caller} needs a {'planar' if manifold == 'plane' else manifold} system")
 
 
+def _check_manifold(manifold) -> None:
+    """ConfigurationError unless manifold names one of the two manifolds of a VortexSystem, "plane" or "cpn"."""
+    if manifold not in ("plane", "cpn"):
+        raise ConfigurationError(f"manifold must be 'plane' or 'cpn', got {manifold!r}")
+
+
 def _system_arrays(manifold: str, positions, strengths, n: int, normalize: bool = False):
     """Positions and strengths of a VortexSystem as complex and float arrays, checked in order: N >= 1 with matching
     strengths; the manifold and n (0 on the plane, greens._check_n on CP^n); the shape (N,) or (N, n+1), positions of
@@ -157,8 +163,7 @@ def _system_arrays(manifold: str, positions, strengths, n: int, normalize: bool 
             raise
     if N < 1 or g.shape != (N,):
         raise ConfigurationError("need N >= 1 positions with matching strengths")
-    if manifold not in ("plane", "cpn"):
-        raise ConfigurationError(f"manifold must be 'plane' or 'cpn', got {manifold!r}")
+    _check_manifold(manifold)
     if manifold == "cpn":
         _check_n(n)
     elif n:

@@ -84,6 +84,30 @@ def _off_unit(v: np.ndarray) -> bool:
     return bool(np.any((squared < (1.0 - 1e-10) ** 2) | (squared > (1.0 + 1e-10) ** 2)))
 
 
+def _off_adjoint(m: np.ndarray, sign: int, squared_bound: float) -> bool:
+    """Whether some matrix of the stack m (..., k, k) has ||m - sign m*||_F^2 above squared_bound: sign 1 asks
+    for Hermitian matrices, -1 for anti-Hermitian ones."""
+    adjoint = m.conj().swapaxes(-1, -2)
+    return bool(np.any(_squared_norm(m - adjoint if sign == 1 else m + adjoint, 2) > squared_bound))
+
+
+def _off_unitary(u: np.ndarray, squared_bound: float) -> bool:
+    """Whether some matrix of the stack u (..., k, k) has ||u u* - I||_F^2 above squared_bound."""
+    return bool(np.any(_squared_norm(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1]), 2) > squared_bound))
+
+
+def _check_chart_values(values: np.ndarray) -> None:
+    """ValueError unless every chart value is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("chart values must be finite")
+
+
+def _check_same_cpn(p: "ProjectivePoint", q: "ProjectivePoint") -> None:
+    """DimensionMismatchError unless the points p and q lie on one CP^n."""
+    if p.n != q.n:
+        raise DimensionMismatchError("points live in different CP^n")
+
+
 def _set_fields(instance, **fields) -> None:
     """Set fields on a frozen dataclass instance, each NumPy array among them made read-only first."""
     for name, value in fields.items():
@@ -107,8 +131,7 @@ class ProjectivePoint:
 
     def same_point(self, other: "ProjectivePoint", tol: float = 1e-12) -> bool:
         """Projective equality: |<u,v>| = 1 up to ``tol`` for unit vectors."""
-        if self.n != other.n:
-            raise DimensionMismatchError("points live in different CP^n")
+        _check_same_cpn(self, other)
         return abs(abs(hermitian_inner(self.coords, other.coords)) - 1.0) <= tol
 
 
@@ -129,8 +152,7 @@ class AffineChart:
         values = np.array(self.values, dtype=complex)  # a copy: the caller's array stays writeable
         if values.ndim < 1 or values.shape[-1] < 1:
             raise DimensionMismatchError("chart values need length n >= 1")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("chart values must be finite")
+        _check_chart_values(values)
         _off_pivot(self.chart_index, (values.shape[-1] + 1,))
         _set_fields(self, chart_index=int(self.chart_index), values=values)
 
@@ -221,8 +243,7 @@ def geodesic_distance_cpn(xi: ProjectivePoint, eta: ProjectivePoint) -> float:
     precision at both tiny and near-maximal separations (plain arccos
     flattens out near coincident points).
     """
-    if xi.n != eta.n:
-        raise DimensionMismatchError("points live in different CP^n")
+    _check_same_cpn(xi, eta)
     return float(_lift_distance(xi.coords, eta.coords))
 
 
@@ -247,8 +268,7 @@ def fubini_study_metric(values: np.ndarray) -> np.ndarray:
     ValueError on non-finite values.
     """
     z = np.asarray(values, dtype=complex)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("chart values must be finite")
+    _check_chart_values(z)
     s = (1.0 + _squared_norm(z, 1))[..., None, None]
     return (s * np.eye(z.shape[-1]) - z.conj()[..., :, None] * z[..., None, :]) / s**2
 

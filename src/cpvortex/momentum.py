@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import _momentum_sum
 from .errors import DomainError
-from .geom import ProjectivePoint, _off_unit, _set_fields, _squared_norm
+from .geom import ProjectivePoint, _off_adjoint, _off_unit, _off_unitary, _set_fields, _squared_norm
 from .su3flag import _LAMBDA, FlagCoords, _generator_row, _matrix, flag_symplectic_matrix, infinitesimal_vf
 
 __all__ = [
@@ -59,12 +59,11 @@ class MomentumValue:
         # each rule compares a squared defect with its tolerance squared
         if np.any(_squared_norm(np.trace(m, axis1=-2, axis2=-1), 0) > 1e-24 * np.maximum(1.0, _squared_norm(m, 2))):
             raise DomainError("momentum matrix must be traceless")
-        adjoint = m.conj().swapaxes(-1, -2)
         if self.convention == "hermitian_cp2":
-            if np.any(_squared_norm(m - adjoint, 2) > 1e-24):
+            if _off_adjoint(m, 1, 1e-24):
                 raise DomainError("hermitian_cp2 value must be Hermitian within 1e-12")
         elif self.convention == "antihermitian_flag":
-            if np.any(_squared_norm(m + adjoint, 2) > 1e-20):
+            if _off_adjoint(m, -1, 1e-20):
                 raise DomainError("antihermitian_flag value must be anti-Hermitian within 1e-10")
         else:
             raise DomainError(f"unknown convention {self.convention!r}")
@@ -107,13 +106,12 @@ def momentum_cp2_equivariance_check(p, u):
     """
     v = _unit_vector(p)
     u = u.entries if hasattr(u, "entries") else np.asarray(u, dtype=complex)
-    adjoint = u.conj().swapaxes(-1, -2)
-    if np.any(_squared_norm(u @ adjoint - np.eye(u.shape[-1]), 2) > 1e-20):
+    if _off_unitary(u, 1e-20):
         raise DomainError("expected a unitary matrix")
     if np.any(np.abs(np.linalg.det(u) - 1.0) > 1e-10):
         raise DomainError("expected determinant 1")
     left = _mu((u @ v[..., None])[..., 0])
-    right = u @ _mu(v) @ adjoint
+    right = u @ _mu(v) @ u.conj().swapaxes(-1, -2)
     return np.sqrt(_squared_norm(left - right, 2))[()]
 
 

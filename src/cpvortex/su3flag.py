@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, OutsideBigCellError
-from .geom import _set_fields, _squared_norm, _symplectic_matrix
+from .geom import _off_adjoint, _off_unitary, _set_fields, _squared_norm, _symplectic_matrix
 
 __all__ = [
     "FlagCoords",
@@ -104,11 +104,11 @@ class Su3Matrix:
         _set_fields(self, entries=m)
         tol2 = self._TOL**2
         if self.role == "unitary":
-            if (_squared_norm(m @ m.conj().swapaxes(-1, -2) - np.eye(3), 2) > tol2).any():
+            if _off_unitary(m, tol2):
                 raise DomainError("matrix is not unitary within 1e-12")
         elif self.role == "antihermitian_traceless":
             trace = np.trace(m, axis1=-2, axis2=-1)
-            if (_squared_norm(m + m.conj().swapaxes(-1, -2), 2) > tol2).any() or (_squared_norm(trace, 0) > tol2).any():
+            if _off_adjoint(m, -1, tol2) or (_squared_norm(trace, 0) > tol2).any():
                 raise DomainError("matrix is not anti-Hermitian traceless within 1e-12")
         elif self.role == "unit_lower_triangular":
             diagonal = np.diagonal(m, axis1=-2, axis2=-1) - 1.0

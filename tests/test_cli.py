@@ -432,6 +432,14 @@ class TestConfigValidation:
         assert code == (2, "", "error: planar systems have no projective dimension\n")
         assert not out.exists()  # rejected before any output is opened
 
+    def test_unknown_manifold(self, tmp_path):
+        # the words of the constructor, which states the same rule
+        out = tmp_path / "t.csv"
+        doc = dict(PLANE_PAIR, manifold="torus", outputs={"trajectory_path": str(out)})
+        code = run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)])
+        assert code == (2, "", "error: manifold must be 'plane' or 'cpn', got 'torus'\n")
+        assert not out.exists()  # rejected before any output is opened
+
     def test_planar_n_zero_is_accepted(self, tmp_path):
         doc = dict(PLANE_PAIR, n=0)
         assert run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)])[0] == 0
@@ -522,6 +530,54 @@ class TestConfigValidation:
         doc = dict(CP1_PAIR, outputs={key: value})
         assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
         assert_one_error_line(capsys, f"outputs.{key} must be a nonempty string or null")
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"\xff\xfe" + json.dumps(PLANE_PAIR).encode(), "'utf-8' codec can't decode byte 0xff in position 0"),
+            (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded while decoding a JSON array"),
+            (b'{"seed": 1' + b"0" * sys.get_int_max_str_digits() + b"}", "Exceeds the limit ("),
+        ],
+        ids=["not-utf-8", "nested-100000-deep", "too-many-digits"],
+    )
+    def test_config_the_decoder_cannot_read(self, tmp_path, raw, message):
+        # each used to print a traceback and exit 1, the exit code of a failed verification
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        code, out, err = run_cli(["simulate", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config {str(cfg)!r} cannot be decoded: {message}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "outputs, key",
+        [
+            ({"trajectory_path": "a\0b"}, "trajectory_path"),
+            ({"trajectory_path": "a\0b", "monitor_path": "m.csv"}, "trajectory_path"),
+            ({"trajectory_path": "t.csv", "monitor_path": "\ud800.csv"}, "monitor_path"),
+        ],
+        ids=["nul-alone", "nul-with-monitor", "lone-surrogate"],
+    )
+    def test_output_path_that_open_refuses(self, tmp_path, monkeypatch, outputs, key):
+        # open() raised ValueError or UnicodeEncodeError: a traceback and exit 1, or the field-error wrapper
+        monkeypatch.chdir(tmp_path)
+        doc = dict(PLANE_PAIR, outputs=outputs)
+        code = run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)])
+        message = f"outputs.{key} must hold no NUL byte and no lone surrogate, got {outputs[key]!r}"
+        assert code == (2, "", f"error: {message}\n")
+        assert os.listdir(tmp_path) == ["cfg.json"]  # rejected before any output is opened
+
+    @pytest.mark.parametrize(
+        "dt, t_end, shown",
+        [(1e-300, 1e300, "1e+300 / 1e-300"), (0.1, math.inf, "inf / 0.1"), (0.1, math.nan, "nan / 0.1")],
+        ids=["overflow", "infinite", "nan"],
+    )
+    def test_step_count_that_is_not_finite(self, tmp_path, dt, t_end, shown):
+        # round(t_end / dt) raised, and the field-error wrapper printed OverflowError or ValueError
+        out = tmp_path / "t.csv"
+        doc = dict(CP1_PAIR, integrator={"method": "rk4", "dt": dt, "t_end": t_end}, outputs={"trajectory_path": str(out)})
+        code = run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)])
+        assert code == (2, "", f"error: the step count t_end / dt = {shown} is not finite\n")
+        assert not out.exists()  # rejected before any output is opened
 
     def test_non_finite_horizon(self, tmp_path, capsys):
         # a config defect (exit 2), not a numeric failure of the run (exit 4)
@@ -920,6 +976,57 @@ def test_mutated_configs_keep_the_exit_contract(tmp_path, monkeypatch, data):
     else:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+# byte-level faults that no JSON value of a mutated config expresses: text that is not UTF-8, nesting deeper than
+# the decoder's recursion, an integer longer than int() converts, and output paths that open() refuses; each is a
+# config defect, rejected before any output
+FUZZ_NOT_UTF8 = [b"\xff\xfe", b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+FUZZ_DEPTHS = [1, 50, 900, 2000, 100_000]
+FUZZ_PATH_FAULTS = ["\0", "\ud800", "\udfff"]
+
+
+def fault_bytes(data, doc) -> bytes:
+    """The JSON text of doc with one byte-level fault."""
+    kind = data.draw(st.sampled_from(["utf-8", "nest", "digits", "path", "raw-nul"]))
+    if kind == "path" or kind == "raw-nul":
+        key = data.draw(st.sampled_from(["trajectory_path", "monitor_path"]))
+        name = doc["outputs"][key]
+        i = data.draw(st.integers(0, len(name)))
+        doc["outputs"][key] = name[:i] + data.draw(st.sampled_from(FUZZ_PATH_FAULTS)) + name[i:]
+        raw = json.dumps(doc).encode()
+        # a NUL byte itself, not its escape, is a control character inside a JSON string
+        return raw.replace(b"\\u0000", b"\0") if kind == "raw-nul" else raw
+    if kind == "nest":
+        path = data.draw(st.sampled_from([()] + list(node_paths(doc))))
+        node, placeholder = node_at(doc, path), "\x01nest"
+        if path:
+            node_at(doc, path[:-1])[path[-1]] = placeholder
+        else:
+            doc = placeholder
+        depth = data.draw(st.sampled_from(FUZZ_DEPTHS))
+        text = json.dumps(doc).replace(json.dumps(placeholder), "[" * depth + json.dumps(node) + "]" * depth)
+        return text.encode()
+    raw = json.dumps(doc).encode()
+    if kind == "digits":  # a seed of more digits than int() converts opens the object
+        limit = sys.get_int_max_str_digits()
+        return b'{"seed": 1' + b"0" * data.draw(st.integers(limit, limit + 700)) + b", " + raw[1:]
+    i = data.draw(st.integers(0, len(raw)))
+    return raw[:i] + data.draw(st.sampled_from(FUZZ_NOT_UTF8)) + raw[i:]
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_bytes_keep_the_exit_contract(tmp_path, monkeypatch, data):
+    monkeypatch.chdir(tmp_path)  # relative output paths land in the test's directory
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))
+    doc["outputs"] = {"trajectory_path": "t.csv", "monitor_path": "m.csv"}
+    (tmp_path / "cfg.json").write_bytes(fault_bytes(data, doc))
+    code, out, err = run_cli(["simulate", "cfg.json"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "m.csv").exists()
 
 
 # ---------------------------------------------------------------------------

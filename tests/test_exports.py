@@ -97,6 +97,26 @@ def test_each_remaining_rule_has_one_owner():
     shapes = {(m, owner) for m, tree in trees.items() for owner in _owners(
         tree, lambda node: isinstance(node, ast.Constant) and "coordinate shapes" in str(node.value))}
     assert shapes == {("dynamics", "_system_arrays")}
+    # each rule below is stated once: its message has one owner, and every site of the rule calls that owner
+    def owners(match):
+        return {(m, owner) for m, tree in trees.items() for owner in _owners(tree, match)}
+
+    def callers(name):
+        return owners(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name)
+
+    for message, owner in [("manifold must be 'plane' or 'cpn'", ("dynamics", "_check_manifold")),
+                           ("chart values must be finite", ("geom", "_check_chart_values")),
+                           ("points live in different CP^n", ("geom", "_check_same_cpn"))]:
+        assert owners(lambda node: isinstance(node, ast.Constant) and message in str(node.value)) == {owner}, message
+    assert callers("_check_manifold") == {("cli", "load_config"), ("dynamics", "_system_arrays")}
+    assert callers("_check_chart_values") == {("geom", "__post_init__"), ("geom", "fubini_study_metric")}
+    assert callers("_check_same_cpn") == {("geom", "same_point"), ("geom", "geodesic_distance_cpn")}
+    # the squared-Frobenius adjoint and unitarity tests of matrix stacks are each one comparison in geom, which the
+    # Su3Matrix roles, the MomentumValue conventions and the equivariance check call with their own bounds
+    adjoint = owners(lambda node: isinstance(node, ast.Compare) and (_names(node, "swapaxes") or _names(node, "adjoint")))
+    assert adjoint == {("geom", "_off_adjoint"), ("geom", "_off_unitary")}
+    assert callers("_off_adjoint") == {("su3flag", "__post_init__"), ("momentum", "__post_init__")}
+    assert callers("_off_unitary") == {("su3flag", "__post_init__"), ("momentum", "momentum_cp2_equivariance_check")}
     # a verification report is a result without a tolerance, not an infinite one switched off by a flag
     calls = [node for node in ast.walk(trees["verify"])
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "CheckResult"]

@@ -121,6 +121,11 @@ class TestUnitLifts:
 
 
 class TestDistance:
+    def test_points_across_dimensions_rejected(self):
+        # the words of same_point, which states the same rule
+        with pytest.raises(DimensionMismatchError, match=r"^points live in different CP\^n$"):
+            geodesic_distance_cpn(ProjectivePoint([1, 0]), ProjectivePoint([1, 0, 0]))
+
     def test_identical_points(self):
         p = ProjectivePoint([1, 1j, 0.5])
         assert geodesic_distance_cpn(p, p) == pytest.approx(0.0, abs=1e-14)
@@ -290,6 +295,11 @@ class TestFubiniStudyMetric:
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             fubini_study_metric(np.array([[0.5, 0.5], [bad, 0.0]]))
+
+    def test_non_finite_values_get_the_charts_message(self):
+        # the words of AffineChart, which states the same rule
+        with pytest.raises(ValueError, match="^chart values must be finite$"):
+            fubini_study_metric([0.5, np.nan])
 
     def test_identity_at_origin(self):
         h = fubini_study_metric(np.zeros(2))

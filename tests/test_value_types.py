@@ -135,3 +135,29 @@ class TestToleranceBoundaries:
         lift = np.array([[1.0 + sign * factor * 1e-10, 0.0]])
         assert accepted(lambda: VortexSystem("cpn", lift, [1.0], n=1)) is ok
         assert _off_unit(lift) is not ok
+
+
+def second_bad(bad) -> np.ndarray:
+    """A stack of two matrices, the identity first and then bad, so the rule must look past the first."""
+    return np.stack([np.eye(3, dtype=complex), np.asarray(bad, dtype=complex)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda m: Su3Matrix(m, role="unitary"), "matrix is not unitary within 1e-12"),
+        (lambda m: Su3Matrix(1j * (m - np.eye(3)), role="antihermitian_traceless"),
+         "matrix is not anti-Hermitian traceless within 1e-12"),
+        (lambda m: MomentumValue(m - np.eye(3), "hermitian_cp2"), "hermitian_cp2 value must be Hermitian within 1e-12"),
+        (lambda m: MomentumValue(1j * (m - np.eye(3)), "antihermitian_flag"),
+         "antihermitian_flag value must be anti-Hermitian within 1e-10"),
+        (lambda m: momentum_cp2_equivariance_check(ProjectivePoint([1, 1j, 0]), m), "expected a unitary matrix"),
+    ],
+    ids=["unitary-role", "antihermitian-role", "hermitian-convention", "antihermitian-convention", "equivariance"],
+)
+def test_matrix_rule_messages(build, message):
+    # I + off_diagonal(1j) is not unitary; off_diagonal(1j) and 1j times it are traceless, and each is
+    # neither Hermitian nor anti-Hermitian
+    with pytest.raises(DomainError) as err:
+        build(second_bad(np.eye(3) + off_diagonal(1j)))
+    assert str(err.value) == message
