@@ -151,6 +151,8 @@ def load_config(path: str):
             dynamics._check_run(dt, 0, method)  # the division below needs a positive, finite dt
             if not math.isfinite(t_end / dt):
                 raise ConfigurationError(f"the step count t_end / dt = {t_end} / {dt} is not finite")
+            if t_end < 0.0:
+                raise ConfigurationError(f"integrator.t_end must be nonnegative, got {t_end}")
             steps = round(t_end / dt)
             if not abs(t_end - steps * dt) <= 1e-9 * abs(t_end):
                 raise ConfigurationError(f"integrator.t_end {t_end!r} is not an integer multiple of dt {dt!r}")
@@ -240,9 +242,7 @@ def cmd_tabulate_greens(args) -> int:
     bad = ~(np.isfinite(gs) & np.isfinite(dgs))
     if bad.any():
         raise NumericError(f"G or phi' is not finite at r = {float(rs[bad][0])!r}")
-    print("r,G,phi_prime")
-    for r, g, dg in zip(rs, gs, dgs):
-        print(",".join(_fmt(v) for v in (r, g, dg)))
+    dynamics._write_table(sys.stdout, "r,G,phi_prime", np.column_stack([rs, gs, dgs]), "%.17g,%.17g,%.17g")
     return EXIT_OK
 
 

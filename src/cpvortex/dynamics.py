@@ -83,9 +83,9 @@ METHODS = ("rk4", "rk45_adaptive")
 # bounds its time and memory whatever dt, steps or t_end ask for
 MAX_RECORDED_STEPS = 1_000_000
 
-# integrate checks its states in batches of about this many vortex pairs, which amortizes
-# the per-call cost of the checks for small N; a failure stops the run within a batch
-_MONITOR_PAIRS = 256
+# integrate checks its states in batches of about this many vortex pairs, for speed only (a state's monitors do not
+# depend on its batch); larger calls outgrow the cache. A failure stops the run within a batch
+_MONITOR_PAIRS = 3072
 
 # random unit test vectors per vortex in omega_identity_defect
 _OMEGA_SAMPLES = 10
@@ -201,12 +201,12 @@ def _collision(pairs, r: np.ndarray, step_index=None) -> CollisionError:
 def _separations(x: np.ndarray, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Separations of the pairs (i[p], j[p]): Euclidean on the plane, geodesic on CP^n."""
     if n == 0:
-        return np.abs(x[..., i] - x[..., j])
-    return _lift_distance(x[..., i, :], x[..., j, :])
+        return np.abs(np.take(x, i, axis=-1) - np.take(x, j, axis=-1))
+    return _lift_distance(np.take(x, i, axis=-2), np.take(x, j, axis=-2))
 
 
 def _planar_impulses(z: np.ndarray, g: np.ndarray):
-    return z.real @ g, z.imag @ g, 0.5 * ((z.real**2 + z.imag**2) @ g)
+    return np.vecdot(z.real, g), np.vecdot(z.imag, g), 0.5 * np.vecdot(z.real**2 + z.imag**2, g)
 
 
 def _momentum_sum(lifts: np.ndarray, strengths: np.ndarray) -> np.ndarray:
@@ -222,8 +222,8 @@ def _pair_energy(n: int, g: np.ndarray, i, j, r: np.ndarray):
     """H from the pair separations r (each unordered pair once)."""
     weights = g[i] * g[j]
     if n == 0:
-        return (np.log(r) @ weights) * PLANE_CONSTANT
-    return greens_constant(n) * (greens_radial_part(n, r) @ weights)
+        return np.vecdot(np.log(r), weights) * PLANE_CONSTANT
+    return greens_constant(n) * np.vecdot(greens_radial_part(n, r), weights)
 
 
 def _planar_rhs(z: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -579,6 +579,23 @@ class TestConfigValidation:
         assert code == (2, "", f"error: the step count t_end / dt = {shown} is not finite\n")
         assert not out.exists()  # rejected before any output is opened
 
+    @pytest.mark.parametrize("t_end", [-1.0, -0.05, -1e-20])
+    def test_negative_t_end(self, tmp_path, t_end):
+        # {"dt": 0.01, "t_end": -1.0} used to report "steps must be nonnegative, got -100", a field the config never set
+        out = tmp_path / "t.csv"
+        doc = dict(CP1_PAIR, integrator={"method": "rk4", "dt": 0.01, "t_end": t_end}, outputs={"trajectory_path": str(out)})
+        code = run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)])
+        assert code == (2, "", f"error: integrator.t_end must be nonnegative, got {t_end}\n")
+        assert not out.exists()  # rejected before any output is opened
+
+    @pytest.mark.parametrize("t_end", [0, 0.0, -0.0])
+    def test_zero_t_end_is_a_zero_step_run(self, tmp_path, t_end):
+        out = tmp_path / "t.csv"
+        doc = dict(CP1_PAIR, integrator={"method": "rk4", "dt": 0.01, "t_end": t_end}, outputs={"trajectory_path": str(out)})
+        code, stdout, err = run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)])
+        assert (code, err) == (0, "") and "steps_recorded: 0\n" in stdout
+        assert len(out.read_text().splitlines()) == 2  # header and initial state
+
     def test_non_finite_horizon(self, tmp_path, capsys):
         # a config defect (exit 2), not a numeric failure of the run (exit 4)
         assert self.run(tmp_path, {"method": "rk4", "dt": 1e308, "steps": 2}) == 2

@@ -27,7 +27,8 @@ from cpvortex.errors import ChartDegenerateError, CollisionError, ConfigurationE
 from cpvortex.geom import (ProjectivePoint, from_chart, AffineChart, _lift_distance, pivot_threshold, random_point,
                            random_unitary, to_chart)
 from cpvortex.greens import greens_constant, greens_cpn_derivative
-from cpvortex.verify import _random_cpn_system, _relative_gradient_error
+from cpvortex.momentum import weighted_momentum
+from cpvortex.verify import _random_cpn_system, _random_planar_system, _relative_gradient_error
 
 
 def cp1_pair(r):
@@ -386,6 +387,58 @@ def test_stepper_kernels_match_their_expanded_forms():
         np.testing.assert_array_equal(dynamics._retract(x, n), x / np.sqrt(np.vecdot(x, x).real)[:, None])
 
 
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_x, sigma_y, sigma_z
+
+
+def hopf(u):
+    """X = u* sigma u of line coordinates u (..., 2), sigma the Pauli vector: a unit vector of R^3 for a unit u."""
+    w = u[..., 0].conj() * u[..., 1]
+    return np.stack([2.0 * w.real, 2.0 * w.imag, np.abs(u[..., 0]) ** 2 - np.abs(u[..., 1]) ** 2], axis=-1)
+
+
+class TestSphereFlow:
+    """Vortices on a projective line of CP^n move as vortices on a sphere, whatever N and the strengths.
+
+    The line is the fixed set of an isometry, so the field stays tangent to it, and the Hopf image
+    X_a = u_a* sigma u_a of the line coordinates u_a moves by dX_a/dt = sum_{b != a} Gamma_b k(r_ab) X_a x X_b
+    with k(r) = 2 phi'(r) / sin 2r and cos 2r_ab = X_a . X_b.  Under this Hopf convention the cross product is
+    X_a x X_b; the other order misses by 2 relative.  The sphere side shares only greens_cpn_derivative with the
+    lift field, whose constant and slope sum the chart-side oracle shares.
+    """
+
+    @staticmethod
+    def draw_line_system(rng, n, N=5):
+        while True:  # line points at separations of at least 0.3, so 2r >= 0.6 on the sphere
+            u = geom._random_lifts(1, (N,), rng)
+            X = hopf(u)
+            cos2r = (X @ X.T)[np.triu_indices(N, 1)]
+            if np.all(cos2r <= math.cos(0.6)):
+                break
+        gam = rng.uniform(0.5, 1.5, N) * rng.choice([-1.0, 1.0], N)
+        q = random_unitary(n + 1, rng)[:, :2]  # the line: the span of two orthonormal columns
+        return u, q, VortexSystem.cpn(u @ q.T, gam)
+
+    @pytest.mark.parametrize("draw", range(8))
+    def test_lift_field_is_the_sphere_field(self, draw):
+        rng = np.random.default_rng(2800 + draw)
+        n = draw % 4 + 1
+        u, q, sys = self.draw_line_system(rng, n)
+        rhs, weights = dynamics._field(sys)
+        dv = rhs(sys.positions, weights)  # the velocity of a step h = 1
+        du = dv @ q.conj()
+        off_line = dv - du @ q.T
+        assert np.abs(off_line).max() <= 1e-12 * np.abs(dv).max()
+        X = hopf(u)
+        dX = 2.0 * np.einsum("ai,kij,aj->ak", u.conj(), PAULI, du).real
+        cross = np.cross(X[:, None, :], X[None, :, :])  # X_a x X_b
+        sin2r = np.linalg.norm(cross, axis=-1)
+        np.fill_diagonal(sin2r, 1.0)  # the self term, whose cross product is 0
+        r = 0.5 * np.arctan2(sin2r, X @ X.T)
+        k = 2.0 * greens_cpn_derivative(n, r) / sin2r
+        expected = np.einsum("b,ab,abk->ak", sys.strengths, k, cross)
+        assert np.abs(dX - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 class TestIntegrate:
     def test_zero_steps(self):
         sys = cp1_pair(0.8)
@@ -711,6 +764,55 @@ class TestBatchedChecks:
         with pytest.raises(CollisionError) as err:
             integrate(sys, 0.1, 5, method="rk45_adaptive")
         assert err.value.step_index == 1
+
+
+class TestMonitorsOfARecordedState:
+    """The monitors of a recorded state are a function of that state alone, bit for bit: not of the states
+    it is checked with, which the batch size and the run's length set."""
+
+    SYSTEMS = {
+        "cp1-n3": (lambda: _random_cpn_system(np.random.default_rng(281), 1, 3), 1e-3),
+        "cp2-n30": (lambda: _random_cpn_system(np.random.default_rng(282), 2, 30, min_sep=0.1), 1e-5),
+        "plane-n3": (lambda: _random_planar_system(np.random.default_rng(283), 3), 1e-3),
+    }
+    MONITOR_PAIRS = (1, 7, 256, 3072)
+
+    @pytest.mark.parametrize("label", SYSTEMS)
+    def test_batch_size_moves_no_bit(self, monkeypatch, label):
+        make, dt = self.SYSTEMS[label]
+        sys, runs = make(), []
+        for monitor_pairs in self.MONITOR_PAIRS:
+            monkeypatch.setattr(dynamics, "_MONITOR_PAIRS", monitor_pairs)
+            traj = integrate(sys, dt, 60)
+            traj_csv, mon_csv = io.StringIO(), io.StringIO()
+            write_trajectory_csv(traj, traj_csv)
+            write_monitor_csv(traj, mon_csv)
+            runs.append((traj.monitors.tobytes(), traj_csv.getvalue(), mon_csv.getvalue()))
+        assert runs[1:] == runs[:1] * (len(runs) - 1)
+
+    @pytest.mark.parametrize("monitor_pairs", MONITOR_PAIRS)
+    @pytest.mark.parametrize("label", SYSTEMS)
+    def test_first_row_is_the_public_monitors(self, monkeypatch, label, monitor_pairs):
+        monkeypatch.setattr(dynamics, "_MONITOR_PAIRS", monitor_pairs)
+        make, dt = self.SYSTEMS[label]
+        sys = make()
+        if sys.n:
+            energy = hamiltonian_cpn(sys)
+            momentum = float(np.sqrt(geom._squared_norm(weighted_momentum(sys).matrix, 2)))
+        else:
+            energy = planar_hamiltonian(sys)
+            momentum = math.sqrt(sum(p**2 for p in planar_conserved(sys)))
+        row = integrate(sys, dt, 60).monitors[0]
+        assert row.tolist() == [energy, momentum, min_pairwise_distance(sys)]
+
+    @pytest.mark.parametrize("monitor_pairs", MONITOR_PAIRS)
+    @pytest.mark.parametrize("label", SYSTEMS)
+    def test_shorter_run_is_a_prefix(self, monkeypatch, label, monitor_pairs):
+        monkeypatch.setattr(dynamics, "_MONITOR_PAIRS", monitor_pairs)
+        make, dt = self.SYSTEMS[label]
+        sys = make()
+        short, long = integrate(sys, dt, 10), integrate(sys, dt, 60)
+        assert short.monitors.tobytes() == long.monitors[:11].tobytes()
 
 
 class TestChartsFromTheTrajectory:
