@@ -49,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, ConfigurationError, NumericError
-from .geom import (ProjectivePoint, _chart_lifts, _chart_values, _default_charts, _lift_distance, _off_pivot,
-                   _off_unit, _set_fields, _squared_norm, _symplectic_matrix, _unit_lifts, fubini_study_metric,
-                   pivot_threshold)
+from .geom import (ProjectivePoint, _chart_lifts, _chart_values, _default_charts, _lift_distance, _momentum_sum,
+                   _off_pivot, _off_unit, _set_fields, _squared_norm, _symplectic_matrix, _unit_lifts,
+                   fubini_study_metric, pivot_threshold)
 from .greens import (PLANE_CONSTANT, _check_n, _inverse_power_sum, greens_constant, greens_radial_part,
                      greens_radial_slope)
 
@@ -207,15 +207,6 @@ def _separations(x: np.ndarray, n: int, i: np.ndarray, j: np.ndarray) -> np.ndar
 
 def _planar_impulses(z: np.ndarray, g: np.ndarray):
     return np.vecdot(z.real, g), np.vecdot(z.imag, g), 0.5 * np.vecdot(z.real**2 + z.imag**2, g)
-
-
-def _momentum_sum(lifts: np.ndarray, strengths: np.ndarray) -> np.ndarray:
-    """sum_a Gamma_a (v_a v_a* - I/(n+1)) of unit lifts (N, n+1) and strengths (N,), or of stacks of either."""
-    size = lifts.shape[-1]
-    total = (lifts.swapaxes(-1, -2) * strengths[..., None, :]) @ lifts.conj()
-    diag = np.arange(size)
-    total[..., diag, diag] -= (strengths.sum(axis=-1) / size)[..., None]
-    return total
 
 
 def _pair_energy(n: int, g: np.ndarray, i, j, r: np.ndarray):

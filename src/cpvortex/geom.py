@@ -11,7 +11,9 @@ of lifts, one chart index per lift; to_chart and from_chart are its
 single-point cases.  Likewise the one normalizer of homogeneous coordinates
 and the samplers of lifts and of Haar unitaries work on batches;
 ProjectivePoint, random_point and random_unitary are their single cases.
-All values are immutable and all functions are pure.
+The CP^n moment-map kernel _momentum_sum lives here, so dynamics and
+momentum share it without importing each other.  All values are immutable
+and all functions are pure.
 """
 
 from __future__ import annotations
@@ -76,6 +78,15 @@ def _squared_norm(a: np.ndarray, axes: int) -> np.ndarray:
     if axes != 1:  # one axis needs no reshape, which would add about a third to the integrator's retraction
         a = a.reshape(a.shape[: a.ndim - axes] + (math.prod(a.shape[a.ndim - axes :]),))
     return np.vecdot(a, a).real
+
+
+def _momentum_sum(lifts: np.ndarray, strengths: np.ndarray) -> np.ndarray:
+    """sum_a Gamma_a (v_a v_a* - I/(n+1)) of unit lifts (N, n+1) and strengths (N,), or of stacks of either."""
+    size = lifts.shape[-1]
+    total = (lifts.swapaxes(-1, -2) * strengths[..., None, :]) @ lifts.conj()
+    diag = np.arange(size)
+    total[..., diag, diag] -= (strengths.sum(axis=-1) / size)[..., None]
+    return total
 
 
 def _off_unit(v: np.ndarray) -> bool:

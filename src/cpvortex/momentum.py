@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _momentum_sum
 from .errors import DomainError
-from .geom import ProjectivePoint, _off_adjoint, _off_unit, _off_unitary, _set_fields, _squared_norm
+from .geom import ProjectivePoint, _momentum_sum, _off_adjoint, _off_unit, _off_unitary, _set_fields, _squared_norm
 from .su3flag import _LAMBDA, FlagCoords, _generator_row, _matrix, flag_symplectic_matrix, infinitesimal_vf
 
 __all__ = [
@@ -195,11 +194,7 @@ def momentum_flag_pairing(k, z: FlagCoords):
     """
     lam = _LAMBDA[_generator_row(k)]
     t = np.einsum("...ij,kji->k...", momentum_flag(z).matrix, lam.reshape(-1, 3, 3))
-    t = t.reshape(lam.shape[:-2] + z.shape)
-    residue = np.abs(t.imag)
-    if np.any(residue > 1e-9):
-        raise DomainError(f"pairing picked up an imaginary residue {residue.max():.3e}")
-    return t.real[()]
+    return t.real.reshape(lam.shape[:-2] + z.shape)[()]
 
 
 def defining_equation_defect(k, z: FlagCoords):
@@ -213,14 +208,9 @@ def defining_equation_defect(k, z: FlagCoords):
     batch; the defects have shape np.shape(k) + z.shape, and all of them
     come from one momentum_flag evaluation at the 12 shifted copies of z.
     """
-    steps = _DEFECT_STEP * np.eye(6)
-    xy = z.real_coords()[..., None, :]
-    shifted = np.concatenate([xy + steps, xy - steps], axis=-2)  # z.shape + (12, 6)
-    moved = FlagCoords(
-        shifted[..., 0] + 1j * shifted[..., 3],
-        shifted[..., 1] + 1j * shifted[..., 4],
-        shifted[..., 2] + 1j * shifted[..., 5],
-    )
+    steps = _DEFECT_STEP * np.concatenate([np.eye(3), 1j * np.eye(3)])  # along x1..x3, then y1..y3
+    v = z.as_vector()[..., None, :]
+    moved = FlagCoords(*np.moveaxis(np.concatenate([v + steps, v - steps], axis=-2), -1, 0))  # z.shape + (12,)
     pairing = momentum_flag_pairing(k, moved)
     grad = (pairing[..., :6] - pairing[..., 6:]) / (2.0 * _DEFECT_STEP)
     a = infinitesimal_vf(k, z)

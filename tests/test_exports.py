@@ -31,16 +31,32 @@ def test_package_reexports_resolve():
             assert [a.name for a in node.names if a.name not in module.__all__] == []
 
 
-def test_dynamics_imports_only_errors_geometry_and_greens():
-    # the vortex dynamics needs CP^n geometry and the Green's function, not the momentum maps or the flag manifold
-    tree = ast.parse(Path(cpvortex.dynamics.__file__).read_text())
+# The modules form layers, each importing only from earlier ones: errors; geom and greens; su3flag and dynamics;
+# momentum; verify; cli.  So the vortex dynamics needs no momentum map or flag geometry, and the momentum maps,
+# which are geometry alone, need no dynamics.
+LAYERS = {
+    "cli": {"dynamics", "errors", "greens", "momentum", "su3flag", "verify"},
+    "dynamics": {"errors", "geom", "greens"},
+    "errors": set(),
+    "geom": {"errors"},
+    "greens": {"errors"},
+    "momentum": {"errors", "geom", "su3flag"},
+    "su3flag": {"errors", "geom"},
+    "verify": {"dynamics", "errors", "geom", "greens", "momentum", "su3flag"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_imports_follow_the_layers(name):
+    assert sorted(LAYERS) == MODULES
+    tree = ast.parse(Path(cpvortex.__file__).with_name(f"{name}.py").read_text())
     imported = {
         node.module or alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
-    assert imported == {"errors", "geom", "greens"}
+    assert imported == LAYERS[name]
 
 
 def test_each_shared_rule_has_one_home():

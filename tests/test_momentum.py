@@ -18,7 +18,7 @@ from cpvortex.momentum import (
     momentum_flag_tabulated,
     weighted_momentum,
 )
-from cpvortex.su3flag import FlagCoords, exp_su3
+from cpvortex.su3flag import FlagCoords, exp_su3, flag_symplectic_matrix, infinitesimal_vf
 from cpvortex.verify import _random_flag
 
 
@@ -193,13 +193,6 @@ class TestPairing:
         # trace(diag(i/2, 0, -i/2) lambda_8) = -sqrt(3)/4
         assert momentum_flag_pairing(8, FlagCoords(0, 0, 0)) == pytest.approx(-math.sqrt(3.0) / 4.0)
 
-    def test_imaginary_residue_rejected(self, monkeypatch):
-        # a Hermitian value pairs to an imaginary number with the anti-Hermitian generators
-        hermitian = momentum_flag(FlagCoords(0, 0, 0)).matrix * 1j
-        monkeypatch.setattr(momentum, "momentum_flag", lambda z: MomentumValue(hermitian, "hermitian_cp2"))
-        with pytest.raises(DomainError, match="imaginary residue 2.500e-01"):
-            momentum_flag_pairing(3, FlagCoords(0, 0, 0))
-
     def test_real_valued(self):
         rng = np.random.default_rng(6)
         from cpvortex.su3flag import gell_mann
@@ -211,7 +204,32 @@ class TestPairing:
                 assert abs(t.imag) < 1e-12
 
 
+def real_coordinate_defect(k, z):
+    """defining_equation_defect with z split into six real coordinates, each shifted and the point rebuilt."""
+    h = momentum._DEFECT_STEP
+    xy = z.real_coords()[..., None, :]
+    shifted = np.concatenate([xy + h * np.eye(6), xy - h * np.eye(6)], axis=-2)
+    moved = FlagCoords(*(shifted[..., j] + 1j * shifted[..., j + 3] for j in range(3)))
+    pairing = momentum_flag_pairing(k, moved)
+    grad = (pairing[..., :6] - pairing[..., 6:]) / (2.0 * h)
+    a = infinitesimal_vf(k, z)
+    contraction = (flag_symplectic_matrix(z) @ np.concatenate([a.real, a.imag], axis=-1)[..., None])[..., 0]
+    d = grad - contraction
+    return np.sqrt(np.vecdot(d, d))[()]
+
+
 class TestDefiningEquation:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_complex_shifts_match_the_real_coordinate_form(self, seed):
+        # shifting z by +-h along x1..x3 and y1..y3 as complex numbers moves no bit of the defect
+        z = _random_flag(np.random.default_rng(seed), shape=(100,))
+        k = np.arange(1, 9)
+        assert np.array_equal(defining_equation_defect(k, z), real_coordinate_defect(k, z))
+
+    def test_complex_shifts_match_the_real_coordinate_form_at_a_point(self):
+        z = FlagCoords(0.6 - 0.2j, -0.3j, 0.4 + 0.2j)
+        assert np.array_equal(defining_equation_defect(3, z), real_coordinate_defect(3, z))
+
     def test_k3_at_origin(self):
         assert defining_equation_defect(3, FlagCoords(0, 0, 0)) < 1e-6
 
