@@ -53,7 +53,6 @@ from .momentum import (
 )
 from .su3flag import (
     FlagCoords,
-    Su3Matrix,
     bruhat_normalize,
     exp_su3,
     flag_laplacian_coeffs,

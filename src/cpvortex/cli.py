@@ -59,10 +59,22 @@ def _integer(value, name: str) -> int:
 
 
 def _number(value, name: str) -> float:
-    """A JSON number field; bools and strings are rejected, not converted."""
+    """A JSON number field as a float; bools and strings are rejected, not converted, and so is an integer that no
+    float holds."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # the decoder reads an integer exactly, whatever its size
+        digits = len(str(abs(value)))
+        raise ConfigurationError(f"{name} is out of the float range: an integer of {digits} digits") from None
+
+
+def _key(obj: dict, key: str, name: str):
+    """The value of a required key of the JSON object called ``name``; a missing key names the object and the key."""
+    if key not in obj:
+        raise ConfigurationError(f"{name} has no key {key!r}")
+    return obj[key]
 
 
 def _object(value, name: str, keys: tuple) -> dict:
@@ -121,10 +133,10 @@ def load_config(path: str):
 
     try:
         doc = _object(doc, "config", _CONFIG_KEYS)
-        manifold = doc["manifold"]
+        manifold = _key(doc, "manifold", "config")
         dynamics._check_manifold(manifold)  # the positions are parsed by manifold
-        n = _integer(doc["n"] if manifold == "cpn" else doc.get("n", 0), "n")
-        vortices = doc["vortices"]
+        n = _integer(_key(doc, "n", "config") if manifold == "cpn" else doc.get("n", 0), "n")
+        vortices = _key(doc, "vortices", "config")
         if not isinstance(vortices, list):
             raise ConfigurationError(f"'vortices' must be a list, got {vortices!r}")
         positions, strengths = [], []
@@ -133,15 +145,15 @@ def load_config(path: str):
         with np.errstate(over="ignore"):
             for i, entry in enumerate(vortices):
                 entry = _object(entry, f"vortex {i}", _VORTEX_KEYS)
-                positions.append(_parse_position(manifold, entry["position"], i))
-                strengths.append(_number(entry["strength"], f"vortex {i}: strength"))
+                positions.append(_parse_position(manifold, _key(entry, "position", f"vortex {i}"), i))
+                strengths.append(_number(_key(entry, "strength", f"vortex {i}"), f"vortex {i}: strength"))
             # the constructor's rules on N, n and the shape, in that order, and then one normalizer call
             x, g = dynamics._system_arrays(manifold, positions, strengths, n, normalize=True)
             system = dynamics.VortexSystem(manifold, x, g, n)
 
-        integ = _object(doc["integrator"], "integrator", _INTEGRATOR_KEYS)
+        integ = _object(_key(doc, "integrator", "config"), "integrator", _INTEGRATOR_KEYS)
         method = integ.get("method", "rk4")
-        dt = _number(integ["dt"], "integrator.dt")
+        dt = _number(_key(integ, "dt", "integrator"), "integrator.dt")
         if ("steps" in integ) == ("t_end" in integ):
             raise ConfigurationError("integrator needs 'steps' or 't_end'" + (", not both" if "steps" in integ else ""))
         if "steps" in integ:

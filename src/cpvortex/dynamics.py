@@ -71,6 +71,8 @@ __all__ = [
     "planar_hamiltonian",
     "planar_pair_period",
     "planar_rhs",
+    "write_monitor_csv",
+    "write_trajectory_csv",
 ]
 
 # Geodesic separations below this are numerically meaningless against the

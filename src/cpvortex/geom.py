@@ -81,11 +81,15 @@ def _squared_norm(a: np.ndarray, axes: int) -> np.ndarray:
 
 
 def _momentum_sum(lifts: np.ndarray, strengths: np.ndarray) -> np.ndarray:
-    """sum_a Gamma_a (v_a v_a* - I/(n+1)) of unit lifts (N, n+1) and strengths (N,), or of stacks of either."""
+    """sum_a Gamma_a (v_a v_a* - (|v_a|^2/(n+1)) I) of lifts (N, n+1) and strengths (N,), or of stacks of either.
+
+    Traceless for every lift, so also for the lifts within 1e-10 of unit norm that _off_unit accepts; on unit lifts
+    it is sum_a Gamma_a (v_a v_a* - I/(n+1)).
+    """
     size = lifts.shape[-1]
     total = (lifts.swapaxes(-1, -2) * strengths[..., None, :]) @ lifts.conj()
     diag = np.arange(size)
-    total[..., diag, diag] -= (strengths.sum(axis=-1) / size)[..., None]
+    total[..., diag, diag] -= (np.trace(total, axis1=-2, axis2=-1).real / size)[..., None]
     return total
 
 

@@ -80,7 +80,7 @@ def _unit_vector(p) -> np.ndarray:
 
 
 def _mu(v: np.ndarray) -> np.ndarray:
-    """v v* - I/(n+1) of unit vectors (..., n+1): the weighted momentum kernel of one vortex of strength 1."""
+    """v v* - (|v|^2/(n+1)) I of unit vectors (..., n+1): the weighted momentum kernel of one vortex of strength 1."""
     return _momentum_sum(v[..., None, :], np.ones(v.shape[:-1] + (1,)))
 
 
@@ -104,7 +104,7 @@ def momentum_cp2_equivariance_check(p, u):
     the defect then has their common leading shape.
     """
     v = _unit_vector(p)
-    u = u.entries if hasattr(u, "entries") else np.asarray(u, dtype=complex)
+    u = np.asarray(u, dtype=complex)
     if _off_unitary(u, 1e-20):
         raise DomainError("expected a unitary matrix")
     if np.any(np.abs(np.linalg.det(u) - 1.0) > 1e-10):

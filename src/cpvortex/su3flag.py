@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, OutsideBigCellError
-from .geom import _off_adjoint, _off_unitary, _set_fields, _squared_norm, _symplectic_matrix
+from .geom import _set_fields, _symplectic_matrix
 
 __all__ = [
     "FlagCoords",
-    "Su3Matrix",
     "bruhat_normalize",
     "exp_su3",
     "flag_laplacian_coeffs",
@@ -83,41 +82,6 @@ def _vector(*entries) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Su3Matrix:
-    """A 3x3 complex matrix, or a stack (..., 3, 3) of them, tagged with a role.
-
-    Roles: "unitary", "antihermitian_traceless", "unit_lower_triangular",
-    "general".  The corresponding invariant is checked on construction, for
-    every matrix of a stack.
-    """
-
-    entries: np.ndarray
-    role: str = "general"
-
-    _TOL = 1e-12
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.shape[-2:] != (3, 3):
-            raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
-        _set_fields(self, entries=m)
-        tol2 = self._TOL**2
-        if self.role == "unitary":
-            if _off_unitary(m, tol2):
-                raise DomainError("matrix is not unitary within 1e-12")
-        elif self.role == "antihermitian_traceless":
-            trace = np.trace(m, axis1=-2, axis2=-1)
-            if _off_adjoint(m, -1, tol2) or (_squared_norm(trace, 0) > tol2).any():
-                raise DomainError("matrix is not anti-Hermitian traceless within 1e-12")
-        elif self.role == "unit_lower_triangular":
-            diagonal = np.diagonal(m, axis1=-2, axis2=-1) - 1.0
-            if (_squared_norm(m[..., [0, 0, 1], [1, 2, 2]], 1) > tol2).any() or (_squared_norm(diagonal, 1) > tol2).any():
-                raise DomainError("matrix is not unit lower triangular within 1e-12")
-        elif self.role != "general":
-            raise DomainError(f"unknown role {self.role!r}")
-
-
 _GENERATOR_INDICES = frozenset(range(1, 9))
 
 
@@ -134,12 +98,12 @@ def gell_mann_tilde(k: int) -> np.ndarray:
     return _TILDE[_generator_row(k)]
 
 
-def gell_mann(k: int) -> Su3Matrix:
+def gell_mann(k: int) -> np.ndarray:
     """The k-th su(3) basis element lambda_k = (i/2) * gell_mann_tilde(k)."""
-    return Su3Matrix(_LAMBDA[_generator_row(k)], role="antihermitian_traceless")
+    return _LAMBDA[_generator_row(k)]
 
 
-def exp_su3(k, t) -> Su3Matrix:
+def exp_su3(k, t) -> np.ndarray:
     """One-parameter subgroups exp(t lambda_k) = exp((i t/2) T) of T = gell_mann_tilde(k).
 
     ``k`` is a generator index or an array of them and ``t`` a time or an array of times; the matrices have shape
@@ -155,7 +119,7 @@ def exp_su3(k, t) -> Su3Matrix:
     exp_diagonal = np.where(eye, np.exp(0.5j * T.diagonal(axis1=-2, axis2=-1) * t[..., None])[..., None], 0.0)
     half = 0.5 * t[..., None, None]
     rotation = np.eye(3) + 1j * np.sin(half) * T + (np.cos(half) - 1.0) * (T @ T)
-    return Su3Matrix(np.where(diagonal, exp_diagonal, rotation), role="unitary")
+    return np.where(diagonal, exp_diagonal, rotation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,9 +171,9 @@ class FlagCoords:
         v = self.as_vector()
         return np.concatenate([v.real, v.imag], axis=-1)
 
-    def matrix(self) -> Su3Matrix:
+    def matrix(self) -> np.ndarray:
         """The unit lower-triangular big-cell representatives, shape S + (3, 3)."""
-        return Su3Matrix(_matrix([[1, 0, 0], [self.z1, 1, 0], [self.z2, self.z3, 1]]), role="unit_lower_triangular")
+        return _matrix([[1, 0, 0], [self.z1, 1, 0], [self.z2, self.z3, 1]])
 
 
 # Minimum magnitude of the two leading principal minors of an invertible
@@ -225,7 +189,9 @@ def bruhat_normalize(m) -> FlagCoords:
     principal minor of any matrix vanishes: such flags lie in a lower
     Bruhat cell.
     """
-    a = m.entries if isinstance(m, Su3Matrix) else Su3Matrix(m).entries
+    a = np.asarray(m, dtype=complex)
+    if a.shape[-2:] != (3, 3):
+        raise DomainError(f"expected a 3x3 matrix, got shape {a.shape}")
     minor1 = a[..., 0, 0]
     minor2 = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     outside = (np.abs(minor1) <= BIG_CELL_MINOR_THRESHOLD) | (np.abs(minor2) <= BIG_CELL_MINOR_THRESHOLD)

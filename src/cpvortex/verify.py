@@ -122,9 +122,9 @@ def vf_finite_difference(k, z: FlagCoords) -> np.ndarray:
     bruhat_normalize call.
     """
     shape = np.shape(k)
-    steps = su3flag.exp_su3(k, np.reshape([_VF_STEP, -_VF_STEP], (2,) + (1,) * len(shape))).entries
+    steps = su3flag.exp_su3(k, np.reshape([_VF_STEP, -_VF_STEP], (2,) + (1,) * len(shape)))
     steps = steps.reshape((2,) + shape + (1,) * len(z.shape) + (3, 3))
-    plus, minus = su3flag.bruhat_normalize(steps @ z.matrix().entries).as_vector()
+    plus, minus = su3flag.bruhat_normalize(steps @ z.matrix()).as_vector()
     return (plus - minus) / (2.0 * _VF_STEP)
 
 
@@ -223,8 +223,8 @@ def verify_momentum(seed: int = 0) -> list:
     # constant, and the only Ad-invariant element of su(3) is 0, so this pins the constant.
     # Row 0 of the stack is z itself, so one normalization and one mu evaluation serve all.
     z = _random_flag(rng, shape=(50,))
-    u = su3flag.exp_su3(_GENERATORS[:, None], rng.uniform(-2.0, 2.0, (8, 50))).entries
-    zm = z.matrix().entries
+    u = su3flag.exp_su3(_GENERATORS[:, None], rng.uniform(-2.0, 2.0, (8, 50)))
+    zm = z.matrix()
     mu = momentum.momentum_flag(su3flag.bruhat_normalize(np.concatenate([zm[None], u @ zm]))).matrix
     defects = np.linalg.norm(mu[1:] - u @ mu[0] @ u.conj().swapaxes(-1, -2), axis=(-2, -1))  # (8, 50)
     worst, worst_at = _worst(defects.T, lambda i, k: f"k={k + 1}, {_flag_label(z, i)}")
@@ -261,12 +261,12 @@ def verify_vectorfields(seed: int = 0) -> list:
     checks.append(CheckResult("generator fields vs LU finite differences, k=1..8", worst, 1e-6, worst_at=worst_at))
 
     s, t = np.moveaxis(rng.uniform(-3.0, 3.0, size=(8, 10, 2)), -1, 0)
-    e = su3flag.exp_su3(_GENERATORS[:, None, None], np.stack([s, t, s + t], axis=1)).entries
+    e = su3flag.exp_su3(_GENERATORS[:, None, None], np.stack([s, t, s + t], axis=1))
     worst = float(np.max(np.linalg.norm(e[:, 0] @ e[:, 1] - e[:, 2], axis=(-2, -1))))
     checks.append(CheckResult("one-parameter subgroup law exp(s)exp(t)=exp(s+t)", worst, 1e-12))
 
     times = rng.uniform(-3.0, 3.0, size=(8, 10))
-    diffs = su3flag.exp_su3(_GENERATORS[:, None], times).entries - spectral_exponential(_GENERATORS[:, None], times)
+    diffs = su3flag.exp_su3(_GENERATORS[:, None], times) - spectral_exponential(_GENERATORS[:, None], times)
     worst = float(np.max(np.linalg.norm(diffs, axis=(-2, -1))))
     checks.append(CheckResult("closed-form exponentials vs spectral exponential", worst, 1e-12))
     return checks

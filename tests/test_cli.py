@@ -508,6 +508,42 @@ class TestConfigValidation:
         assert cli.main(["simulate", write_config(tmp_path / "cfg.json", doc)]) == 2
         assert_one_error_line(capsys, f"{name} must be a number")
 
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("manifold",), "config has no key 'manifold'"),
+            (("n",), "config has no key 'n'"),
+            (("vortices",), "config has no key 'vortices'"),
+            (("vortices", 0, "position"), "vortex 0 has no key 'position'"),
+            (("vortices", 1, "strength"), "vortex 1 has no key 'strength'"),
+            (("integrator",), "config has no key 'integrator'"),
+            (("integrator", "dt"), "integrator has no key 'dt'"),
+        ],
+        ids=["manifold", "n", "vortices", "position", "strength", "integrator", "dt"],
+    )
+    def test_missing_key_names_its_object(self, tmp_path, keys, message):
+        out = tmp_path / "t.csv"
+        doc = json.loads(json.dumps(dict(CP1_PAIR, outputs={"trajectory_path": str(out)})))
+        del node_at(doc, keys[:-1])[keys[-1]]
+        assert run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)]) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "keys, value, name",
+        [
+            (("vortices", 1, "strength"), 10**400, "vortex 1: strength"),
+            (("vortices", 0, "position", 1, 0), -(10**309), "vortex 0: coordinate re"),
+            (("integrator", "dt"), 2**1024, "integrator.dt"),
+            (("integrator", "t_end"), 10**400, "integrator.t_end"),
+        ],
+        ids=["strength", "coordinate", "dt", "t_end"],
+    )
+    def test_number_beyond_the_float_range(self, tmp_path, keys, value, name):
+        doc = json.loads(json.dumps(dict(CP1_PAIR, integrator={"method": "rk4", "dt": 0.001, "t_end": 0.1})))
+        node_at(doc, keys[:-1])[keys[-1]] = value
+        message = f"error: {name} is out of the float range: an integer of {len(str(abs(value)))} digits\n"
+        assert run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)]) == (2, "", message)
+
     @pytest.mark.parametrize("t_end", ["0.05", True])
     def test_t_end_must_be_a_number(self, tmp_path, capsys, t_end):
         assert self.run(tmp_path, {"method": "rk4", "dt": 0.001, "t_end": t_end}) == 2
@@ -690,7 +726,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("doc, message", [
         (dict(CP1_PAIR, n=0, vortices=[{"position": [[1.0, 0.0]], "strength": 1.0}]), "n must be an integer >= 1, got 0"),
-        ({k: v for k, v in CP1_PAIR.items() if k != "n"}, "config field error: KeyError('n')"),
+        ({k: v for k, v in CP1_PAIR.items() if k != "n"}, "config has no key 'n'"),
     ], ids=["zero", "missing"])
     def test_cpn_config_needs_a_dimension(self, tmp_path, doc, message):
         assert run_cli(["simulate", write_config(tmp_path / "cfg.json", doc)]) == (2, "", f"error: {message}\n")

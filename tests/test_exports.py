@@ -128,11 +128,14 @@ def test_each_remaining_rule_has_one_owner():
     assert callers("_check_chart_values") == {("geom", "__post_init__"), ("geom", "fubini_study_metric")}
     assert callers("_check_same_cpn") == {("geom", "same_point"), ("geom", "geodesic_distance_cpn")}
     # the squared-Frobenius adjoint and unitarity tests of matrix stacks are each one comparison in geom, which the
-    # Su3Matrix roles, the MomentumValue conventions and the equivariance check call with their own bounds
+    # MomentumValue conventions and the equivariance check call with their own bounds
     adjoint = owners(lambda node: isinstance(node, ast.Compare) and (_names(node, "swapaxes") or _names(node, "adjoint")))
     assert adjoint == {("geom", "_off_adjoint"), ("geom", "_off_unitary")}
-    assert callers("_off_adjoint") == {("su3flag", "__post_init__"), ("momentum", "__post_init__")}
-    assert callers("_off_unitary") == {("su3flag", "__post_init__"), ("momentum", "momentum_cp2_equivariance_check")}
+    assert callers("_off_adjoint") == {("momentum", "__post_init__")}
+    assert callers("_off_unitary") == {("momentum", "momentum_cp2_equivariance_check")}
+    # the SU(3) closed forms return bare arrays: no matrix wrapper is defined, and nothing unwraps one
+    assert not owners(lambda node: isinstance(node, ast.ClassDef) and node.name == "Su3Matrix")
+    assert not owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "entries")
     # a verification report is a result without a tolerance, not an infinite one switched off by a flag
     calls = [node for node in ast.walk(trees["verify"])
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "CheckResult"]

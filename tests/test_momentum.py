@@ -103,7 +103,7 @@ class TestEquivariance:
             p = random_point(2, rng)
             u = np.eye(3, dtype=complex)
             for _ in range(5):
-                u = u @ exp_su3(int(rng.integers(1, 9)), float(rng.uniform(-2.0, 2.0))).entries
+                u = u @ exp_su3(int(rng.integers(1, 9)), float(rng.uniform(-2.0, 2.0)))
             assert momentum_cp2_equivariance_check(p, u) < 1e-10
 
     def test_torus_fixes_basis_point(self):
@@ -147,8 +147,8 @@ class TestMomentumFlag:
         for _ in range(50):
             z = _random_flag(rng)
             k = int(rng.integers(1, 9))
-            g = exp_su3(k, float(rng.uniform(-1.5, 1.5))).entries
-            moved = bruhat_normalize(g @ z.matrix().entries)
+            g = exp_su3(k, float(rng.uniform(-1.5, 1.5)))
+            moved = bruhat_normalize(g @ z.matrix())
             lhs = momentum_flag(moved).matrix
             rhs = g @ momentum_flag(z).matrix @ g.conj().T
             assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -165,6 +165,18 @@ class TestOneKernel:
         assert np.max(np.abs(momentum_cpn(v).matrix - expected)) <= 1e-15
         outer = v[..., :, None] * v.conj()[..., None, :] - np.eye(n + 1) / (n + 1)
         assert np.max(np.abs(momentum_cpn(v).matrix - outer)) <= 1e-15
+
+    @pytest.mark.parametrize("offset", [5e-11, -5e-11, 0.9e-10, -0.9e-10])
+    def test_lifts_the_unit_rule_accepts(self, offset):
+        # a lift within 1e-10 of unit norm has the traceless value v v* - (|v|^2/(n+1)) I, and is not rejected
+        def mu(v):
+            return np.outer(v, v) - (v @ v / v.size) * np.eye(v.size)
+
+        v, w = np.array([1.0 + offset, 0.0, 0.0]), np.array([0.6, 0.8])
+        assert np.max(np.abs(momentum_cpn(v[:2]).matrix - mu(v[:2]))) <= 1e-15
+        assert np.max(np.abs(momentum_cp2(v).matrix - mu(v))) <= 1e-15
+        total = weighted_momentum(VortexSystem.cpn([v[:2], w], [1.0, 2.0])).matrix
+        assert np.max(np.abs(total - mu(v[:2]) - 2.0 * mu(w))) <= 1e-15
 
     @pytest.mark.parametrize(
         "call",
@@ -200,7 +212,7 @@ class TestPairing:
         for _ in range(50):
             z = _random_flag(rng)
             for k in range(1, 9):
-                t = complex(np.trace(momentum_flag(z).matrix @ gell_mann(k).entries))
+                t = complex(np.trace(momentum_flag(z).matrix @ gell_mann(k)))
                 assert abs(t.imag) < 1e-12
 
 

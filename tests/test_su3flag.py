@@ -11,7 +11,6 @@ from cpvortex.errors import DomainError, OutsideBigCellError
 from cpvortex.momentum import momentum_flag_pairing
 from cpvortex.su3flag import (
     FlagCoords,
-    Su3Matrix,
     bruhat_normalize,
     exp_su3,
     flag_laplacian_coeffs,
@@ -30,38 +29,40 @@ from cpvortex.verify import _random_flag, spectral_exponential, vf_finite_differ
 
 class TestGellMann:
     def test_lambda3(self):
-        assert np.allclose(gell_mann(3).entries, 0.5j * np.diag([1, -1, 0]))
+        assert np.allclose(gell_mann(3), 0.5j * np.diag([1, -1, 0]))
 
     def test_lambda8(self):
-        assert np.allclose(gell_mann(8).entries, (0.5j / math.sqrt(3)) * np.diag([1, 1, -2]))
+        assert np.allclose(gell_mann(8), (0.5j / math.sqrt(3)) * np.diag([1, 1, -2]))
 
     def test_trace_normalization(self):
         for a in range(1, 9):
             for b in range(1, 9):
-                t = np.trace(gell_mann(a).entries @ gell_mann(b).entries)
+                t = np.trace(gell_mann(a) @ gell_mann(b))
                 expected = -0.5 if a == b else 0.0
                 assert abs(t - expected) < 1e-14
 
     def test_lambda1_lambda2_trace(self):
-        assert abs(np.trace(gell_mann(1).entries @ gell_mann(2).entries)) < 1e-14
+        assert abs(np.trace(gell_mann(1) @ gell_mann(2))) < 1e-14
 
     def test_cartan_pair_commutes(self):
-        l3, l8 = gell_mann(3).entries, gell_mann(8).entries
+        l3, l8 = gell_mann(3), gell_mann(8)
         assert np.allclose(l3 @ l8 - l8 @ l3, 0)
 
     def test_only_cartan_pair_commutes_with_both(self):
-        l3, l8 = gell_mann(3).entries, gell_mann(8).entries
+        l3, l8 = gell_mann(3), gell_mann(8)
         for k in (1, 2, 4, 5, 6, 7):
-            lk = gell_mann(k).entries
+            lk = gell_mann(k)
             comm3 = np.linalg.norm(lk @ l3 - l3 @ lk)
             comm8 = np.linalg.norm(lk @ l8 - l8 @ lk)
             assert max(comm3, comm8) > 1e-3
 
     def test_role_invariants(self):
-        for k in range(1, 9):
-            m = gell_mann(k).entries
-            assert np.allclose(m, -m.conj().T)
-            assert abs(np.trace(m)) < 1e-15
+        # each lambda_k lies in su(3): anti-Hermitian and traceless, alone and as a stack
+        stack = gell_mann(np.arange(1, 9))
+        assert np.array_equal(stack, np.stack([gell_mann(k) for k in range(1, 9)]))
+        for m in stack:
+            assert np.linalg.norm(m + m.conj().T) <= 1e-12
+            assert abs(np.trace(m)) <= 1e-12
 
     def test_index_error(self):
         origin = FlagCoords(0, 0, 0)
@@ -85,46 +86,16 @@ class TestGellMann:
             assert np.allclose(t, t.conj().T)
 
 
-class TestSu3Matrix:
-    def test_unitary_role_rejects(self):
-        with pytest.raises(DomainError):
-            Su3Matrix(np.diag([2.0, 1.0, 1.0]), role="unitary")
-
-    @pytest.mark.parametrize(
-        "m, role, message",
-        [
-            (np.diag([1.0, -1.0, 0.0]), "antihermitian_traceless", "not anti-Hermitian traceless"),  # Hermitian
-            (np.diag([1j, 0.0, 0.0]), "antihermitian_traceless", "not anti-Hermitian traceless"),  # trace i
-            (np.eye(3), "orthogonal", "unknown role 'orthogonal'"),
-        ],
-        ids=["hermitian", "trace", "role"],
-    )
-    def test_role_rejects(self, m, role, message):
-        with pytest.raises(DomainError, match=message):
-            Su3Matrix(m, role=role)
-
-    @pytest.mark.parametrize("build", [Su3Matrix, bruhat_normalize])
-    def test_shape_rule(self, build):
-        with pytest.raises(DomainError, match=r"expected a 3x3 matrix, got shape \(4, 2, 2\)"):
-            build(np.ones((4, 2, 2)))
-
-    def test_unit_lower_triangular_role(self):
-        m = np.array([[1, 0, 0], [2j, 1, 0], [1, -3, 1]], dtype=complex)
-        Su3Matrix(m, role="unit_lower_triangular")
-        with pytest.raises(DomainError):
-            Su3Matrix(m.T, role="unit_lower_triangular")
-
-
 class TestExp:
     def test_k3_diagonal(self):
         t = 0.83
         assert np.allclose(
-            exp_su3(3, t).entries, np.diag([np.exp(0.5j * t), np.exp(-0.5j * t), 1.0])
+            exp_su3(3, t), np.diag([np.exp(0.5j * t), np.exp(-0.5j * t), 1.0])
         )
 
     def test_k1_at_pi(self):
         expected = np.array([[0, 1j, 0], [1j, 0, 0], [0, 0, 1]])
-        assert np.allclose(exp_su3(1, math.pi).entries, expected, atol=1e-15)
+        assert np.allclose(exp_su3(1, math.pi), expected, atol=1e-15)
 
     @pytest.mark.parametrize("k, t", [(1, math.nan), (3, math.inf), ([2, 8], [0.1, -math.inf])])
     def test_non_finite_time_rejected(self, k, t):
@@ -133,15 +104,21 @@ class TestExp:
 
     def test_identity_at_zero(self):
         for k in range(1, 9):
-            assert np.allclose(exp_su3(k, 0.0).entries, np.eye(3))
+            assert np.allclose(exp_su3(k, 0.0), np.eye(3))
 
     def test_special_unitary(self):
         rng = np.random.default_rng(0)
         for k in range(1, 9):
             t = rng.uniform(-5, 5)
-            u = exp_su3(k, t).entries
+            u = exp_su3(k, t)
             assert np.linalg.norm(u @ u.conj().T - np.eye(3)) < 1e-12
             assert abs(np.linalg.det(u) - 1.0) < 1e-12
+
+    def test_unitary_on_a_stack_of_times(self):
+        t = np.concatenate([np.random.default_rng(5).uniform(-10.0, 10.0, 40), [0.0, 1e-6, 1e6, -1e6]])
+        u = exp_su3(np.arange(1, 9)[:, None], t)
+        assert u.shape == (8, t.size, 3, 3)
+        assert np.max(np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(3), axis=(-2, -1))) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -151,14 +128,14 @@ class TestExp:
     )
     def test_group_law(self, k, s, t):
         assert np.linalg.norm(
-            exp_su3(k, s).entries @ exp_su3(k, t).entries - exp_su3(k, s + t).entries
+            exp_su3(k, s) @ exp_su3(k, t) - exp_su3(k, s + t)
         ) < 1e-12
 
     def test_matches_expm(self):
         rng = np.random.default_rng(2)
         for k in range(1, 9):
             t = rng.uniform(-4, 4)
-            assert np.linalg.norm(exp_su3(k, t).entries - expm(t * gell_mann(k).entries)) < 1e-12
+            assert np.linalg.norm(exp_su3(k, t) - expm(t * gell_mann(k))) < 1e-12
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_spectral_oracle_matches_expm(self, k):
@@ -167,7 +144,7 @@ class TestExp:
         spectral = spectral_exponential(k, t)
         assert spectral.shape == (10, 3, 3)
         for tt, u in zip(t, spectral):
-            assert np.linalg.norm(u - expm(tt * gell_mann(k).entries)) < 1e-14
+            assert np.linalg.norm(u - expm(tt * gell_mann(k))) < 1e-14
 
 
 class TestGeneratorArrays:
@@ -177,10 +154,10 @@ class TestGeneratorArrays:
 
     def test_exp_su3(self):
         t = np.random.default_rng(23).uniform(-3.0, 3.0, 20)
-        stacked = exp_su3(self.K[:, None], t).entries
+        stacked = exp_su3(self.K[:, None], t)
         assert stacked.shape == (8, 20, 3, 3)
-        assert np.array_equal(stacked, np.stack([exp_su3(k, t).entries for k in self.K]))
-        assert exp_su3([[1], [3]], [0.1, 0.2, 0.3]).entries.shape == (2, 3, 3, 3)
+        assert np.array_equal(stacked, np.stack([exp_su3(k, t) for k in self.K]))
+        assert exp_su3([[1], [3]], [0.1, 0.2, 0.3]).shape == (2, 3, 3, 3)
 
     def test_infinitesimal_vf(self):
         z = _random_flag(np.random.default_rng(24), shape=(100,))
@@ -206,11 +183,25 @@ class TestBruhat:
         # weights (-1, -1/2, 1/2); LU factorization is the oracle
         z = FlagCoords(0.3 + 0.1j, -0.2j, 0.7)
         t = 0.41
-        out = bruhat_normalize(exp_su3(3, t).entries @ z.matrix().entries)
+        out = bruhat_normalize(exp_su3(3, t) @ z.matrix())
         expected = np.array(
             [z.z1 * np.exp(-1j * t), z.z2 * np.exp(-0.5j * t), z.z3 * np.exp(0.5j * t)]
         )
         assert np.allclose(out.as_vector(), expected, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (3, 2)], ids=["4x2x2", "3x2"])
+    def test_shape_rule(self, shape):
+        with pytest.raises(DomainError) as err:
+            bruhat_normalize(np.ones(shape))
+        assert str(err.value) == f"expected a 3x3 matrix, got shape {shape}"
+
+    def test_representatives_are_unit_lower_triangular(self):
+        z = _random_flag(np.random.default_rng(6), shape=(4, 25))
+        m = z.matrix()
+        assert m.shape == (4, 25, 3, 3) and m.dtype == complex
+        assert np.array_equal(m[..., [0, 0, 1], [1, 2, 2]], np.zeros((4, 25, 3)))
+        assert np.array_equal(np.diagonal(m, axis1=-2, axis2=-1), np.ones((4, 25, 3)))
+        assert np.array_equal(m[..., [1, 2, 2], [0, 0, 1]], z.as_vector())
 
     def test_zero_pivot(self):
         m = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -274,8 +265,8 @@ def test_beta_normalizer_triangularizes(k):
     for _ in range(5):
         z = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
         t = rng.uniform(0.05, 0.3)
-        zmat = FlagCoords(*z).matrix().entries
-        e = exp_su3(k, t).entries @ zmat @ _beta(k, t, z)
+        zmat = FlagCoords(*z).matrix()
+        e = exp_su3(k, t) @ zmat @ _beta(k, t, z)
         assert np.max(np.abs(np.triu(e, 1))) < 1e-12
         assert np.max(np.abs(np.diag(e) - 1.0)) < 1e-12
 
@@ -516,8 +507,8 @@ class TestBatches:
         assert_matches_points(infinitesimal_vf(k, batch), [infinitesimal_vf(k, p) for p in single_points(batch)])
 
     def test_bruhat_normalize_matches_per_point(self, batch):
-        g = exp_su3(5, 0.7).entries @ exp_su3(1, -0.4).entries
-        moved = g @ batch.matrix().entries
+        g = exp_su3(5, 0.7) @ exp_su3(1, -0.4)
+        moved = g @ batch.matrix()
         assert_matches_points(
             bruhat_normalize(moved).as_vector(), [bruhat_normalize(m).as_vector() for m in moved]
         )
@@ -525,7 +516,7 @@ class TestBatches:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_exp_su3_matches_per_time(self, k):
         t = np.random.default_rng(22).uniform(-3.0, 3.0, 50)
-        assert_matches_points(exp_su3(k, t).entries, [exp_su3(k, s).entries for s in t])
+        assert_matches_points(exp_su3(k, t), [exp_su3(k, s) for s in t])
 
     def test_coordinates_broadcast_to_one_shape(self):
         z = FlagCoords(np.array([0.1, 0.2, 0.3]), 0.5j, np.ones((2, 1)))
@@ -553,7 +544,7 @@ class TestBatches:
             FlagCoords(*coords)
 
     def test_point_outside_big_cell_rejects_batch(self, batch):
-        m = np.array(batch.matrix().entries)
+        m = np.array(batch.matrix())
         m[42] = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
         with pytest.raises(OutsideBigCellError):
             bruhat_normalize(m)

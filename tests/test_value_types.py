@@ -1,4 +1,4 @@
-"""The six validated value types: identity equality, read-only array fields and unmoved tolerance boundaries."""
+"""The five validated value types: identity equality, read-only array fields and unmoved tolerance boundaries."""
 
 import dataclasses
 import math
@@ -10,14 +10,13 @@ from cpvortex.dynamics import VortexSystem
 from cpvortex.errors import ConfigurationError, DomainError
 from cpvortex.geom import AffineChart, ProjectivePoint, _off_unit
 from cpvortex.momentum import MomentumValue, momentum_cp2_equivariance_check
-from cpvortex.su3flag import FlagCoords, Su3Matrix
+from cpvortex.su3flag import FlagCoords
 
 # two calls of each build equal-valued, distinct instances; the names of their array fields
 BUILDERS = {
     "ProjectivePoint": (lambda: ProjectivePoint([1, 1j]), {"coords"}),
     "AffineChart": (lambda: AffineChart(0, [0.5, 1j]), {"values"}),
     "AffineChart one value": (lambda: AffineChart(1, [0.5]), {"values"}),
-    "Su3Matrix": (lambda: Su3Matrix(np.eye(3), role="unitary"), {"entries"}),
     "FlagCoords": (lambda: FlagCoords([0.1, 0.2j], 0.3, [0.0, 1.0]), {"z1", "z2", "z3", "K1", "K2"}),
     "FlagCoords point": (lambda: FlagCoords(0.1, 0.2j, 0.3), set()),  # NumPy scalars
     "MomentumValue": (lambda: MomentumValue(np.diag([1.0, -1.0, 0.0]), "hermitian_cp2"), {"matrix"}),
@@ -79,29 +78,6 @@ def off_diagonal(a) -> np.ndarray:
 
 @pytest.mark.parametrize("factor, ok", FACTORS)
 class TestToleranceBoundaries:
-    def test_unitary_role(self, factor, ok):
-        d = factor * 1e-12
-        assert accepted(lambda: Su3Matrix(np.diag([math.sqrt(1.0 + d), 1.0, 1.0]), role="unitary")) is ok
-
-    def test_antihermitian_role(self, factor, ok):
-        # off-diagonal a gives a Hermitian part of Frobenius norm 2 sqrt(2) a
-        base = 0.5j * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        m = base + off_diagonal(factor * 1e-12 / (2.0 * math.sqrt(2.0)))
-        assert accepted(lambda: Su3Matrix(m, role="antihermitian_traceless")) is ok
-
-    def test_antihermitian_role_trace(self, factor, ok):
-        m = np.diag([1j * factor * 1e-12, 0.0, 0.0])
-        assert accepted(lambda: Su3Matrix(m, role="antihermitian_traceless")) is ok
-
-    def test_unit_lower_triangular_role(self, factor, ok):
-        d = factor * 1e-12
-        upper = np.eye(3, dtype=complex)
-        upper[0, 2] = d
-        diagonal = np.eye(3, dtype=complex)
-        diagonal[1, 1] += d
-        for m in (upper, diagonal):
-            assert accepted(lambda: Su3Matrix(m, role="unit_lower_triangular")) is ok
-
     def test_hermitian_convention(self, factor, ok):
         m = np.diag([1.0, -1.0, 0.0]) + off_diagonal(1j * factor * 1e-12 / (2.0 * math.sqrt(2.0)))
         assert accepted(lambda: MomentumValue(m, "hermitian_cp2")) is ok
@@ -145,15 +121,12 @@ def second_bad(bad) -> np.ndarray:
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda m: Su3Matrix(m, role="unitary"), "matrix is not unitary within 1e-12"),
-        (lambda m: Su3Matrix(1j * (m - np.eye(3)), role="antihermitian_traceless"),
-         "matrix is not anti-Hermitian traceless within 1e-12"),
         (lambda m: MomentumValue(m - np.eye(3), "hermitian_cp2"), "hermitian_cp2 value must be Hermitian within 1e-12"),
         (lambda m: MomentumValue(1j * (m - np.eye(3)), "antihermitian_flag"),
          "antihermitian_flag value must be anti-Hermitian within 1e-10"),
         (lambda m: momentum_cp2_equivariance_check(ProjectivePoint([1, 1j, 0]), m), "expected a unitary matrix"),
     ],
-    ids=["unitary-role", "antihermitian-role", "hermitian-convention", "antihermitian-convention", "equivariance"],
+    ids=["hermitian-convention", "antihermitian-convention", "equivariance"],
 )
 def test_matrix_rule_messages(build, message):
     # I + off_diagonal(1j) is not unitary; off_diagonal(1j) and 1j times it are traceless, and each is
