@@ -42,7 +42,6 @@ from .greens import (
     volume_density_cpn,
 )
 from .momentum import (
-    MomentumValue,
     defining_equation_defect,
     momentum_cp2,
     momentum_cp2_equivariance_check,

@@ -261,7 +261,7 @@ def cmd_tabulate_greens(args) -> int:
 def cmd_tabulate_momentum(args) -> int:
     try:
         z = FlagCoords(complex(args.z1), complex(args.z2), complex(args.z3))
-        m = momentum.momentum_flag(z).matrix
+        m = momentum.momentum_flag(z)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -99,13 +99,6 @@ def _off_unit(v: np.ndarray) -> bool:
     return bool(np.any((squared < (1.0 - 1e-10) ** 2) | (squared > (1.0 + 1e-10) ** 2)))
 
 
-def _off_adjoint(m: np.ndarray, sign: int, squared_bound: float) -> bool:
-    """Whether some matrix of the stack m (..., k, k) has ||m - sign m*||_F^2 above squared_bound: sign 1 asks
-    for Hermitian matrices, -1 for anti-Hermitian ones."""
-    adjoint = m.conj().swapaxes(-1, -2)
-    return bool(np.any(_squared_norm(m - adjoint if sign == 1 else m + adjoint, 2) > squared_bound))
-
-
 def _off_unitary(u: np.ndarray, squared_bound: float) -> bool:
     """Whether some matrix of the stack u (..., k, k) has ||u u* - I||_F^2 above squared_bound."""
     return bool(np.any(_squared_norm(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1]), 2) > squared_bound))

@@ -26,6 +26,7 @@ needs NumPy only.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -142,11 +143,17 @@ _ODE_ORACLE_TARGET = 1e-10  # absolute error target of the quadrature oracle, pe
 _ODE_ORACLE_LIMIT = 200  # subintervals per integral
 _ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps  # relative error below which a subinterval cannot improve
 
-# Gauss-Legendre rules on [-1, 1]; each subinterval is evaluated at both
-# node sets in one call, and the 10-point value checks the 20-point one
-_GL10 = np.polynomial.legendre.leggauss(10)
-_GL20 = np.polynomial.legendre.leggauss(20)
-_NODES = np.concatenate([_GL10[0], _GL20[0]])
+
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """The 10- and 20-point Gauss-Legendre rules on [-1, 1] as (nodes of both, weights of 10, weights of 20).
+
+    Each subinterval is evaluated at both node sets in one call, and the
+    10-point value checks the 20-point one.  Built on first use, so that
+    importing the module does not load numpy.polynomial.
+    """
+    (x10, w10), (x20, w20) = np.polynomial.legendre.leggauss(10), np.polynomial.legendre.leggauss(20)
+    return np.concatenate([x10, x20]), w10, w20
 
 
 def greens_ode_oracle(n: int, r_a, r_b):
@@ -181,11 +188,12 @@ def greens_ode_oracle(n: int, r_a, r_b):
     share = _ODE_ORACLE_TARGET / np.where(empty, 1.0, b - a)
     owner = np.flatnonzero(~empty)  # the integral each open subinterval belongs to
     lo, hi = a[owner], b[owner]
+    nodes, w10, w20 = _gauss_legendre()
     while owner.size:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        f = greens_cpn_derivative(n, mid[:, None] + half[:, None] * _NODES)
-        g10 = half * (f[:, :10] @ _GL10[1])
-        g20 = half * (f[:, 10:] @ _GL20[1])
+        f = greens_cpn_derivative(n, mid[:, None] + half[:, None] * nodes)
+        g10 = half * (f[:, :10] @ w10)
+        g20 = half * (f[:, 10:] @ w20)
         bound = np.abs(g20 - g10)
         done = (bound <= share[owner] * (hi - lo)) | (bound <= _ROUNDOFF_FLOOR * np.abs(g20))
         np.add.at(value, owner[done], g20[done])

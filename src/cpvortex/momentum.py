@@ -1,11 +1,12 @@
 """Momentum maps of the SU(3) (and SU(n+1)) actions.
 
-Two conventions coexist:
+Each map returns a complex array of square matrices, one per point, and
+two conventions coexist:
 
-* ``hermitian_cp2`` -- the projective-space map mu = v v* - I/(n+1),
-  Hermitian and traceless, with constant spectrum {-1/3, -1/3, 2/3} on CP^2.
-* ``antihermitian_flag`` -- the big-cell flag map, anti-Hermitian and
-  traceless, normalized so that mu(0) = diag(i/2, 0, -i/2).
+* the projective-space map mu = v v* - I/(n+1) is Hermitian and traceless,
+  with constant spectrum {-1/3, -1/3, 2/3} on CP^2;
+* the big-cell flag map is exactly anti-Hermitian and traceless,
+  normalized so that mu(0) = diag(i/2, 0, -i/2).
 
 The flag map implemented here satisfies the defining relation
 d<mu, lambda_k> = iota_{X_k} omega for every generator (this is what
@@ -16,16 +17,13 @@ big-cell representative, which makes it exactly equivariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
-from .geom import ProjectivePoint, _momentum_sum, _off_adjoint, _off_unit, _off_unitary, _set_fields, _squared_norm
+from .geom import ProjectivePoint, _momentum_sum, _off_unit, _off_unitary, _squared_norm
 from .su3flag import _LAMBDA, FlagCoords, _generator_row, _matrix, flag_symplectic_matrix, infinitesimal_vf
 
 __all__ = [
-    "MomentumValue",
     "defining_equation_defect",
     "momentum_cp2",
     "momentum_cp2_equivariance_check",
@@ -37,36 +35,6 @@ __all__ = [
 ]
 
 _DEFECT_STEP = 1e-5  # central-difference step of the gradient in defining_equation_defect
-
-
-@dataclass(frozen=True, eq=False)
-class MomentumValue:
-    """A momentum-map value: traceless matrix plus its symmetry convention.
-
-    ``matrix`` is one square matrix or a stack (..., m, m) of them, one per
-    point of a batch; every matrix of a stack is validated, so one bad
-    value rejects the batch.
-    """
-
-    matrix: np.ndarray
-    convention: str
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-            raise DomainError(f"momentum matrix must be square, got shape {m.shape}")
-        # each rule compares a squared defect with its tolerance squared
-        if np.any(_squared_norm(np.trace(m, axis1=-2, axis2=-1), 0) > 1e-24 * np.maximum(1.0, _squared_norm(m, 2))):
-            raise DomainError("momentum matrix must be traceless")
-        if self.convention == "hermitian_cp2":
-            if _off_adjoint(m, 1, 1e-24):
-                raise DomainError("hermitian_cp2 value must be Hermitian within 1e-12")
-        elif self.convention == "antihermitian_flag":
-            if _off_adjoint(m, -1, 1e-20):
-                raise DomainError("antihermitian_flag value must be anti-Hermitian within 1e-10")
-        else:
-            raise DomainError(f"unknown convention {self.convention!r}")
-        _set_fields(self, matrix=m)
 
 
 def _unit_vector(p) -> np.ndarray:
@@ -84,17 +52,17 @@ def _mu(v: np.ndarray) -> np.ndarray:
     return _momentum_sum(v[..., None, :], np.ones(v.shape[:-1] + (1,)))
 
 
-def momentum_cpn(p) -> MomentumValue:
-    """Hermitian momentum value v v* - I/(n+1) of a unit vector v, or of each of a stack (..., n+1)."""
-    return MomentumValue(_mu(_unit_vector(p)), "hermitian_cp2")
+def momentum_cpn(p) -> np.ndarray:
+    """Hermitian momentum matrices v v* - I/(n+1), shape (..., n+1, n+1), of a unit vector v or a stack (..., n+1)."""
+    return _mu(_unit_vector(p))
 
 
-def momentum_cp2(p) -> MomentumValue:
-    """The CP^2 momentum map; eigenvalues are always {-1/3, -1/3, 2/3}."""
+def momentum_cp2(p) -> np.ndarray:
+    """The CP^2 momentum map, matrices (..., 3, 3); eigenvalues are always {-1/3, -1/3, 2/3}."""
     v = _unit_vector(p)
     if v.shape[-1] != 3:
         raise DomainError(f"momentum_cp2 needs a point of CP^2 (3 coordinates), got {v.shape[-1]}")
-    return MomentumValue(_mu(v), "hermitian_cp2")
+    return _mu(v)
 
 
 def momentum_cp2_equivariance_check(p, u):
@@ -119,8 +87,8 @@ def _antihermitian(mu11, mu22, mu33, mu21, mu31, mu32) -> np.ndarray:
     return _matrix([[mu11, -mu21.conjugate(), -mu31.conjugate()], [mu21, mu22, -mu32.conjugate()], [mu31, mu32, mu33]])
 
 
-def momentum_flag(z: FlagCoords) -> MomentumValue:
-    """Anti-Hermitian momentum value of a big-cell flag point, or of each point of a batch.
+def momentum_flag(z: FlagCoords) -> np.ndarray:
+    """Anti-Hermitian momentum matrix of a big-cell flag point, or of each point of a batch.
 
     Entries (lower triangle; upper filled by anti-Hermiticity), with
     w = z1 z3 - z2:
@@ -136,7 +104,9 @@ def momentum_flag(z: FlagCoords) -> MomentumValue:
     with constants fixed by mu(0) = diag(i/2, 0, -i/2); equivalently
     mu = U diag(i/2, 0, -i/2) U* for the Gram-Schmidt unitary factor U of
     the big-cell matrix, so the value is equivariant by construction.
-    The matrices have shape z.shape + (3, 3).
+    The matrices have shape z.shape + (3, 3), and the upper triangle is
+    the exact negated conjugate of the lower, so each is exactly
+    anti-Hermitian.
     """
     z1, z2, z3 = z.z1, z.z2, z.z3
     K1, K2 = z.K1, z.K2
@@ -148,7 +118,7 @@ def momentum_flag(z: FlagCoords) -> MomentumValue:
     mu21 = i2 * (z1 / K1 + z3.conjugate() * w / K2)
     mu31 = i2 * (z2 / K1 - w / K2)
     mu32 = i2 * (z1.conjugate() * z2 / K1 + z3 / K2)
-    return MomentumValue(_antihermitian(mu11, mu22, mu33, mu21, mu31, mu32), "antihermitian_flag")
+    return _antihermitian(mu11, mu22, mu33, mu21, mu31, mu32)
 
 
 def momentum_flag_tabulated(z: FlagCoords, variant: str) -> np.ndarray:
@@ -193,7 +163,7 @@ def momentum_flag_pairing(k, z: FlagCoords):
     shape np.shape(k) + z.shape, all from one evaluation of momentum_flag.
     """
     lam = _LAMBDA[_generator_row(k)]
-    t = np.einsum("...ij,kji->k...", momentum_flag(z).matrix, lam.reshape(-1, 3, 3))
+    t = np.einsum("...ij,kji->k...", momentum_flag(z), lam.reshape(-1, 3, 3))
     return t.real.reshape(lam.shape[:-2] + z.shape)[()]
 
 
@@ -218,7 +188,7 @@ def defining_equation_defect(k, z: FlagCoords):
     return np.sqrt(_squared_norm(grad - contraction, 1))[()]
 
 
-def weighted_momentum(system) -> MomentumValue:
-    """Strength-weighted total momentum sum_k Gamma_k mu(p_k) of a vortex system."""
+def weighted_momentum(system) -> np.ndarray:
+    """Strength-weighted total momentum sum_k Gamma_k mu(p_k) of a vortex system: one Hermitian (n+1, n+1) matrix."""
     system.require("cpn", "weighted_momentum")
-    return MomentumValue(_momentum_sum(system.positions, system.strengths), "hermitian_cp2")
+    return _momentum_sum(system.positions, system.strengths)

@@ -194,7 +194,7 @@ def verify_momentum(seed: int = 0) -> list:
     checks = []
 
     target = np.array([-1.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0])
-    ev = np.linalg.eigvalsh(momentum.momentum_cp2(geom._random_lifts(2, (1000,), rng)).matrix)
+    ev = np.linalg.eigvalsh(momentum.momentum_cp2(geom._random_lifts(2, (1000,), rng)))
     worst = float(np.max(np.abs(np.sort(ev, axis=-1) - target)))
     checks.append(CheckResult("cp2 momentum spectrum {-1/3,-1/3,2/3} (1000 points)", worst, 1e-10))
 
@@ -215,7 +215,7 @@ def verify_momentum(seed: int = 0) -> list:
     checks.append(CheckResult("weighted momentum linearity in strengths", worst, 1e-14))
 
     z = _random_flag(rng, shape=(50,))
-    m = momentum.momentum_flag(z).matrix
+    m = momentum.momentum_flag(z)
     worst_ah = float(np.max(np.linalg.norm(m - momentum.momentum_flag_tabulated(z, "antihermitian"), axis=(-2, -1))))
     worst_rd = float(np.max(np.linalg.norm(m - momentum.momentum_flag_tabulated(z, "real_diagonal"), axis=(-2, -1))))
 
@@ -225,10 +225,20 @@ def verify_momentum(seed: int = 0) -> list:
     z = _random_flag(rng, shape=(50,))
     u = su3flag.exp_su3(_GENERATORS[:, None], rng.uniform(-2.0, 2.0, (8, 50)))
     zm = z.matrix()
-    mu = momentum.momentum_flag(su3flag.bruhat_normalize(np.concatenate([zm[None], u @ zm]))).matrix
+    mu = momentum.momentum_flag(su3flag.bruhat_normalize(np.concatenate([zm[None], u @ zm])))
     defects = np.linalg.norm(mu[1:] - u @ mu[0] @ u.conj().swapaxes(-1, -2), axis=(-2, -1))  # (8, 50)
     worst, worst_at = _worst(defects.T, lambda i, k: f"k={k + 1}, {_flag_label(z, i)}")
     checks.append(CheckResult("flag momentum equivariance, k=1..8 (50 points)", worst, 1e-10, worst_at=worst_at))
+
+    # twistor fibration: with u1, u3 the first and last columns of the unitary QR factor of the flag
+    # matrix, mu_flag = (i/2)(mu_cpn(u1) - mu_cpn(u3)); drawn last, so the samples above do not move
+    z = _random_flag(rng, shape=(100,))
+    q = np.linalg.qr(z.matrix()).Q
+    twistor = 0.5j * (momentum.momentum_cpn(q[..., 0]) - momentum.momentum_cpn(q[..., 2]))
+    defects = np.linalg.norm(momentum.momentum_flag(z) - twistor, axis=(-2, -1))
+    worst, worst_at = _worst(defects, lambda i: _flag_label(z, i))
+    name = "flag momentum vs (i/2)(mu_cpn(u1) - mu_cpn(u3)), u from QR (100 points)"
+    checks.append(CheckResult(name, worst, 1e-12, worst_at=worst_at))
 
     checks.append(
         CheckResult(

@@ -54,7 +54,7 @@ def test_criterion_03_cp2_momentum_spectrum():
     rng = np.random.default_rng(0)
     target = np.array([-1 / 3, -1 / 3, 2 / 3])
     start = time.perf_counter()
-    ev = np.linalg.eigvalsh(momentum.momentum_cp2(geom._random_lifts(2, (1000,), rng)).matrix)  # (1000, 3)
+    ev = np.linalg.eigvalsh(momentum.momentum_cp2(geom._random_lifts(2, (1000,), rng)))  # (1000, 3)
     worst = float(np.max(np.abs(np.sort(ev, axis=-1) - target)))
     elapsed = time.perf_counter() - start
     report(3, "momentum spectrum {-1/3,-1/3,2/3} at 1000 points", worst, 1e-10, elapsed)

@@ -158,11 +158,11 @@ CP2_TRIO = {
     "integrator": {"method": "rk4", "dt": 0.001, "steps": 20},
 }
 
-SIMULATE_AND_LIST_SCIPY = """
+SIMULATE_AND_LIST_MODULES = """
 import json, sys
 import cpvortex, cpvortex.cli
 code = cpvortex.cli.main(["simulate", sys.argv[1]])
-print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+print(json.dumps(sorted(name for name in sys.modules if name.startswith(sys.argv[2]))))
 sys.exit(code)
 """
 
@@ -199,7 +199,15 @@ def test_verify_vectorfields_loads_no_scipy():
 def test_simulate_loads_no_scipy(tmp_path):
     # the package imports no SciPy; start-up and runs must not pay for it
     doc = dict(CP2_TRIO, outputs={"trajectory_path": str(tmp_path / "t.csv"), "monitor_path": str(tmp_path / "m.csv")})
-    proc = run_python("-c", SIMULATE_AND_LIST_SCIPY, write_config(tmp_path / "cfg.json", doc))
+    proc = run_python("-c", SIMULATE_AND_LIST_MODULES, write_config(tmp_path / "cfg.json", doc), "scipy")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_simulate_loads_no_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rules of the Green's quadrature oracle are built on its first call, not at import
+    doc = dict(CP2_TRIO, outputs={"trajectory_path": str(tmp_path / "t.csv"), "monitor_path": str(tmp_path / "m.csv")})
+    proc = run_python("-c", SIMULATE_AND_LIST_MODULES, write_config(tmp_path / "cfg.json", doc), "numpy.polynomial")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
@@ -900,7 +908,7 @@ class TestVerify:
         shift = 1e-3j * np.diag([1.0, -1.0, 0.0])
 
         def shifted(z):
-            return momentum.MomentumValue(flag_map(z).matrix + np.real(z.z1)[..., None, None] * shift, "antihermitian_flag")
+            return flag_map(z) + np.real(z.z1)[..., None, None] * shift
 
         monkeypatch.setattr(momentum, "momentum_flag", shifted)
         assert cli.main(["verify", "momentum"]) == 1
@@ -912,13 +920,20 @@ class TestVerify:
         # a constant shift of mu leaves the defining equation intact; equivariance pins it
         flag_map = momentum.momentum_flag
         shift = 1e-3j * np.diag([1.0, -1.0, 0.0])
-        monkeypatch.setattr(
-            momentum, "momentum_flag", lambda z: momentum.MomentumValue(flag_map(z).matrix + shift, "antihermitian_flag")
-        )
+        monkeypatch.setattr(momentum, "momentum_flag", lambda z: flag_map(z) + shift)
         assert cli.main(["verify", "momentum"]) == 1
         out = capsys.readouterr().out
         fail_line = [ln for ln in out.splitlines() if ln.startswith("FAIL") and "flag momentum equivariance" in ln][0]
         assert "at k=" in fail_line
+
+    def test_twistor_gate_bites(self, capsys, monkeypatch):
+        # a sign-flipped flag map is still anti-Hermitian, traceless and equivariant; the QR identity sees the sign
+        flag_map = momentum.momentum_flag
+        monkeypatch.setattr(momentum, "momentum_flag", lambda z: -flag_map(z))
+        assert cli.main(["verify", "momentum"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        (fail_line,) = [ln for ln in lines if "(i/2)(mu_cpn(u1) - mu_cpn(u3))" in ln]
+        assert fail_line.startswith("FAIL") and "defect 1.414e+00" in fail_line and "at z=(" in fail_line
 
     def test_metric_gate_bites(self, capsys, monkeypatch):
         metric = su3flag.flag_metric

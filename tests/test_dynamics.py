@@ -847,7 +847,7 @@ class TestMonitorsOfARecordedState:
         sys = make()
         if sys.n:
             energy = hamiltonian_cpn(sys)
-            momentum = float(np.sqrt(geom._squared_norm(weighted_momentum(sys).matrix, 2)))
+            momentum = float(np.sqrt(geom._squared_norm(weighted_momentum(sys), 2)))
         else:
             energy = planar_hamiltonian(sys)
             momentum = math.sqrt(sum(p**2 for p in planar_conserved(sys)))

@@ -127,15 +127,22 @@ def test_each_remaining_rule_has_one_owner():
     assert callers("_check_manifold") == {("cli", "load_config"), ("dynamics", "_system_arrays")}
     assert callers("_check_chart_values") == {("geom", "__post_init__"), ("geom", "fubini_study_metric")}
     assert callers("_check_same_cpn") == {("geom", "same_point"), ("geom", "geodesic_distance_cpn")}
-    # the squared-Frobenius adjoint and unitarity tests of matrix stacks are each one comparison in geom, which the
-    # MomentumValue conventions and the equivariance check call with their own bounds
+    # the squared-Frobenius unitarity test of matrix stacks is one comparison in geom, which the equivariance check
+    # calls with its own bound; no adjoint test of momentum values is left, since every map builds its convention
     adjoint = owners(lambda node: isinstance(node, ast.Compare) and (_names(node, "swapaxes") or _names(node, "adjoint")))
-    assert adjoint == {("geom", "_off_adjoint"), ("geom", "_off_unitary")}
-    assert callers("_off_adjoint") == {("momentum", "__post_init__")}
+    assert adjoint == {("geom", "_off_unitary")}
+    assert not owners(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_off_adjoint")
+    assert not callers("_off_adjoint")
     assert callers("_off_unitary") == {("momentum", "momentum_cp2_equivariance_check")}
     # the SU(3) closed forms return bare arrays: no matrix wrapper is defined, and nothing unwraps one
     assert not owners(lambda node: isinstance(node, ast.ClassDef) and node.name == "Su3Matrix")
     assert not owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "entries")
+    # the momentum maps return bare arrays too: no value wrapper is defined, and only FlagCoords.matrix() is read
+    assert not owners(lambda node: isinstance(node, ast.ClassDef) and node.name == "MomentumValue")
+    matrix_reads = [node for tree in trees.values() for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "matrix"]
+    called = {id(node.func) for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert matrix_reads and [ast.unparse(node) for node in matrix_reads if id(node) not in called] == []
     # a verification report is a result without a tolerance, not an infinite one switched off by a flag
     calls = [node for node in ast.walk(trees["verify"])
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "CheckResult"]

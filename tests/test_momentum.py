@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cpvortex import momentum
+from cpvortex import geom, momentum
 from cpvortex.dynamics import VortexSystem, _momentum_sum
 from cpvortex.errors import ConfigurationError, DomainError
 from cpvortex.geom import ProjectivePoint, random_point
 from cpvortex.momentum import (
-    MomentumValue,
     defining_equation_defect,
     momentum_cp2,
     momentum_cp2_equivariance_check,
@@ -22,59 +21,56 @@ from cpvortex.su3flag import FlagCoords, exp_su3, flag_symplectic_matrix, infini
 from cpvortex.verify import _random_flag
 
 
-class TestMomentumValue:
-    def test_rejects_trace(self):
-        with pytest.raises(DomainError):
-            MomentumValue(np.eye(3), "hermitian_cp2")
+def bound(m):
+    """1e-12 max(1, ||m||_F) for every matrix of the stack m (..., k, k)."""
+    return 1e-12 * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
 
-    def test_rejects_wrong_symmetry(self):
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(DomainError):
-            MomentumValue(m, "hermitian_cp2")
 
-    @pytest.mark.parametrize(
-        "matrix, convention, message",
-        [
-            (np.zeros((2, 3)), "hermitian_cp2", r"momentum matrix must be square, got shape \(2, 3\)"),
-            (np.zeros(3), "antihermitian_flag", r"momentum matrix must be square, got shape \(3,\)"),
-            (np.zeros((2, 2)), "hermitian", "unknown convention 'hermitian'"),
-        ],
-        ids=["non-square", "vector", "convention"],
-    )
-    def test_rejects_malformed_values(self, matrix, convention, message):
-        with pytest.raises(DomainError, match=message):
-            MomentumValue(matrix, convention)
+def assert_traceless(m):
+    assert np.all(np.abs(np.trace(m, axis1=-2, axis2=-1)) <= bound(m))
+
+
+def assert_hermitian_traceless(m):
+    # relative above norm 1: a weighted sum with strength 1e6 is Hermitian to about 1e-10 absolute
+    assert np.all(np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) <= bound(m))
+    assert_traceless(m)
+
+
+def assert_antihermitian_traceless(m):
+    """m* = -m exactly and the trace bound, for every matrix of the stack m."""
+    assert np.array_equal(m.conj().swapaxes(-1, -2), -m)
+    assert_traceless(m)
 
 
 class TestMomentumCp2:
     def test_basis_point(self):
-        mv = momentum_cp2(ProjectivePoint([1, 0, 0]))
-        assert np.allclose(mv.matrix, np.diag([2 / 3, -1 / 3, -1 / 3]))
+        m = momentum_cp2(ProjectivePoint([1, 0, 0]))
+        assert np.allclose(m, np.diag([2 / 3, -1 / 3, -1 / 3]))
 
     def test_balanced_point(self):
-        mv = momentum_cp2(ProjectivePoint([1, 1, 1]))
-        assert np.allclose(np.diag(mv.matrix), 0.0, atol=1e-15)
-        off = mv.matrix[~np.eye(3, dtype=bool)]
+        m = momentum_cp2(ProjectivePoint([1, 1, 1]))
+        assert np.allclose(np.diag(m), 0.0, atol=1e-15)
+        off = m[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 1 / 3)
 
     def test_spectrum(self):
         rng = np.random.default_rng(0)
         target = np.array([-1 / 3, -1 / 3, 2 / 3])
         for _ in range(300):
-            ev = np.linalg.eigvalsh(momentum_cp2(random_point(2, rng)).matrix)
+            ev = np.linalg.eigvalsh(momentum_cp2(random_point(2, rng)))
             assert np.max(np.abs(np.sort(ev) - target)) < 1e-10
 
     def test_hermitian_traceless(self):
         rng = np.random.default_rng(1)
-        mv = momentum_cp2(random_point(2, rng))
-        assert np.allclose(mv.matrix, mv.matrix.conj().T)
-        assert abs(np.trace(mv.matrix)) < 1e-14
+        m = momentum_cp2(random_point(2, rng))
+        assert np.allclose(m, m.conj().T)
+        assert abs(np.trace(m)) < 1e-14
 
     def test_cp1_spectrum(self):
         # the generalization v v* - I/(n+1) has spectrum {-1/2, 1/2} on CP^1
         rng = np.random.default_rng(13)
         for _ in range(50):
-            ev = np.linalg.eigvalsh(momentum_cpn(random_point(1, rng)).matrix)
+            ev = np.linalg.eigvalsh(momentum_cpn(random_point(1, rng)))
             assert np.allclose(np.sort(ev), [-0.5, 0.5], atol=1e-12)
 
     def test_unnormalized_rejected(self):
@@ -125,17 +121,17 @@ class TestEquivariance:
 
 class TestMomentumFlag:
     def test_at_origin(self):
-        mv = momentum_flag(FlagCoords(0, 0, 0))
-        assert np.allclose(mv.matrix, np.diag([0.5j, 0.0, -0.5j]))
+        m = momentum_flag(FlagCoords(0, 0, 0))
+        assert np.allclose(m, np.diag([0.5j, 0.0, -0.5j]))
 
     def test_offdiagonal_vanishes_at_origin(self):
-        m = momentum_flag(FlagCoords(0, 0, 0)).matrix
+        m = momentum_flag(FlagCoords(0, 0, 0))
         assert np.max(np.abs(m - np.diag(np.diag(m)))) == 0.0
 
     def test_antihermitian_traceless(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            m = momentum_flag(_random_flag(rng)).matrix
+            m = momentum_flag(_random_flag(rng))
             assert np.linalg.norm(m + m.conj().T) < 1e-14
             assert abs(np.trace(m)) < 1e-14
 
@@ -149,8 +145,8 @@ class TestMomentumFlag:
             k = int(rng.integers(1, 9))
             g = exp_su3(k, float(rng.uniform(-1.5, 1.5)))
             moved = bruhat_normalize(g @ z.matrix())
-            lhs = momentum_flag(moved).matrix
-            rhs = g @ momentum_flag(z).matrix @ g.conj().T
+            lhs = momentum_flag(moved)
+            rhs = g @ momentum_flag(z) @ g.conj().T
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -162,9 +158,9 @@ class TestOneKernel:
         v = np.array([random_point(n, np.random.default_rng(k)).coords for k in range(int(np.prod(shape)))])
         v = v.reshape(shape + (n + 1,))
         expected = _momentum_sum(v[..., None, :], np.ones(shape + (1,)))
-        assert np.max(np.abs(momentum_cpn(v).matrix - expected)) <= 1e-15
+        assert np.max(np.abs(momentum_cpn(v) - expected)) <= 1e-15
         outer = v[..., :, None] * v.conj()[..., None, :] - np.eye(n + 1) / (n + 1)
-        assert np.max(np.abs(momentum_cpn(v).matrix - outer)) <= 1e-15
+        assert np.max(np.abs(momentum_cpn(v) - outer)) <= 1e-15
 
     @pytest.mark.parametrize("offset", [5e-11, -5e-11, 0.9e-10, -0.9e-10])
     def test_lifts_the_unit_rule_accepts(self, offset):
@@ -173,10 +169,12 @@ class TestOneKernel:
             return np.outer(v, v) - (v @ v / v.size) * np.eye(v.size)
 
         v, w = np.array([1.0 + offset, 0.0, 0.0]), np.array([0.6, 0.8])
-        assert np.max(np.abs(momentum_cpn(v[:2]).matrix - mu(v[:2]))) <= 1e-15
-        assert np.max(np.abs(momentum_cp2(v).matrix - mu(v))) <= 1e-15
-        total = weighted_momentum(VortexSystem.cpn([v[:2], w], [1.0, 2.0])).matrix
+        assert np.max(np.abs(momentum_cpn(v[:2]) - mu(v[:2]))) <= 1e-15
+        assert np.max(np.abs(momentum_cp2(v) - mu(v))) <= 1e-15
+        total = weighted_momentum(VortexSystem.cpn([v[:2], w], [1.0, 2.0]))
         assert np.max(np.abs(total - mu(v[:2]) - 2.0 * mu(w))) <= 1e-15
+        for m in (momentum_cpn(v[:2]), momentum_cp2(v), total):
+            assert_traceless(m)
 
     @pytest.mark.parametrize(
         "call",
@@ -192,6 +190,62 @@ class TestOneKernel:
         monkeypatch.setattr(momentum, "_off_unit", lambda v: calls.append(1) or rule(v))
         call(random_point(2, np.random.default_rng(5)).coords)
         assert len(calls) == 1
+
+
+# coordinates of every size a unit lift or a big-cell point can hold, from 1e-150 to 1e150
+EXTREME_LIFTS = [[1e150, 1.0, 1e-150j], [1.0, -1e150j, 1e150], [1e-150, 0.0, 1.0], [1.0, 1e150, 1e149 + 1e149j]]
+EXTREME_FLAGS = [(1e150, 0, 0), (0, 1e150j, 0), (0, 0, -1e150), (1e150, 1e150j, 0), (1e-150, 1e150, -1e150),
+                 (1e150, -1e-150, 1e-150j), (1e75, 1e150, 1e75j)]
+
+
+def weighted_stack(v):
+    """weighted_momentum of each system (N, n+1) of the stack v (..., N, n+1), with strengths of both signs
+    from 3e-4 to 1e6 in size."""
+    count, n = v.shape[-2], v.shape[-1] - 1
+    strengths = np.resize([1e6, -2.0, 0.5, -3e-4], count)
+    values = [weighted_momentum(VortexSystem("cpn", x, strengths, n=n)) for x in v.reshape((-1, count, n + 1))]
+    return np.reshape(values, v.shape[:-2] + (n + 1, n + 1))
+
+
+HERMITIAN_MAPS = {"momentum_cpn": momentum_cpn, "momentum_cp2": momentum_cp2, "weighted_momentum": weighted_stack}
+
+
+class TestInvariants:
+    """Each map returns a complex array whose convention holds for every matrix: Hermitian or exactly
+    anti-Hermitian, and traceless, on batches, at extreme coordinates and at lifts 9e-11 off unit norm."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_cpn_values_of_a_batch(self, n):
+        v = geom._random_lifts(n, (50, 4), np.random.default_rng(31))
+        m = momentum_cpn(v)
+        assert m.shape == (50, 4, n + 1, n + 1) and m.dtype == complex
+        assert_hermitian_traceless(m)
+        assert_hermitian_traceless(weighted_stack(v))
+
+    @pytest.mark.parametrize("name", HERMITIAN_MAPS)
+    def test_extreme_lifts(self, name):
+        v = np.array([ProjectivePoint(c).coords for c in EXTREME_LIFTS])
+        m = HERMITIAN_MAPS[name](v[None])
+        assert m.shape[-2:] == (3, 3) and m.dtype == complex
+        assert_hermitian_traceless(m)
+
+    @pytest.mark.parametrize("offset", [9e-11, -9e-11])
+    @pytest.mark.parametrize("name", HERMITIAN_MAPS)
+    def test_lifts_off_unit_norm(self, name, offset):
+        v = (1.0 + offset) * geom._random_lifts(2, (10, 10), np.random.default_rng(32))
+        assert_hermitian_traceless(HERMITIAN_MAPS[name](v))
+
+    def test_flag_values_of_a_batch(self):
+        z = _random_flag(np.random.default_rng(34), radius=50.0, shape=(20, 25))
+        m = momentum_flag(z)
+        assert m.shape == (20, 25, 3, 3) and m.dtype == complex
+        assert_antihermitian_traceless(m)
+        assert_antihermitian_traceless(momentum_flag(FlagCoords(0.3, -1j, 2.0)))
+
+    def test_extreme_flags(self):
+        m = momentum_flag(FlagCoords(*np.array(EXTREME_FLAGS).T))
+        assert m.shape == (len(EXTREME_FLAGS), 3, 3) and m.dtype == complex
+        assert_antihermitian_traceless(m)
 
 
 class TestPairing:
@@ -212,7 +266,7 @@ class TestPairing:
         for _ in range(50):
             z = _random_flag(rng)
             for k in range(1, 9):
-                t = complex(np.trace(momentum_flag(z).matrix @ gell_mann(k)))
+                t = complex(np.trace(momentum_flag(z) @ gell_mann(k)))
                 assert abs(t.imag) < 1e-12
 
 
@@ -266,7 +320,7 @@ class TestDefiningEquation:
 class TestTabulatedVariants:
     def test_antihermitian_table_matches_at_origin(self):
         z = FlagCoords(0, 0, 0)
-        assert np.allclose(momentum_flag_tabulated(z, "antihermitian"), momentum_flag(z).matrix)
+        assert np.allclose(momentum_flag_tabulated(z, "antihermitian"), momentum_flag(z))
 
     def test_antihermitian_table_mu31_matches_everywhere(self):
         # the (3,1) entry of the anti-Hermitian table is slip-free
@@ -274,7 +328,7 @@ class TestTabulatedVariants:
         for _ in range(50):
             z = _random_flag(rng)
             assert momentum_flag_tabulated(z, "antihermitian")[2, 0] == pytest.approx(
-                momentum_flag(z).matrix[2, 0], abs=1e-14
+                momentum_flag(z)[2, 0], abs=1e-14
             )
 
     def test_real_diagonal_table_diagonal_is_real(self):
@@ -293,18 +347,18 @@ class TestWeightedMomentum:
         rng = np.random.default_rng(10)
         p = random_point(2, rng)
         sys = VortexSystem.cpn([p], [1.0])
-        assert np.allclose(weighted_momentum(sys).matrix, momentum_cp2(p).matrix)
+        assert np.allclose(weighted_momentum(sys), momentum_cp2(p))
 
     def test_opposite_strengths_cancel_pointwise(self):
         # mu(p) - mu(p) = 0: equal mu-values cancel under opposite strengths
         rng = np.random.default_rng(11)
         p = random_point(2, rng)
-        assert np.allclose(momentum_cpn(p).matrix - momentum_cpn(p).matrix, 0.0)
+        assert np.allclose(momentum_cpn(p) - momentum_cpn(p), 0.0)
 
     def test_symmetric_basis_configuration_sums_to_zero(self):
         pts = [ProjectivePoint(e) for e in np.eye(3)]
         sys = VortexSystem.cpn(pts, [1.0, 1.0, 1.0])
-        assert np.allclose(weighted_momentum(sys).matrix, 0.0, atol=1e-15)
+        assert np.allclose(weighted_momentum(sys), 0.0, atol=1e-15)
 
     def test_linearity(self):
         rng = np.random.default_rng(12)
@@ -313,21 +367,30 @@ class TestWeightedMomentum:
         s1 = VortexSystem.cpn(pts, gam)
         s2 = VortexSystem.cpn(pts, 3.0 * gam)
         assert np.allclose(
-            weighted_momentum(s2).matrix, 3.0 * weighted_momentum(s1).matrix, atol=1e-14
+            weighted_momentum(s2), 3.0 * weighted_momentum(s1), atol=1e-14
         )
 
     def test_linearity_in_each_strength(self):
         rng = np.random.default_rng(14)
         pts = [random_point(2, rng) for _ in range(3)]
         gam = [0.7, -1.2, 2.0]
-        base = weighted_momentum(VortexSystem.cpn(pts, gam)).matrix
+        base = weighted_momentum(VortexSystem.cpn(pts, gam))
         for k in range(3):
             bumped = list(gam)
             delta = 0.5
             bumped[k] += delta
-            lhs = weighted_momentum(VortexSystem.cpn(pts, bumped)).matrix
-            rhs = base + delta * momentum_cpn(pts[k]).matrix
+            lhs = weighted_momentum(VortexSystem.cpn(pts, bumped))
+            rhs = base + delta * momentum_cpn(pts[k])
             assert np.max(np.abs(lhs - rhs)) < 1e-14
+
+    @pytest.mark.parametrize("strength", [1e4, 1e6, 1e12])
+    def test_large_strengths(self, strength):
+        # the sum is Hermitian to about 1e-16 relative, which an absolute bound of 1e-12 rejected from strength 1e4 on
+        v = geom._random_lifts(2, (4,), np.random.default_rng(31))
+        gam = np.array([strength, -2.0, 0.5, -3e-4])
+        total = weighted_momentum(VortexSystem("cpn", v, gam, n=2))
+        assert_hermitian_traceless(total)
+        assert np.max(np.abs(total - sum(g * momentum_cpn(x) for g, x in zip(gam, v)))) <= 1e-15 * strength
 
     def test_plane_rejected(self):
         sys = VortexSystem.plane([0.0, 1.0], [1.0, 1.0])
@@ -349,8 +412,8 @@ class TestBatches:
 
     def test_momentum_flag_matches_per_point(self, batch):
         # normwise per point, to 1e-15 relative
-        per_point = np.array([momentum_flag(p).matrix for p in single_points(batch)])
-        gap = np.max(np.abs(momentum_flag(batch).matrix - per_point), axis=(1, 2))
+        per_point = np.array([momentum_flag(p) for p in single_points(batch)])
+        gap = np.max(np.abs(momentum_flag(batch) - per_point), axis=(1, 2))
         assert np.all(gap <= 1e-15 * np.max(np.abs(per_point), axis=(1, 2)))
 
     def test_pairings_of_all_generators(self, batch):
@@ -366,11 +429,3 @@ class TestBatches:
         points = single_points(batch)[:20]
         per_point = [[defining_equation_defect(k, p) for p in points] for k in (1, 5, 8)]
         np.testing.assert_allclose(defects[[0, 4, 7], :20], per_point, rtol=0, atol=1e-14)
-
-    def test_corrupted_value_rejects_batch(self, batch):
-        m = np.array(momentum_flag(batch).matrix)
-        m[3, 0, 1] += 1e-6  # no longer anti-Hermitian, still traceless
-        with pytest.raises(DomainError):
-            MomentumValue(m, "antihermitian_flag")
-        MomentumValue(np.delete(m, 3, axis=0), "antihermitian_flag")
-

@@ -1,4 +1,4 @@
-"""The five validated value types: identity equality, read-only array fields and unmoved tolerance boundaries."""
+"""The four validated value types: identity equality, read-only array fields and unmoved tolerance boundaries."""
 
 import dataclasses
 import math
@@ -9,7 +9,7 @@ import pytest
 from cpvortex.dynamics import VortexSystem
 from cpvortex.errors import ConfigurationError, DomainError
 from cpvortex.geom import AffineChart, ProjectivePoint, _off_unit
-from cpvortex.momentum import MomentumValue, momentum_cp2_equivariance_check
+from cpvortex.momentum import momentum_cp2_equivariance_check
 from cpvortex.su3flag import FlagCoords
 
 # two calls of each build equal-valued, distinct instances; the names of their array fields
@@ -19,7 +19,6 @@ BUILDERS = {
     "AffineChart one value": (lambda: AffineChart(1, [0.5]), {"values"}),
     "FlagCoords": (lambda: FlagCoords([0.1, 0.2j], 0.3, [0.0, 1.0]), {"z1", "z2", "z3", "K1", "K2"}),
     "FlagCoords point": (lambda: FlagCoords(0.1, 0.2j, 0.3), set()),  # NumPy scalars
-    "MomentumValue": (lambda: MomentumValue(np.diag([1.0, -1.0, 0.0]), "hermitian_cp2"), {"matrix"}),
     "VortexSystem": (lambda: VortexSystem.plane([0.0, 1.0], [1.0, 1.0]), {"positions", "strengths"}),
 }
 
@@ -78,23 +77,6 @@ def off_diagonal(a) -> np.ndarray:
 
 @pytest.mark.parametrize("factor, ok", FACTORS)
 class TestToleranceBoundaries:
-    def test_hermitian_convention(self, factor, ok):
-        m = np.diag([1.0, -1.0, 0.0]) + off_diagonal(1j * factor * 1e-12 / (2.0 * math.sqrt(2.0)))
-        assert accepted(lambda: MomentumValue(m, "hermitian_cp2")) is ok
-
-    def test_antihermitian_convention(self, factor, ok):
-        m = np.diag([0.5j, 0.0, -0.5j]) + off_diagonal(factor * 1e-10 / (2.0 * math.sqrt(2.0)))
-        assert accepted(lambda: MomentumValue(m, "antihermitian_flag")) is ok
-
-    @pytest.mark.parametrize("convention, unit", [("hermitian_cp2", 1.0), ("antihermitian_flag", 1j)])
-    def test_trace_rule(self, factor, ok, convention, unit):
-        # below norm 1 the trace tolerance is 1e-12; above it, 1e-12 times the Frobenius norm
-        small = np.diag([unit * factor * 1e-12, 0.0, 0.0])
-        s = 10.0
-        large = unit * np.diag([s + factor * 1e-12 * s * math.sqrt(2.0), -s, 0.0])
-        for m in (small, large):
-            assert accepted(lambda: MomentumValue(m, convention)) is ok
-
     def test_equivariance_unitarity(self, factor, ok):
         d = factor * 1e-10
         u = np.diag([math.sqrt(1.0 + d), 1.0, 1.0])
@@ -121,16 +103,12 @@ def second_bad(bad) -> np.ndarray:
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda m: MomentumValue(m - np.eye(3), "hermitian_cp2"), "hermitian_cp2 value must be Hermitian within 1e-12"),
-        (lambda m: MomentumValue(1j * (m - np.eye(3)), "antihermitian_flag"),
-         "antihermitian_flag value must be anti-Hermitian within 1e-10"),
         (lambda m: momentum_cp2_equivariance_check(ProjectivePoint([1, 1j, 0]), m), "expected a unitary matrix"),
     ],
-    ids=["hermitian-convention", "antihermitian-convention", "equivariance"],
+    ids=["equivariance"],
 )
 def test_matrix_rule_messages(build, message):
-    # I + off_diagonal(1j) is not unitary; off_diagonal(1j) and 1j times it are traceless, and each is
-    # neither Hermitian nor anti-Hermitian
+    # I + off_diagonal(1j) is not unitary
     with pytest.raises(DomainError) as err:
         build(second_bad(np.eye(3) + off_diagonal(1j)))
     assert str(err.value) == message

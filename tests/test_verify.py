@@ -229,6 +229,14 @@ class TestSuites:
         assert len(checks) == 10 and all(c.gating for c in checks)
         assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
 
+    @pytest.mark.parametrize("seed", [0, 3, 199])
+    def test_momentum_suite_gates_the_twistor_identity(self, seed):
+        # six gating checks and two reports; the QR identity is the last gate, at 1e-12
+        checks = verify.run_suite("momentum", seed=seed)
+        assert [c.gating for c in checks] == [True] * 6 + [False] * 2
+        assert "(i/2)(mu_cpn(u1) - mu_cpn(u3))" in checks[5].name and checks[5].tolerance == 1e-12
+        assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
+
     def test_unknown_suite_is_a_key_error(self):
         with pytest.raises(KeyError, match="unknown suite 'dynamic'"):
             verify.run_suite("dynamic")
