@@ -26,7 +26,6 @@ from .errors import (
     SingularityError,
 )
 from .geom import (
-    AffineChart,
     ProjectivePoint,
     from_chart,
     fubini_study_metric,

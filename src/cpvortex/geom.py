@@ -8,12 +8,13 @@ the geodesic distance
 
 are provided on top of that representation.  The chart map works on arrays
 of lifts, one chart index per lift; to_chart and from_chart are its
-single-point cases.  Likewise the one normalizer of homogeneous coordinates
-and the samplers of lifts and of Haar unitaries work on batches;
-ProjectivePoint, random_point and random_unitary are their single cases.
+single-point cases, on plain arrays of chart values.  Likewise the one
+normalizer of homogeneous coordinates and the samplers of lifts and of Haar
+unitaries work on batches; ProjectivePoint, random_point and random_unitary
+are their single cases.
 The CP^n moment-map kernel _momentum_sum lives here, so dynamics and
-momentum share it without importing each other.  All values are immutable
-and all functions are pure.
+momentum share it without importing each other.  ProjectivePoint is
+immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from .errors import ChartDegenerateError, ConfigurationError, DimensionMismatchError
 
 __all__ = [
-    "AffineChart",
     "ProjectivePoint",
     "from_chart",
     "fubini_study_metric",
@@ -143,32 +143,6 @@ class ProjectivePoint:
         return abs(abs(hermitian_inner(self.coords, other.coords)) - 1.0) <= tol
 
 
-@dataclass(frozen=True, eq=False)
-class AffineChart:
-    """Affine chart values of a projective point, or of a batch of points in one chart.
-
-    ``chart_index`` is the pivot coordinate that was scaled to 1, an integer
-    in [0, n] (else ConfigurationError); ``values`` are the remaining n
-    coordinates in ascending index order along the last axis (shape (n,)
-    for one point, (..., n) for a batch).
-    """
-
-    chart_index: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=complex)  # a copy: the caller's array stays writeable
-        if values.ndim < 1 or values.shape[-1] < 1:
-            raise DimensionMismatchError("chart values need length n >= 1")
-        _check_chart_values(values)
-        _off_pivot(self.chart_index, (values.shape[-1] + 1,))
-        _set_fields(self, chart_index=int(self.chart_index), values=values)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[-1]
-
-
 def pivot_threshold(n: int) -> float:
     """Pivot magnitude below which a chart counts as degenerating.
 
@@ -224,8 +198,8 @@ def _default_charts(lifts: np.ndarray) -> np.ndarray:
     return np.abs(lifts).argmax(axis=-1)
 
 
-def to_chart(p: ProjectivePoint, chart_index: int) -> AffineChart:
-    """Divide out the pivot coordinate.
+def to_chart(p: ProjectivePoint, chart_index: int) -> np.ndarray:
+    """Chart values (n,) of p: its coordinates but the pivot chart_index, divided by the pivot.
 
     Fails with ConfigurationError unless chart_index is an integer in
     [0, n], and with ChartDegenerateError once the pivot is numerically
@@ -233,14 +207,23 @@ def to_chart(p: ProjectivePoint, chart_index: int) -> AffineChart:
     Callers that need a guaranteed well-conditioned chart should test the
     pivot against pivot_threshold(n) instead.
     """
-    return AffineChart(chart_index, _chart_values(p.coords, chart_index))
+    return _chart_values(p.coords, chart_index)
 
 
-def from_chart(chart: AffineChart) -> ProjectivePoint:
-    """Insert 1 at the pivot slot and renormalize; the chart holds one point."""
-    if chart.values.ndim != 1:
-        raise DimensionMismatchError(f"from_chart takes the chart of one point, got values of shape {chart.values.shape}")
-    return ProjectivePoint(_chart_lifts(chart.values, chart.chart_index))
+def from_chart(values, chart_index: int) -> ProjectivePoint:
+    """The point of chart values (n,) in the chart of pivot chart_index: 1 inserted at the pivot, renormalized.
+
+    In this order, DimensionMismatchError unless n >= 1, ValueError unless the values are finite, ConfigurationError
+    unless chart_index is an integer in [0, n], and DimensionMismatchError unless the values are those of one point.
+    """
+    values = np.asarray(values, dtype=complex)
+    if values.ndim < 1 or values.shape[-1] < 1:
+        raise DimensionMismatchError("chart values need length n >= 1")
+    _check_chart_values(values)
+    _off_pivot(chart_index, (values.shape[-1] + 1,))
+    if values.ndim != 1:
+        raise DimensionMismatchError(f"from_chart takes the chart of one point, got values of shape {values.shape}")
+    return ProjectivePoint(_chart_lifts(values, chart_index))
 
 
 def geodesic_distance_cpn(xi: ProjectivePoint, eta: ProjectivePoint) -> float:

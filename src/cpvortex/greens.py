@@ -216,12 +216,15 @@ def greens_ode_oracle(n: int, r_a, r_b):
 
 
 def greens_plane(x, y) -> float:
-    """Green's function of the Euclidean plane, -log|x - y| / (2 pi)."""
+    """Green's function of the Euclidean plane, -log|x - y| / (2 pi); DomainError unless x, y and |x - y| are finite."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (2,) or y.shape != (2,):
         raise DomainError("plane points must be length-2 real vectors")
-    d = float(np.hypot(x[0] - y[0], x[1] - y[1]))
+    with np.errstate(all="ignore"):  # a non-finite coordinate or an overflowing difference gives a non-finite d
+        d = float(np.hypot(x[0] - y[0], x[1] - y[1]))
+    if not math.isfinite(d):
+        raise DomainError(f"plane points and their distance must be finite, got {x} and {y}")
     if d == 0.0:
         raise SingularityError("coincident points")
     return PLANE_CONSTANT * math.log(d)

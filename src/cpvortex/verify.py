@@ -404,6 +404,20 @@ def verify_metric(seed: int = 0) -> list:
             note="report only: the tabulated projective-plane block differs in form from the inverse metric",
         )
     )
+
+    # twistor fibration: h = J1^T h_FS(f1) conj(J1) + J2^T h_FS(f2) conj(J2) for the line f1 = (z1, z2), whose J1
+    # projects onto (z1, z2), and the plane f2 = (z1 z3 - z2, -z3); drawn last, so the samples above do not move
+    z = _random_flag(rng, shape=(100,))
+    pullback = np.zeros(z.shape + (3, 3), dtype=complex)
+    pullback[..., :2, :2] = geom.fubini_study_metric(np.stack([z.z1, z.z2], axis=-1))
+    j2 = np.zeros(z.shape + (2, 3), dtype=complex)
+    j2[..., 0, 0], j2[..., 0, 1], j2[..., 0, 2], j2[..., 1, 2] = z.z3, -1.0, z.z1, -1.0
+    pullback += j2.swapaxes(-1, -2) @ geom.fubini_study_metric(np.stack([z.z1 * z.z3 - z.z2, -z.z3], axis=-1)) @ j2.conj()
+    h = su3flag.flag_metric(z)
+    defects = np.linalg.norm(h - pullback, axis=(-2, -1)) / np.linalg.norm(h, axis=(-2, -1))
+    worst, worst_at = _worst(defects, lambda i: _flag_label(z, i))
+    name = "flag metric vs twistor pullback of h_FS(z1, z2) and h_FS(z1 z3 - z2, -z3) (relative, 100 points)"
+    checks.append(CheckResult(name, worst, 1e-12, worst_at=worst_at))
     return checks
 
 

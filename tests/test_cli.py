@@ -942,6 +942,22 @@ class TestVerify:
         out = capsys.readouterr().out
         assert [ln for ln in out.splitlines() if ln.startswith("FAIL") and "flag metric vs potential Hessian" in ln]
 
+    def test_pullback_gate_bites(self, capsys, monkeypatch):
+        # h13 and its conjugate off by 1e-11 relative pass every other metric check; the twistor pullback sees them
+        metric = su3flag.flag_metric
+
+        def skewed(z):
+            h = metric(z)
+            h[..., 0, 2] *= 1.0 + 1e-11
+            h[..., 2, 0] *= 1.0 + 1e-11
+            return h
+
+        monkeypatch.setattr(su3flag, "flag_metric", skewed)
+        assert cli.main(["verify", "metric"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln[:4] for ln in lines[:-1]] == ["PASS"] * 7 + ["INFO"] * 2 + ["FAIL"]
+        assert "twistor pullback" in lines[-2] and "at z=(" in lines[-2]
+
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from cpvortex.dynamics import (
     write_trajectory_csv,
 )
 from cpvortex.errors import ChartDegenerateError, CollisionError, ConfigurationError, NumericError
-from cpvortex.geom import (ProjectivePoint, from_chart, AffineChart, _lift_distance, pivot_threshold, random_point,
+from cpvortex.geom import (ProjectivePoint, from_chart, _lift_distance, pivot_threshold, random_point,
                            random_unitary, to_chart)
 from cpvortex.greens import greens_constant, greens_cpn_derivative
 from cpvortex.momentum import weighted_momentum
@@ -254,8 +254,8 @@ class TestGradient:
 
     def test_symmetric_pair_gradients_opposite(self):
         a = 0.37
-        p = from_chart(AffineChart(0, np.array([a + 0.0j])))
-        q = from_chart(AffineChart(0, np.array([-a + 0.0j])))
+        p = from_chart(np.array([a + 0.0j]), 0)
+        q = from_chart(np.array([-a + 0.0j]), 0)
         sys = VortexSystem.cpn([p, q], [1.0, 1.0])
         charts, (g1, g2) = grad_hamiltonian(sys, charts=[0, 0])
         assert charts.tolist() == [0, 0]
@@ -284,7 +284,7 @@ class TestVectorField:
 
         speeds = []
         for p, v in zip(sys.positions, hamiltonian_vector_field(sys, charts=[0, 0])[1]):
-            h = fubini_study_metric(to_chart(ProjectivePoint(p), 0).values).real[0, 0]
+            h = fubini_study_metric(to_chart(ProjectivePoint(p), 0)).real[0, 0]
             speeds.append(h * (v[0] ** 2 + v[1] ** 2))
         assert speeds[0] == pytest.approx(speeds[1], rel=1e-10)
 
@@ -564,8 +564,8 @@ class TestIntegrate:
         # this pair's rigid rotation carries the first vortex across the
         # chart-switch latitude (pivot 1/2 on CP^1); conservation must hold
         # through the coordinate change
-        p = from_chart(AffineChart(0, np.array([math.tan(0.785) + 0.0j])))
-        q = from_chart(AffineChart(0, np.array([math.tan(1.40) + 0.0j])))
+        p = from_chart(np.array([math.tan(0.785) + 0.0j]), 0)
+        q = from_chart(np.array([math.tan(1.40) + 0.0j]), 0)
         sys = VortexSystem.cpn([p, q], [1.0, 1.0])
         traj = integrate(sys, 2e-3, 2500)
         assert len({tuple(r) for r in traj.charts.tolist()}) > 1  # a switch happened
@@ -919,7 +919,7 @@ class TestTrajectoryStates:
             for a, lift in enumerate(traj.positions[k]):
                 chart = int(row[1 + 3 * a])
                 w = complex(float(row[2 + 3 * a]), float(row[3 + 3 * a]))
-                np.testing.assert_allclose(to_chart(ProjectivePoint(lift), chart).values, [w], rtol=1e-14)
+                np.testing.assert_allclose(to_chart(ProjectivePoint(lift), chart), [w], rtol=1e-14)
 
 
 class TestTrajectoryCsv:

@@ -125,7 +125,9 @@ def test_each_remaining_rule_has_one_owner():
                            ("points live in different CP^n", ("geom", "_check_same_cpn"))]:
         assert owners(lambda node: isinstance(node, ast.Constant) and message in str(node.value)) == {owner}, message
     assert callers("_check_manifold") == {("cli", "load_config"), ("dynamics", "_system_arrays")}
-    assert callers("_check_chart_values") == {("geom", "__post_init__"), ("geom", "fubini_study_metric")}
+    assert callers("_check_chart_values") == {("geom", "from_chart"), ("geom", "fubini_study_metric")}
+    # chart values are bare arrays: no chart wrapper is defined
+    assert not owners(lambda node: isinstance(node, ast.ClassDef) and node.name == "AffineChart")
     assert callers("_check_same_cpn") == {("geom", "same_point"), ("geom", "geodesic_distance_cpn")}
     # the squared-Frobenius unitarity test of matrix stacks is one comparison in geom, which the equivariance check
     # calls with its own bound; no adjoint test of momentum values is left, since every map builds its convention

@@ -7,7 +7,7 @@ import pytest
 from cpvortex import greens
 from cpvortex.dynamics import VortexSystem, hamiltonian_cpn
 from cpvortex.errors import DomainError, OracleError, SingularityError
-from cpvortex.geom import AffineChart, ProjectivePoint, from_chart, fubini_study_metric, geodesic_distance_cpn
+from cpvortex.geom import ProjectivePoint, from_chart, fubini_study_metric, geodesic_distance_cpn
 from cpvortex.greens import (
     DIAMETER,
     cpn_volume,
@@ -251,13 +251,13 @@ class TestLaplaceBeltrami:
         rng = np.random.default_rng(n)
         for r in (0.3, 0.8, 1.3):
             p, w0 = self.pole_and_point(n, r, rng)
-            assert geodesic_distance_cpn(p, from_chart(AffineChart(0, w0))) == pytest.approx(r, rel=1e-12)
+            assert geodesic_distance_cpn(p, from_chart(w0, 0)) == pytest.approx(r, rel=1e-12)
 
             def green(w):
-                return greens_cpn(n, geodesic_distance_cpn(p, from_chart(AffineChart(0, w))))
+                return greens_cpn(n, geodesic_distance_cpn(p, from_chart(w, 0)))
 
             def pair_energy(w):
-                return hamiltonian_cpn(VortexSystem.cpn([p, from_chart(AffineChart(0, w))], [1.0, 1.0]))
+                return hamiltonian_cpn(VortexSystem.cpn([p, from_chart(w, 0)], [1.0, 1.0]))
 
             assert cpn_volume(n) * self.laplacian(green, w0) == pytest.approx(1.0, rel=1e-2)
             assert cpn_volume(n) * self.laplacian(pair_energy, w0) == pytest.approx(1.0, rel=1e-2)
@@ -284,6 +284,18 @@ class TestPlane:
     def test_points_must_be_length_two_vectors(self, x, y):
         with pytest.raises(DomainError, match="plane points must be length-2 real vectors"):
             greens_plane(x, y)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_are_a_domain_error(self, bad):
+        # like every CP^n Green's function, never a nan or -inf value
+        for x, y in (([bad, 0.0], [1.0, 0.0]), ([0.0, 0.0], [1.0, bad])):
+            with pytest.raises(DomainError, match="plane points and their distance must be finite"):
+                greens_plane(x, y)
+
+    def test_overflowing_separation_is_a_domain_error(self):
+        # |x - y| = 2e308 is no double; the suite's filterwarnings turns a NumPy overflow warning into a failure
+        with pytest.raises(DomainError, match="plane points and their distance must be finite"):
+            greens_plane([1e308, 0.0], [-1e308, 0.0])
 
 
 class TestBatches:

@@ -1,4 +1,4 @@
-"""The four validated value types: identity equality, read-only array fields and unmoved tolerance boundaries."""
+"""The three validated value types: identity equality, read-only array fields and unmoved tolerance boundaries."""
 
 import dataclasses
 import math
@@ -8,15 +8,13 @@ import pytest
 
 from cpvortex.dynamics import VortexSystem
 from cpvortex.errors import ConfigurationError, DomainError
-from cpvortex.geom import AffineChart, ProjectivePoint, _off_unit
+from cpvortex.geom import ProjectivePoint, _off_unit, from_chart
 from cpvortex.momentum import momentum_cp2_equivariance_check
 from cpvortex.su3flag import FlagCoords
 
 # two calls of each build equal-valued, distinct instances; the names of their array fields
 BUILDERS = {
     "ProjectivePoint": (lambda: ProjectivePoint([1, 1j]), {"coords"}),
-    "AffineChart": (lambda: AffineChart(0, [0.5, 1j]), {"values"}),
-    "AffineChart one value": (lambda: AffineChart(1, [0.5]), {"values"}),
     "FlagCoords": (lambda: FlagCoords([0.1, 0.2j], 0.3, [0.0, 1.0]), {"z1", "z2", "z3", "K1", "K2"}),
     "FlagCoords point": (lambda: FlagCoords(0.1, 0.2j, 0.3), set()),  # NumPy scalars
     "VortexSystem": (lambda: VortexSystem.plane([0.0, 1.0], [1.0, 1.0]), {"positions", "strengths"}),
@@ -42,10 +40,11 @@ def test_array_fields_are_read_only(kind):
 
 
 def test_chart_leaves_its_input_writeable():
+    # the point does not share the caller's chart values: mutating them afterwards does not move it
     values = np.array([0.5 + 0j, 1j])
-    chart = AffineChart(0, values)
+    p = from_chart(values, 0)
     values[0] = 2.0
-    assert chart.values[0] == 0.5 and not chart.values.flags.writeable
+    assert values.flags.writeable and np.array_equal(p.coords, from_chart([0.5, 1j], 0).coords)
 
 
 def test_flag_batch_holds_read_only_potentials():

@@ -87,7 +87,7 @@ def per_coordinate_energies(system):
             e[k % n] = h if k < n else 1j * h
             for sign, w in enumerate((w0 + e, w0 - e)):
                 lifts = system.positions.copy()
-                lifts[alpha] = geom.from_chart(geom.AffineChart(c, w)).coords
+                lifts[alpha] = geom.from_chart(w, c).coords
                 out[alpha, sign, k] = dynamics.hamiltonian_cpn(dynamics.VortexSystem.cpn(lifts, system.strengths))
     return out
 
@@ -235,6 +235,14 @@ class TestSuites:
         checks = verify.run_suite("momentum", seed=seed)
         assert [c.gating for c in checks] == [True] * 6 + [False] * 2
         assert "(i/2)(mu_cpn(u1) - mu_cpn(u3))" in checks[5].name and checks[5].tolerance == 1e-12
+        assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
+
+    @pytest.mark.parametrize("seed", [0, 3, 199])
+    def test_metric_suite_gates_the_twistor_pullback(self, seed):
+        # seven gating checks, two reports, and the pullback of the two Fubini-Study metrics last, at 1e-12
+        checks = verify.run_suite("metric", seed=seed)
+        assert [c.gating for c in checks] == [True] * 7 + [False] * 2 + [True]
+        assert "twistor pullback" in checks[-1].name and checks[-1].tolerance == 1e-12
         assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
 
     def test_unknown_suite_is_a_key_error(self):
